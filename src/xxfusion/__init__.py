@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .errors import (
     CapacityError,
     DegenerateGapError,
+    LanczosConvergenceError,
     PropagationError,
     PurificationError,
     RampSearchError,
@@ -77,7 +78,8 @@ __all__ = [
     "make_schedule", "rodeo_cycle", "run_rodeo",
     "METHODS", "CompareRow", "CostLedger", "FusionConfig", "FusionPlan",
     "StepRecord", "compare_methods", "expected_cost", "fuse_step", "run_fusion",
-    "SimulationError", "CapacityError", "DegenerateGapError", "PropagationError",
+    "SimulationError", "CapacityError", "DegenerateGapError",
+    "LanczosConvergenceError", "PropagationError",
     "PurificationError", "RampSearchError", "RodeoAnnihilationError",
     "StepRefinementError",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -375,7 +375,9 @@ def cmd_converge(values: dict) -> int:
         raise ConfigError(
             f"filling {values['filling']} does not give a gapped half sector on {L // 2} sites"
         )
-    config = _fusion_config(values)
+    if values["m_max"] < 0:
+        raise ConfigError(f"m_max={values['m_max']} must be nonnegative")
+    config = replace(_fusion_config(values), max_superiterations=values["m_max"])
     half = enumerate_sector(L // 2, int(n_half))
     half_H = build_hamiltonian(half, BondCouplings.uniform(L // 2, config.J))
     prob = _prepare_step(lowest_two(half_H).ground, config)
@@ -397,11 +399,8 @@ def cmd_converge(values: dict) -> int:
         start = prob.product
 
     milestones = [(0, infidelity(start, prob.ground), 1.0, 0.0)]
-    sweep = _sweep(start, prob, prob.E0, config)
-    for m, _, fid, p_total, t_R in sweep:
+    for m, _, fid, p_total, t_R in _sweep(start, prob, prob.E0, config):
         milestones.append((m, fid, p_total, t_R))
-        if m >= values["m_max"]:
-            break
     rows = []
     for m, fid, p_total, t_R in milestones:
         kappa = expected_cost(values["method"], t_A, t_R, p_total)

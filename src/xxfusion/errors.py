@@ -13,6 +13,10 @@ class DegenerateGapError(SimulationError):
     """E1 - E0 is numerically zero, so gap-based schedules are undefined."""
 
 
+class LanczosConvergenceError(SimulationError):
+    """Lanczos used up its vector budget before two Ritz pairs converged."""
+
+
 class PropagationError(SimulationError):
     """Krylov propagation failed to converge within its subspace budget."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateGapError
+from .errors import DegenerateGapError, LanczosConvergenceError
 from .spin_model import SparseHamiltonian, StateVector
 
 #: Sector dimension at which lowest_two switches from dense to Lanczos.
@@ -98,7 +98,7 @@ def _lanczos_lowest_two(H: SparseHamiltonian, tol: float = LANCZOS_TOL):
         betas.append(b)
         V[k + 1] = w / b
 
-    raise RuntimeError(
+    raise LanczosConvergenceError(
         f"Lanczos did not converge two pairs within {m_max} vectors (dim {dim})"
     )
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import xxfusion.spectral as spectral
 from xxfusion import cli
 
 
@@ -42,6 +43,14 @@ def test_gap_n_up_overrides_filling(capsys):
 def test_gap_rejects_gapless_sector(capsys):
     assert run(["gap", "--L", "4", "--n-up", "0"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_gap_lanczos_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "_LANCZOS_MAX_VECS", 3)
+    assert run(["gap", "--L", "12"]) == 1  # dim 924 goes through Lanczos
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Lanczos did not converge")
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------- config
@@ -203,6 +212,27 @@ def test_converge_rodeo_starts_from_raw_product(capsys):
 def test_converge_validates_sector(capsys):
     assert run(["converge", "--L", "5"]) == 2
     assert run(["converge", "--L", "4", "--filling", "1/4"]) == 2
+
+
+def test_converge_m_max_above_default_sweep_cap(capsys):
+    # more rows than the fusion default of 64 superiterations
+    assert run(["converge", "--L", "4", "--method", "rodeo", "--m-max", "70"]) == 0
+    _, _, rows, _ = csv_body(capsys.readouterr().out)
+    assert [int(r.split(",")[0]) for r in rows] == list(range(71))
+
+
+def test_converge_m_max_zero_emits_only_the_start_row(capsys):
+    assert run(["converge", "--L", "4", "--method", "rodeo", "--m-max", "0"]) == 0
+    _, _, rows, _ = csv_body(capsys.readouterr().out)
+    assert len(rows) == 1
+    cells = rows[0].split(",")
+    assert cells[0] == "0"
+    assert float(cells[1]) == pytest.approx(0.1027864045000435, rel=1e-9)
+
+
+def test_converge_negative_m_max_is_a_config_error(capsys):
+    assert run(["converge", "--m-max", "-1"]) == 2
+    assert "m_max=-1" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ fuse

@@ -1,5 +1,7 @@
 """Time evolution and the adiabatic middle-bond ramp."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import xxfusion.propagate as propagate
 from xxfusion import (
     BondCouplings,
+    PropagationError,
     RampContext,
     RampSchedule,
     RampSearchError,
@@ -100,6 +103,53 @@ def test_expmv_zero_time_is_identity():
     v = random_state(basis)
     out = expmv(H, 0.0, v)
     assert np.allclose(out.amps, v.amps, atol=1e-14)
+
+
+def test_expmv_krylov_breakdown_on_eigenvector():
+    # one live bond pairs the configurations: equal amplitudes on each pair
+    # span its E = +J eigenspace, opposite ones the E = -J eigenspace
+    basis = enumerate_sector(12, 6)
+    J = np.zeros(11)
+    J[0] = 0.7
+    H = build_hamiltonian(basis, BondCouplings(J))
+    rows, cols = H.matrix.nonzero()
+    pairs = rows < cols
+    phases = np.exp(1j * np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, pairs.sum()))
+    up = np.zeros(basis.dim, dtype=np.complex128)
+    up[rows[pairs]] = phases
+    up[cols[pairs]] = phases
+    down = np.zeros_like(up)
+    down[rows[pairs]] = phases
+    down[cols[pairs]] = -phases
+    # an eigenvector accurate to 1e-15, as a dense eigensolver returns one:
+    # the Lanczos residual is tiny but nonzero, so only breakdown stops it
+    v = StateVector(basis, (up + 1e-15 * down) / np.linalg.norm(up))
+    t = 2.3
+    # a one-vector budget at zero tolerance returns only through breakdown
+    out = expmv(H, t, v, tol=0.0, method="krylov", max_krylov=1)
+    assert np.linalg.norm(out.amps - np.exp(-0.7j * t) * v.amps) < 1e-12
+
+
+def test_expmv_krylov_stall_raises_with_residual():
+    basis, H = chain(10, 5)
+    v = random_state(basis)
+    with pytest.raises(PropagationError, match="stalled") as info:
+        expmv(H, 5.0, v, tol=1e-14, method="krylov", max_krylov=2)
+    assert math.isfinite(info.value.residual)
+    assert info.value.residual > 1e-14
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "imaginary"])
+def test_expmv_auto_krylov_matches_dense_above_cutoff(kind):
+    basis, H = chain(12, 6)  # dim 924: "auto" takes the Krylov route
+    assert basis.dim >= propagate.DENSE_CUTOFF
+    rng = np.random.default_rng(924)
+    re, im = rng.standard_normal((2, basis.dim))
+    amps = {"complex": re + 1j * im, "real": re + 0j, "imaginary": 1j * im}[kind]
+    v = StateVector(basis, amps / np.linalg.norm(amps))
+    auto = expmv(H, 3.0, v)
+    dense = expmv(H, 3.0, v, method="dense")
+    assert np.linalg.norm(auto.amps - dense.amps) < 1e-9
 
 
 def test_expmv_argument_errors():

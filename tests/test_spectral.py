@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import xxfusion.spectral as spectral
 from xxfusion import (
     BondCouplings,
     DegenerateGapError,
+    LanczosConvergenceError,
+    SimulationError,
     StateVector,
     apply_hamiltonian,
     build_hamiltonian,
@@ -122,6 +125,14 @@ def test_lowest_two_degenerate_and_trivial_errors():
         lowest_two(uniform_chain(2, 0))  # dim 1, no excited state
     with pytest.raises(ValueError):
         lowest_two(uniform_chain(4, 2), force_method="qr")
+
+
+def test_lowest_two_lanczos_budget_failure_is_typed(monkeypatch):
+    monkeypatch.setattr(spectral, "_LANCZOS_MAX_VECS", 3)
+    H = uniform_chain(12, 6)  # dim 924, above the dense cutoff
+    with pytest.raises(LanczosConvergenceError, match="within 3 vectors") as info:
+        lowest_two(H)
+    assert isinstance(info.value, SimulationError)
 
 
 # ------------------------------------------------------------- overlaps
