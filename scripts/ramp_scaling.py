@@ -13,16 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from xxfusion import (
-    BondCouplings,
-    RampContext,
-    build_hamiltonian,
-    embed_product,
-    enumerate_sector,
-    lowest_two,
-    middle_bond,
-    ramp_time_for_infidelity,
-)
+from xxfusion import FusionConfig, FusionStep
 
 
 def parse_args():
@@ -36,35 +27,19 @@ def parse_args():
     return p.parse_args()
 
 
-def build_context(L, filling):
-    n = int(filling * L)
-    basis = enumerate_sector(L, n)
-    H = build_hamiltonian(basis, BondCouplings.uniform(L))
-    half = enumerate_sector(L // 2, n // 2)
-    Hh = build_hamiltonian(half, BondCouplings.uniform(L // 2))
-    g = lowest_two(Hh).ground
-    product = embed_product(g, g, basis=basis).normalized()
-    bond = middle_bond(L)
-    base = BondCouplings.uniform(L).with_bond(bond, 0.0)
-    return RampContext(basis, base, bond, 1.0, product, lowest_two(H).ground)
-
-
 def main():
     args = parse_args()
     filling = Fraction(args.filling)
-    ctx = build_context(args.L, filling)
+    step = FusionStep.exact_halves(
+        args.L, filling, FusionConfig(bisections=args.bisections)
+    )
     targets = [float(t) for t in args.targets.split(",")]
     probe_cache = {}
     rows = []
     print(f"# L={args.L} filling={filling} bisections={args.bisections}")
     print(f"{'target':>10} {'T_A':>10} {'achieved':>14} {'steps':>6}")
     for target in sorted(targets, reverse=True):
-        res = ramp_time_for_infidelity(
-            target, ctx,
-            refine_bisections=args.bisections,
-            step_tol=min(1e-4, target / 10.0),
-            probe_cache=probe_cache,
-        )
+        res = step.ramp(target, cache=probe_cache)
         rows.append((res.T_A, res.infidelity))
         print(f"{target:>10.3g} {res.T_A:>10.6g} {res.infidelity:>14.6e} "
               f"{res.steps:>6d}")

@@ -20,6 +20,7 @@ from .fusion import (
     CostLedger,
     FusionConfig,
     FusionPlan,
+    FusionStep,
     StepRecord,
     compare_methods,
     expected_cost,
@@ -32,16 +33,17 @@ from .propagate import (
     RampSchedule,
     adiabatic_ramp,
     converged_ramp,
+    default_step_tol,
     expmv,
     ramp_time_for_infidelity,
 )
 from .rodeo import (
     RodeoOutcome,
     RodeoSchedule,
-    ancilla_circuit_cycle,
     energy_scan,
     make_schedule,
     rodeo_cycle,
+    rodeo_cycles,
     run_rodeo,
 )
 from .spectral import (
@@ -73,11 +75,12 @@ __all__ = [
     "SpectralPair", "free_fermion_energies", "infidelity", "lowest_two",
     "sector_ground_energy_oracle", "spectral_weight",
     "RampContext", "RampResult", "RampSchedule", "adiabatic_ramp",
-    "converged_ramp", "expmv", "ramp_time_for_infidelity",
-    "RodeoOutcome", "RodeoSchedule", "ancilla_circuit_cycle", "energy_scan",
-    "make_schedule", "rodeo_cycle", "run_rodeo",
+    "converged_ramp", "default_step_tol", "expmv", "ramp_time_for_infidelity",
+    "RodeoOutcome", "RodeoSchedule", "energy_scan", "make_schedule",
+    "rodeo_cycle", "rodeo_cycles", "run_rodeo",
     "METHODS", "CompareRow", "CostLedger", "FusionConfig", "FusionPlan",
-    "StepRecord", "compare_methods", "expected_cost", "fuse_step", "run_fusion",
+    "FusionStep", "StepRecord", "compare_methods", "expected_cost", "fuse_step",
+    "run_fusion",
     "SimulationError", "CapacityError", "DegenerateGapError",
     "LanczosConvergenceError", "PropagationError",
     "PurificationError", "RampSearchError", "RodeoAnnihilationError",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,16 +27,13 @@ from .fusion import (
     METHODS,
     FusionConfig,
     FusionPlan,
-    _prepare_step,
-    _step_tol,
-    _sweep,
+    FusionStep,
     compare_methods,
     expected_cost,
     run_fusion,
 )
-from .propagate import ramp_time_for_infidelity
 from .rodeo import energy_scan, make_schedule
-from .spectral import infidelity, lowest_two
+from .spectral import lowest_two
 from .spin_model import (
     BondCouplings,
     basis_state,
@@ -102,18 +99,25 @@ class Opt:
     help: str
 
 
+_DEFAULTS = FusionConfig()
+
 _SEARCH_OPTS = [
-    Opt("t_start", _p_float, 1.0, "first ramp duration probed (1/J)"),
-    Opt("t_cap", _p_float, 2.0**16, "largest ramp duration probed (1/J)"),
-    Opt("bisections", _p_int, 3, "bisection rounds after the doubling bracket"),
-    Opt("expmv_tol", _p_float, 1e-10, "propagator tolerance per application"),
-    Opt("step_tol", _p_step_tol, None,
+    Opt("t_start", _p_float, _DEFAULTS.T_start, "first ramp duration probed (1/J)"),
+    Opt("t_cap", _p_float, _DEFAULTS.T_cap, "largest ramp duration probed (1/J)"),
+    Opt("bisections", _p_int, _DEFAULTS.bisections,
+        "bisection rounds after the doubling bracket"),
+    Opt("expmv_tol", _p_float, _DEFAULTS.expmv_tol,
+        "propagator tolerance per application"),
+    Opt("step_tol", _p_step_tol, _DEFAULTS.step_tol,
         "ramp step-doubling stall tolerance; 'auto' ties it to the target"),
 ]
 
 _RODEO_OPTS = [
-    Opt("depth", _p_int, 8, "cycle times per superiteration"),
-    Opt("ratio", _p_float, 0.5, "geometric ratio between successive cycle times"),
+    Opt("depth", _p_int, _DEFAULTS.depth, "cycle times per superiteration"),
+    Opt("ratio", _p_float, _DEFAULTS.ratio,
+        "geometric ratio between successive cycle times"),
+    Opt("precondition", _p_float, _DEFAULTS.precondition_infidelity,
+        "hybrid preconditioning infidelity"),
 ]
 
 OPTIONS = {
@@ -129,8 +133,8 @@ OPTIONS = {
         Opt("targets", _p_targets, (1e-3, 1e-4), "comma-separated infidelity targets"),
         Opt("J", _p_float, 1.0, "bond coupling"),
         *_RODEO_OPTS,
-        Opt("precondition", _p_float, 1e-2, "hybrid preconditioning infidelity"),
-        Opt("max_superiterations", _p_int, 64, "superiteration sweep cap"),
+        Opt("max_superiterations", _p_int, _DEFAULTS.max_superiterations,
+            "superiteration sweep cap"),
         *_SEARCH_OPTS,
         Opt("output", _p_str, "-", "CSV path, or - for stdout"),
     ],
@@ -156,7 +160,6 @@ OPTIONS = {
         Opt("method", _p_purifier, "hybrid", "rodeo or hybrid"),
         Opt("J", _p_float, 1.0, "bond coupling"),
         *_RODEO_OPTS,
-        Opt("precondition", _p_float, 1e-2, "hybrid preconditioning infidelity"),
         Opt("m_max", _p_int, 8, "largest superiteration count reported"),
         *_SEARCH_OPTS,
         Opt("output", _p_str, "-", "CSV path, or - for stdout"),
@@ -171,8 +174,8 @@ OPTIONS = {
             "uniform: every level gets the target; budget: target split across levels"),
         Opt("J", _p_float, 1.0, "bond coupling"),
         *_RODEO_OPTS,
-        Opt("precondition", _p_float, 1e-2, "hybrid preconditioning infidelity"),
-        Opt("max_superiterations", _p_int, 64, "superiteration sweep cap"),
+        Opt("max_superiterations", _p_int, _DEFAULTS.max_superiterations,
+            "superiteration sweep cap"),
         *_SEARCH_OPTS,
         Opt("output", _p_str, "-", "CSV path, or - for stdout"),
     ],
@@ -259,19 +262,20 @@ def _sector_occupancy(L: int, filling: Fraction, n_up) -> int:
     return n
 
 
-def _fusion_config(v: dict) -> FusionConfig:
+def _fusion_config(v: dict, **per_command) -> FusionConfig:
+    """FusionConfig from the settings every fusion command has, plus
+    ``per_command`` fields (sweep cap, level policy)."""
     return FusionConfig(
         J=v["J"],
         depth=v["depth"],
         ratio=v["ratio"],
         precondition_infidelity=v["precondition"],
-        max_superiterations=v.get("max_superiterations", 64),
         T_start=v["t_start"],
         T_cap=v["t_cap"],
         bisections=v["bisections"],
         expmv_tol=v["expmv_tol"],
         step_tol=v["step_tol"],
-        level_policy=v.get("level_policy", "uniform"),
+        **per_command,
     )
 
 
@@ -291,9 +295,8 @@ def cmd_gap(values: dict) -> int:
 
 
 def cmd_compare(values: dict) -> int:
-    rows = compare_methods(
-        values["L"], values["filling"], values["targets"], config=_fusion_config(values)
-    )
+    config = _fusion_config(values, max_superiterations=values["max_superiterations"])
+    rows = compare_methods(values["L"], values["filling"], values["targets"], config=config)
     out = []
     failed = False
     for r in rows:
@@ -367,42 +370,13 @@ def cmd_scan(values: dict) -> int:
 
 
 def cmd_converge(values: dict) -> int:
-    L = values["L"]
-    if L % 2 != 0:
-        raise ConfigError(f"L={L} cannot be split into equal halves")
-    n_half = values["filling"] * (L // 2)
-    if n_half.denominator != 1 or not 0 < int(n_half) < L // 2:
-        raise ConfigError(
-            f"filling {values['filling']} does not give a gapped half sector on {L // 2} sites"
-        )
     if values["m_max"] < 0:
         raise ConfigError(f"m_max={values['m_max']} must be nonnegative")
-    config = replace(_fusion_config(values), max_superiterations=values["m_max"])
-    half = enumerate_sector(L // 2, int(n_half))
-    half_H = build_hamiltonian(half, BondCouplings.uniform(L // 2, config.J))
-    prob = _prepare_step(lowest_two(half_H).ground, config)
-
-    t_A = 0.0
-    if values["method"] == "hybrid":
-        pre = ramp_time_for_infidelity(
-            config.precondition_infidelity,
-            prob.ctx,
-            T_start=config.T_start,
-            T_cap=config.T_cap,
-            refine_bisections=config.bisections,
-            step_tol=_step_tol(config, config.precondition_infidelity),
-            tol=config.expmv_tol,
-        )
-        start = pre.state.normalized()
-        t_A = pre.T_A
-    else:
-        start = prob.product
-
-    milestones = [(0, infidelity(start, prob.ground), 1.0, 0.0)]
-    for m, _, fid, p_total, t_R in _sweep(start, prob, prob.E0, config):
-        milestones.append((m, fid, p_total, t_R))
+    config = _fusion_config(values, max_superiterations=values["m_max"])
+    step = FusionStep.exact_halves(values["L"], values["filling"], config)
+    start, t_A, _ = step.start(values["method"])
     rows = []
-    for m, fid, p_total, t_R in milestones:
+    for m, _, fid, p_total, t_R in step.sweep(start):
         kappa = expected_cost(values["method"], t_A, t_R, p_total)
         rows.append(f"{m},{_fmt(fid)},{_fmt(p_total)},{_fmt(config.J * kappa)},OK")
     _write_csv(
@@ -413,7 +387,11 @@ def cmd_converge(values: dict) -> int:
 
 
 def cmd_fuse(values: dict) -> int:
-    config = _fusion_config(values)
+    config = _fusion_config(
+        values,
+        max_superiterations=values["max_superiterations"],
+        level_policy=values["level_policy"],
+    )
     plan = FusionPlan(
         L_final=values["L_final"],
         L_base=values["L_base"],

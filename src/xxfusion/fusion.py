@@ -9,23 +9,28 @@ expected total evolution time per prepared copy,
     kappa_A = t_A,    kappa_R = t_R / p,    kappa_H = (t_A + t_R) / p,
 
 with p the cumulative rodeo success probability.
+
+:class:`FusionStep` holds one step (the doubled chain's Hamiltonian,
+ground energy, gap and ramp problem) and owns its ramp search, the start
+of its rodeo sweep and the sweep itself; ``fuse_step``, ``run_fusion``
+and ``compare_methods`` are built on it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import (
-    PurificationError,
-    RampSearchError,
-    RodeoAnnihilationError,
-    SimulationError,
+from .errors import PurificationError, SimulationError
+from .propagate import (
+    T_CAP,
+    RampContext,
+    RampResult,
+    default_step_tol,
+    ramp_time_for_infidelity,
 )
-from .propagate import T_CAP, RampContext, ramp_time_for_infidelity
-from .rodeo import ANNIHILATION_FLOOR, make_schedule, rodeo_cycle
+from .rodeo import make_schedule, rodeo_cycles
 from .spectral import infidelity, lowest_two
 from .spin_model import (
     BondCouplings,
@@ -115,55 +120,122 @@ class FusionPlan:
 
 
 @dataclass(frozen=True)
-class _StepProblem:
-    """Everything fixed about fusing two copies of one half-chain state."""
+class FusionStep:
+    """One fusion step: the doubled chain, its exact lowest pair, and the
+    ramp problem from two copies of a half-chain state to the ground.
 
+    ``ramp`` searches the ramp duration, ``start`` gives the input of the
+    rodeo sweep, and ``sweep`` runs it one superiteration at a time.
+    """
+
+    config: FusionConfig
     H: SparseHamiltonian
     E0: float
     gap: float
-    ground: StateVector
-    product: StateVector
     ctx: RampContext
 
+    @property
+    def product(self) -> StateVector:
+        """The normalized product of the two half states."""
+        return self.ctx.v0
 
-def _prepare_step(ground_half: StateVector, config: FusionConfig) -> _StepProblem:
-    if abs(ground_half.norm() - 1.0) > 1e-9:
-        raise ValueError("half-chain state is not normalized")
-    L = 2 * ground_half.basis.L
-    basis = enumerate_sector(L, 2 * ground_half.basis.n_up)
-    couplings = BondCouplings.uniform(L, config.J)
-    H = build_hamiltonian(basis, couplings)
-    pair = lowest_two(H)
-    product = embed_product(ground_half, ground_half, basis=basis).normalized()
-    bond = middle_bond(L)
-    base = couplings.with_bond(bond, 0.0)
-    ctx = RampContext(basis, base, bond, config.J, product, pair.ground)
-    return _StepProblem(H, pair.E0, pair.gap, pair.ground, product, ctx)
+    @property
+    def ground(self) -> StateVector:
+        """The ground of the doubled chain."""
+        return self.ctx.target
 
+    @classmethod
+    def from_half(cls, ground_half: StateVector, config: FusionConfig) -> FusionStep:
+        """Fuse two copies of ``ground_half``, a normalized half-chain state."""
+        if abs(ground_half.norm() - 1.0) > 1e-9:
+            raise ValueError("half-chain state is not normalized")
+        L = 2 * ground_half.basis.L
+        basis = enumerate_sector(L, 2 * ground_half.basis.n_up)
+        couplings = BondCouplings.uniform(L, config.J)
+        H = build_hamiltonian(basis, couplings)
+        pair = lowest_two(H)
+        product = embed_product(ground_half, ground_half, basis=basis).normalized()
+        bond = middle_bond(L)
+        base = couplings.with_bond(bond, 0.0)
+        ctx = RampContext(basis, base, bond, config.J, product, pair.ground)
+        return cls(config, H, pair.E0, pair.gap, ctx)
 
-def _sweep(v0: StateVector, prob: _StepProblem, E_t: float, config: FusionConfig):
-    block = make_schedule(prob.gap, depth=config.depth, ratio=config.ratio).times
-    block_time = float(block.sum())
-    state = v0
-    p_total = 1.0
-    t_R = 0.0
-    for m in range(1, config.max_superiterations + 1):
-        for t_j in block:
-            state, p = rodeo_cycle(state, prob.H, E_t, float(t_j), tol=config.expmv_tol)
-            p_total *= p
-            if p_total < ANNIHILATION_FLOOR:
-                raise RodeoAnnihilationError(
-                    f"cumulative success probability {p_total:.3e} vanished in "
-                    f"superiteration {m}"
-                )
-        t_R += block_time
-        yield m, state, infidelity(state, prob.ground), p_total, t_R
+    @classmethod
+    def exact_halves(cls, L: int, filling, config: FusionConfig) -> FusionStep:
+        """Fuse two exact sector grounds of the L/2 chain at ``filling``."""
+        filling = Fraction(filling)
+        if L % 2 != 0:
+            raise ValueError(f"L={L} cannot be split into equal halves")
+        n_half = filling * (L // 2)
+        if n_half.denominator != 1:
+            raise ValueError(
+                f"filling {filling} gives fractional occupation on {L // 2} sites"
+            )
+        n_half = int(n_half)
+        if not 0 < n_half < L // 2:
+            raise ValueError(
+                f"half sector (L={L // 2}, n_up={n_half}) has no gap to anchor"
+            )
+        half_basis = enumerate_sector(L // 2, n_half)
+        half_H = build_hamiltonian(half_basis, BondCouplings.uniform(L // 2, config.J))
+        return cls.from_half(lowest_two(half_H).ground, config)
 
+    def ramp(
+        self, target: float, *, step_tol: float | None = None, cache: dict | None = None
+    ) -> RampResult:
+        """Shortest converged ramp from the product reaching ``target``.
 
-def _step_tol(config: FusionConfig, target: float) -> float:
-    if config.step_tol is not None:
-        return config.step_tol
-    return min(1e-4, target / 10.0)
+        ``step_tol`` defaults to ``config.step_tol``; ``cache`` shares
+        duration probes between searches of this step.
+        """
+        c = self.config
+        return ramp_time_for_infidelity(
+            target,
+            self.ctx,
+            T_start=c.T_start,
+            T_cap=c.T_cap,
+            refine_bisections=c.bisections,
+            step_tol=c.step_tol if step_tol is None else step_tol,
+            tol=c.expmv_tol,
+            probe_cache=cache,
+        )
+
+    def start(
+        self, method: str, *, cache: dict | None = None
+    ) -> tuple[StateVector, float, int]:
+        """Input of the rodeo sweep as ``(state, t_A, ramp_steps)``.
+
+        "rodeo" starts from the product; "hybrid" from the product ramped
+        to the preconditioning infidelity.
+        """
+        if method == "rodeo":
+            return self.product, 0.0, 0
+        if method != "hybrid":
+            raise ValueError(f"method {method!r} has no rodeo sweep")
+        pre = self.ramp(self.config.precondition_infidelity, cache=cache)
+        return pre.state.normalized(), pre.T_A, pre.steps
+
+    def sweep(
+        self, start: StateVector
+    ) -> Iterator[tuple[int, StateVector, float, float, float]]:
+        """Rodeo cycles at E0 on ``start``, one superiteration at a time.
+
+        Yields ``(M, state, infidelity, p_total, t_R)`` for the start
+        itself (M = 0) and after superiteration M = 1 ..
+        ``config.max_superiterations``.
+        """
+        yield 0, start, infidelity(start, self.ground), 1.0, 0.0
+        c = self.config
+        times = make_schedule(
+            self.gap, depth=c.depth, superiterations=c.max_superiterations, ratio=c.ratio
+        ).times
+        block_time = float(times[: c.depth].sum())
+        t_R = 0.0
+        cycles = rodeo_cycles(start, self.H, self.E0, times, tol=c.expmv_tol)
+        for j, (state, _, p_total) in enumerate(cycles, 1):
+            if j % c.depth == 0:
+                t_R += block_time
+                yield j // c.depth, state, infidelity(state, self.ground), p_total, t_R
 
 
 def fuse_step(
@@ -184,23 +256,11 @@ def fuse_step(
     if not 0.0 < target_infidelity < 1.0:
         raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
     config = config or FusionConfig()
-    prob = _prepare_step(ground_half, config)
+    step = FusionStep.from_half(ground_half, config)
     L = 2 * ground_half.basis.L
-    E_t = prob.E0
-    step_tol = _step_tol(config, target_infidelity)
 
-    t_A = 0.0
-    ramp_steps = 0
     if method == "adiabatic":
-        res = ramp_time_for_infidelity(
-            target_infidelity,
-            prob.ctx,
-            T_start=config.T_start,
-            T_cap=config.T_cap,
-            refine_bisections=config.bisections,
-            step_tol=step_tol,
-            tol=config.expmv_tol,
-        )
+        res = step.ramp(target_infidelity)
         state = res.state.normalized()
         record = StepRecord(
             L, method, target_infidelity, res.infidelity, res.T_A, 0.0, 1.0,
@@ -208,34 +268,9 @@ def fuse_step(
         )
         return state, record
 
-    if method == "hybrid":
-        pre = ramp_time_for_infidelity(
-            config.precondition_infidelity,
-            prob.ctx,
-            T_start=config.T_start,
-            T_cap=config.T_cap,
-            refine_bisections=config.bisections,
-            step_tol=_step_tol(config, config.precondition_infidelity),
-            tol=config.expmv_tol,
-        )
-        t_A = pre.T_A
-        ramp_steps = pre.steps
-        start = pre.state.normalized()
-        start_infidelity = pre.infidelity
-    else:
-        start = prob.product
-        start_infidelity = infidelity(start, prob.ground)
-
-    if start_infidelity <= target_infidelity:
-        state = start
-        record = StepRecord(
-            L, method, target_infidelity, start_infidelity, t_A, 0.0, 1.0,
-            expected_cost(method, t_A, 0.0, 1.0), 0, ramp_steps,
-        )
-        return state, record
-
-    best = start_infidelity
-    for m, state, fid, p_total, t_R in _sweep(start, prob, E_t, config):
+    start, t_A, ramp_steps = step.start(method)
+    best = 1.0
+    for m, state, fid, p_total, t_R in step.sweep(start):
         best = min(best, fid)
         if fid <= target_infidelity:
             record = StepRecord(
@@ -345,32 +380,25 @@ def compare_methods(
     starts from the same product state.  Targets are emitted loosest
     first; rows follow METHODS order.  Per-cell failures produce FAILED
     rows instead of aborting the table.
+
+    The duration searches share their probes, so every adiabatic cell of
+    one call is converged to one step tolerance, ``config.step_tol`` or
+    else :func:`default_step_tol` of the tightest target: a cell's value
+    depends on the other targets of the call.  The hybrid preconditioning
+    ramp uses the tolerance of its own target.
     """
     config = config or FusionConfig()
     filling = Fraction(filling)
-    if L % 2 != 0:
-        raise ValueError(f"L={L} cannot be split into equal halves")
-    n_half = filling * (L // 2)
-    if n_half.denominator != 1:
-        raise ValueError(f"filling {filling} gives fractional occupation on {L // 2} sites")
-    n_half = int(n_half)
-    if not 0 < n_half < L // 2:
-        raise ValueError(f"half sector (L={L // 2}, n_up={n_half}) has no gap to anchor")
     targets = sorted(set(float(t) for t in infidelity_targets), reverse=True)
-    if not targets:
-        return []
     for t in targets:
         if not 0.0 < t < 1.0:
             raise ValueError(f"target infidelity {t} outside (0, 1)")
-
-    half_basis = enumerate_sector(L // 2, n_half)
-    half_H = build_hamiltonian(half_basis, BondCouplings.uniform(L // 2, config.J))
-    half_ground = lowest_two(half_H).ground
-    prob = _prepare_step(half_ground, config)
-    E_t = prob.E0
-    tightest = min(targets)
+    step = FusionStep.exact_halves(L, filling, config)
+    if not targets:
+        return []
+    tightest = targets[-1]
     group_step_tol = (
-        config.step_tol if config.step_tol is not None else min(1e-4, tightest / 10.0)
+        config.step_tol if config.step_tol is not None else default_step_tol(tightest)
     )
     rows: list[CompareRow] = []
 
@@ -387,64 +415,42 @@ def compare_methods(
     cache: dict = {}
     for target in targets:
         try:
-            res = ramp_time_for_infidelity(
-                target,
-                prob.ctx,
-                T_start=config.T_start,
-                T_cap=config.T_cap,
-                refine_bisections=config.bisections,
-                step_tol=group_step_tol,
-                tol=config.expmv_tol,
-                probe_cache=cache,
-            )
+            res = step.ramp(target, step_tol=group_step_tol, cache=cache)
             emit("adiabatic", target, res.infidelity, res.T_A, 0.0, 1.0)
         except SimulationError as err:
             achieved = getattr(err, "best_infidelity", float("nan"))
             rows.append(_failed_row("adiabatic", L, filling, target, achieved, str(err)))
 
-    def milestone_rows(method, start, t_A):
-        start_fid = infidelity(start, prob.ground)
-        milestones = [(0, start_fid, 1.0, 0.0)]
+    # rodeo and hybrid: one sweep each, to the tightest target
+    for method in ("rodeo", "hybrid"):
+        try:
+            start, t_A, _ = step.start(method, cache=cache)
+        except SimulationError as err:
+            achieved = getattr(err, "best_infidelity", float("nan"))
+            for target in targets:
+                rows.append(_failed_row(method, L, filling, target, achieved, str(err)))
+            continue
+        milestones = []
         sweep_error = None
-        if start_fid > tightest:
-            try:
-                for m, _, fid, p_total, t_R in _sweep(start, prob, E_t, config):
-                    milestones.append((m, fid, p_total, t_R))
-                    if fid <= tightest:
-                        break
-            except SimulationError as err:
-                sweep_error = err
+        try:
+            for _, _, fid, p_total, t_R in step.sweep(start):
+                milestones.append((fid, p_total, t_R))
+                if fid <= tightest:
+                    break
+        except SimulationError as err:
+            sweep_error = err
         for target in targets:
-            hit = next((ms for ms in milestones if ms[1] <= target), None)
+            hit = next((ms for ms in milestones if ms[0] <= target), None)
             if hit is None:
-                best = min(ms[1] for ms in milestones)
+                best = min(ms[0] for ms in milestones)
                 message = str(sweep_error) if sweep_error is not None else (
                     f"target {target:.3e} not reached within "
                     f"{config.max_superiterations} superiterations"
                 )
                 rows.append(_failed_row(method, L, filling, target, best, message))
             else:
-                _, fid, p_total, t_R = hit
+                fid, p_total, t_R = hit
                 emit(method, target, fid, t_A, t_R, p_total)
-
-    milestone_rows("rodeo", prob.product, 0.0)
-
-    try:
-        pre = ramp_time_for_infidelity(
-            config.precondition_infidelity,
-            prob.ctx,
-            T_start=config.T_start,
-            T_cap=config.T_cap,
-            refine_bisections=config.bisections,
-            step_tol=_step_tol(config, config.precondition_infidelity),
-            tol=config.expmv_tol,
-            probe_cache=cache,
-        )
-        milestone_rows("hybrid", pre.state.normalized(), pre.T_A)
-    except SimulationError as err:
-        achieved = getattr(err, "best_infidelity", float("nan"))
-        for target in targets:
-            rows.append(_failed_row("hybrid", L, filling, target, achieved, str(err)))
 
     order = {m: i for i, m in enumerate(METHODS)}
     rows.sort(key=lambda r: (order[r.method], r.L, -r.target_infidelity))

@@ -282,7 +282,7 @@ def converged_ramp(
     ctx: RampContext,
     T_A: float,
     *,
-    step_tol: float = 1e-4,
+    step_tol: float,
     tol: float = 1e-10,
     initial_steps: int | None = None,
 ) -> RampResult:
@@ -311,6 +311,12 @@ def converged_ramp(
         fid = new_fid
 
 
+def default_step_tol(target_infidelity: float) -> float:
+    """Step-doubling tolerance for a ramp aimed at ``target_infidelity``:
+    the smaller of 1e-4 and a tenth of the target."""
+    return min(1e-4, target_infidelity / 10.0)
+
+
 def ramp_time_for_infidelity(
     target_infidelity: float,
     ctx: RampContext,
@@ -327,13 +333,13 @@ def ramp_time_for_infidelity(
     Durations T_start * 2^k are probed until one achieves the target
     infidelity; ``refine_bisections`` optional bisection rounds then
     shrink the bracket.  Each probe is evaluated with step doubling until
-    its infidelity is converged to ``step_tol`` (default: the smaller of
-    1e-4 and a tenth of the target).
+    its infidelity is converged to ``step_tol`` (default:
+    :func:`default_step_tol` of the target).
     """
     if not 0.0 < target_infidelity < 1.0:
         raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
     if step_tol is None:
-        step_tol = min(1e-4, target_infidelity / 10.0)
+        step_tol = default_step_tol(target_infidelity)
     cache = probe_cache if probe_cache is not None else {}
 
     def probe(T_A: float) -> RampResult:

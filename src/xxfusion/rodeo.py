@@ -10,10 +10,10 @@ E_t sits on the ground energy.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RodeoAnnihilationError
 from .propagate import expmv
@@ -22,8 +22,6 @@ from .spin_model import SparseHamiltonian, StateVector
 #: Once the cumulative success probability falls below this, the input is
 #: treated as orthogonal to everything the schedule can keep.
 ANNIHILATION_FLOOR = 1e-30
-
-_ANCILLA_DIM_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -86,6 +84,37 @@ def rodeo_cycle(
     return StateVector(v.basis, w), prob
 
 
+def rodeo_cycles(
+    v0: StateVector,
+    H: SparseHamiltonian,
+    E_t: float,
+    times: np.ndarray,
+    *,
+    tol: float = 1e-10,
+) -> Iterator[tuple[StateVector, float, float]]:
+    """Run one cycle per entry of ``times`` on v0, renormalizing after each.
+
+    Yields ``(state, p, p_total)`` after every cycle: the normalized
+    survivor, that cycle's probability, and the running product of the
+    probabilities in cycle order, equal to the squared norm the
+    unnormalized cycle product would have.  Raises
+    :class:`RodeoAnnihilationError` once the running product falls below
+    the annihilation floor.
+    """
+    state = v0
+    p_total = 1.0
+    for j, t_j in enumerate(times):
+        state, p = rodeo_cycle(state, H, E_t, float(t_j), tol=tol)
+        p_total *= p
+        if p_total < ANNIHILATION_FLOOR:
+            raise RodeoAnnihilationError(
+                f"cumulative success probability {p_total:.3e} fell below "
+                f"{ANNIHILATION_FLOOR:.0e} after cycle {j + 1} of "
+                f"{len(times)} (E_t={E_t:.12g})"
+            )
+        yield state, p, p_total
+
+
 @dataclass(frozen=True)
 class RodeoOutcome:
     state: StateVector
@@ -102,61 +131,17 @@ def run_rodeo(
     *,
     tol: float = 1e-10,
 ) -> RodeoOutcome:
-    """Run every cycle of ``schedule`` on v0, renormalizing after each.
+    """Run every cycle of ``schedule`` on v0 and collect the outcome.
 
-    ``p_total`` is the product of the per-cycle probabilities, equal to
-    the squared norm the unnormalized cycle product would have.  Raises
-    :class:`RodeoAnnihilationError` once the running product falls below
-    the annihilation floor.
+    Renormalization, ``p_total`` and the annihilation error are those of
+    :func:`rodeo_cycles`.
     """
     state = v0
-    probs = np.empty(schedule.times.size)
     p_total = 1.0
-    for j, t_j in enumerate(schedule.times):
-        state, p = rodeo_cycle(state, H, E_t, float(t_j), tol=tol)
-        probs[j] = p
-        p_total *= p
-        if p_total < ANNIHILATION_FLOOR:
-            raise RodeoAnnihilationError(
-                f"cumulative success probability {p_total:.3e} fell below "
-                f"{ANNIHILATION_FLOOR:.0e} after cycle {j + 1} of "
-                f"{schedule.times.size} (E_t={E_t:.12g})"
-            )
-    return RodeoOutcome(state, p_total, probs, schedule.total_time)
-
-
-def ancilla_circuit_cycle(
-    v: StateVector,
-    H: SparseHamiltonian,
-    E_t: float,
-    t_j: float,
-) -> tuple[StateVector, float]:
-    """One cycle through the explicit two-register circuit (test oracle).
-
-    Ancilla starts in |1>; Hadamard, controlled exp(-i H t_j), phase
-    e^{i E_t t_j} on the ancilla, Hadamard, then projection onto |1>.
-    Builds the full propagator densely, so it is capped at small sectors.
-    """
-    dim = H.dim
-    if dim > _ANCILLA_DIM_CAP:
-        raise ValueError(
-            f"ancilla circuit oracle is limited to dim <= {_ANCILLA_DIM_CAP}, got {dim}"
-        )
-    if not H.basis.same_sector(v.basis) or dim != v.basis.dim:
-        raise ValueError("state and Hamiltonian live in different sectors")
-    U = scipy.linalg.expm(-1j * t_j * H.matrix.toarray())
-    joint = np.zeros((2, dim), dtype=np.complex128)
-    joint[1] = v.amps
-    joint = np.array([joint[0] + joint[1], joint[0] - joint[1]]) / np.sqrt(2.0)
-    joint[1] = U @ joint[1]
-    joint[1] *= np.exp(1j * E_t * t_j)
-    joint = np.array([joint[0] + joint[1], joint[0] - joint[1]]) / np.sqrt(2.0)
-    survivor = joint[1]
-    nrm = float(np.linalg.norm(survivor))
-    prob = nrm * nrm
-    if nrm > 0.0:
-        survivor = survivor / nrm
-    return StateVector(v.basis, survivor), prob
+    probs = []
+    for state, p, p_total in rodeo_cycles(v0, H, E_t, schedule.times, tol=tol):
+        probs.append(p)
+    return RodeoOutcome(state, p_total, np.array(probs), schedule.total_time)
 
 
 def energy_scan(

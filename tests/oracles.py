@@ -10,6 +10,10 @@ import math
 import numpy as np
 import scipy.linalg
 
+from xxfusion import StateVector
+
+_ANCILLA_DIM_CAP = 100
+
 
 def popcount(x: int) -> int:
     return bin(x).count("1")
@@ -60,6 +64,36 @@ def rodeo_cycle_dense(amps, H_dense, E_t: float, t: float) -> tuple:
     w = 0.5 * (amps + np.exp(1j * E_t * t) * evolved)
     p = float(np.linalg.norm(w) ** 2)
     return w, p
+
+
+def ancilla_circuit_cycle(v, H, E_t: float, t_j: float) -> tuple:
+    """One cycle through the explicit two-register circuit.
+
+    Ancilla starts in |1>; Hadamard, controlled exp(-i H t_j), phase
+    e^{i E_t t_j} on the ancilla, Hadamard, then projection onto |1>.
+    Builds the full propagator densely, so it is capped at small sectors.
+    Returns (normalized survivor, probability) like ``rodeo_cycle``.
+    """
+    dim = H.dim
+    if dim > _ANCILLA_DIM_CAP:
+        raise ValueError(
+            f"ancilla circuit oracle is limited to dim <= {_ANCILLA_DIM_CAP}, got {dim}"
+        )
+    if not H.basis.same_sector(v.basis) or dim != v.basis.dim:
+        raise ValueError("state and Hamiltonian live in different sectors")
+    U = scipy.linalg.expm(-1j * t_j * H.matrix.toarray())
+    joint = np.zeros((2, dim), dtype=np.complex128)
+    joint[1] = v.amps
+    joint = np.array([joint[0] + joint[1], joint[0] - joint[1]]) / np.sqrt(2.0)
+    joint[1] = U @ joint[1]
+    joint[1] *= np.exp(1j * E_t * t_j)
+    joint = np.array([joint[0] + joint[1], joint[0] - joint[1]]) / np.sqrt(2.0)
+    survivor = joint[1]
+    nrm = float(np.linalg.norm(survivor))
+    prob = nrm * nrm
+    if nrm > 0.0:
+        survivor = survivor / nrm
+    return StateVector(v.basis, survivor), prob
 
 
 def single_particle_energies(L: int, J: float = 1.0) -> list:

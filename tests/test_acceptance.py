@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from xxfusion import (
     BondCouplings,
     RampContext,
     StateVector,
-    ancilla_circuit_cycle,
     build_hamiltonian,
     embed_product,
     energy_scan,
@@ -34,7 +34,7 @@ from xxfusion import (
     spectral_weight,
 )
 from xxfusion.cli import main as cli_main
-from xxfusion.fusion import FusionConfig, _prepare_step, _sweep, compare_methods
+from xxfusion.fusion import FusionConfig, FusionStep, compare_methods
 
 
 def verdict(num, ok, detail):
@@ -69,7 +69,7 @@ def test_01_cycle_equals_ancilla_circuit():
         t = rng.uniform(0.05, 12.0)
         E_t = rng.uniform(-3.0, 3.0)
         direct, p_direct = rodeo_cycle(v, H, E_t, t)
-        circuit, p_circuit = ancilla_circuit_cycle(v, H, E_t, t)
+        circuit, p_circuit = oracles.ancilla_circuit_cycle(v, H, E_t, t)
         worst = max(worst, abs(p_direct - p_circuit),
                     float(np.linalg.norm(direct.amps - circuit.amps)))
     elapsed = time.monotonic() - t0
@@ -138,16 +138,12 @@ def test_04_single_cycle_annihilates_first_excited():
 def test_05_superiteration_convergence_is_geometric():
     """L=8 hybrid: log-infidelity falls linearly, factor <= 0.5 per sweep."""
     t0 = time.monotonic()
-    config = FusionConfig()
-    _, Hh = uniform_chain(4, 2)
-    prob = _prepare_step(lowest_two(Hh).ground, config)
-    pre = ramp_time_for_infidelity(
-        config.precondition_infidelity, prob.ctx,
-        refine_bisections=config.bisections,
-        step_tol=min(1e-4, config.precondition_infidelity / 10.0),
-    )
+    step = FusionStep.exact_halves(8, Fraction(1, 2), FusionConfig())
+    start, _, _ = step.start("hybrid")
+    sweep = step.sweep(start)
+    next(sweep)  # M = 0 is the preconditioned start
     fids = []
-    for m, _, fid, _, _ in _sweep(pre.state.normalized(), prob, prob.E0, config):
+    for m, _, fid, _, _ in sweep:
         fids.append(fid)
         if m >= 4:
             break

@@ -1,6 +1,8 @@
 """Command-line driver: config resolution, CSV output, exit codes."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +274,20 @@ def test_fuse_failure_writes_partial_rows(tmp_path, capsys):
 def test_fuse_plan_validation_exit_codes(capsys):
     assert run(["fuse", "--L-final", "12", "--L-base", "2"]) == 2
     assert run(["fuse", "--L-final", "8", "--filling", "1/3"]) == 2
+
+
+# ------------------------------------------------------------- structure
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "xxfusion")
+        for alias in node.names
+        # dunders such as __version__ are public by convention
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

@@ -11,6 +11,7 @@ from xxfusion import (
     CostLedger,
     FusionConfig,
     FusionPlan,
+    FusionStep,
     PurificationError,
     RampSearchError,
     StepRecord,
@@ -21,7 +22,9 @@ from xxfusion import (
     fuse_step,
     infidelity,
     lowest_two,
+    make_schedule,
     run_fusion,
+    run_rodeo,
 )
 
 
@@ -125,6 +128,34 @@ def test_fuse_step_purification_cap():
     with pytest.raises(PurificationError) as err:
         fuse_step(half_ground(), "hybrid", 1e-9, cfg)
     assert err.value.best_infidelity == pytest.approx(4.929140188558723e-05, rel=1e-4)
+
+
+# ------------------------------------------------------------ FusionStep
+
+
+def test_fusion_step_sweep_matches_run_rodeo():
+    # the sweep and run_rodeo share one cycle loop, so they agree bit for bit
+    step = FusionStep.exact_halves(8, Fraction(1, 2), FusionConfig())
+    start, _, _ = step.start("hybrid")
+    sweep = step.sweep(start)
+    m, state, *_ = next(sweep)
+    assert m == 0 and state is start
+    for M in (1, 2, 3):
+        m, state, _, p_total, t_R = next(sweep)
+        assert m == M
+        schedule = make_schedule(step.gap, depth=8, superiterations=M)
+        out = run_rodeo(start, step.H, step.E0, schedule)
+        assert np.array_equal(state.amps, out.state.amps)
+        assert p_total == out.p_total
+        assert t_R == pytest.approx(out.t_R, abs=1e-12)
+
+
+def test_fusion_step_start_has_no_adiabatic_sweep():
+    step = FusionStep.from_half(half_ground(), FusionConfig())
+    state, t_A, ramp_steps = step.start("rodeo")
+    assert state is step.product and t_A == 0.0 and ramp_steps == 0
+    with pytest.raises(ValueError):
+        step.start("adiabatic")
 
 
 # ------------------------------------------------------------ run_fusion

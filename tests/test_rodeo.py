@@ -10,7 +10,6 @@ from xxfusion import (
     BondCouplings,
     RodeoAnnihilationError,
     StateVector,
-    ancilla_circuit_cycle,
     build_hamiltonian,
     energy_scan,
     enumerate_sector,
@@ -84,7 +83,7 @@ def test_cycle_matches_ancilla_circuit(seed, t, E_t):
     basis, H = chain(3, 1)
     v = random_state(basis, np.random.default_rng(seed))
     direct, p_direct = rodeo_cycle(v, H, E_t, t)
-    circuit, p_circuit = ancilla_circuit_cycle(v, H, E_t, t)
+    circuit, p_circuit = oracles.ancilla_circuit_cycle(v, H, E_t, t)
     assert p_direct == pytest.approx(p_circuit, abs=1e-12)
     assert np.linalg.norm(direct.amps - circuit.amps) < 1e-12
 
@@ -193,7 +192,7 @@ def test_ancilla_circuit_dimension_cap():
     basis, H = chain(10, 5)  # dim 252
     v = StateVector(basis, np.ones(basis.dim) / np.sqrt(basis.dim))
     with pytest.raises(ValueError):
-        ancilla_circuit_cycle(v, H, 0.0, 1.0)
+        oracles.ancilla_circuit_cycle(v, H, 0.0, 1.0)
 
 
 # ------------------------------------------------------------------ scan

@@ -1,0 +1,43 @@
+"""Smoke runs of the experiment scripts at their smallest sizes."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, argv, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    return module.main()
+
+
+def test_ramp_scaling_smallest_chain(monkeypatch, capsys):
+    argv = ["--L", "4", "--targets", "1e-2,1e-3"]
+    assert run_script("ramp_scaling", argv, monkeypatch) == 0
+    lines = [l.split() for l in capsys.readouterr().out.splitlines()
+             if not l.startswith("#")]
+    assert lines[0] == ["target", "T_A", "achieved", "steps"]
+    found = {float(c[0]): (float(c[1]), c[2]) for c in lines[1:]}
+    assert found == {1e-2: (2.5, "4.970262e-03"), 1e-3: (9.0, "3.714411e-05")}
+
+
+def test_compare_costs_smallest_grid(tmp_path, monkeypatch):
+    argv = ["--sizes", "4", "--fillings", "1/2", "--outdir", str(tmp_path)]
+    assert run_script("compare_costs", argv, monkeypatch) == 0
+    (out,) = tmp_path.iterdir()
+    assert out.name == "compare_L4_f1of2.csv"
+    assert out.read_text().startswith("# xxfusion ")
+
+
+def test_fusion_ladder_smallest_ladder(tmp_path, monkeypatch):
+    argv = ["--L-final", "4", "--outdir", str(tmp_path)]
+    assert run_script("fusion_ladder", argv, monkeypatch) == 0
+    outs = sorted(tmp_path.iterdir())
+    assert [p.name for p in outs] == [
+        "fuse_L4_adiabatic.csv", "fuse_L4_hybrid.csv", "fuse_L4_rodeo.csv",
+    ]
+    assert all(p.read_text().startswith("# xxfusion ") for p in outs)
