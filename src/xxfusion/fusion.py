@@ -27,10 +27,11 @@ from .propagate import (
     T_CAP,
     RampContext,
     RampResult,
+    _check_search,
     default_step_tol,
     ramp_time_for_infidelity,
 )
-from .rodeo import make_schedule, rodeo_cycles
+from .rodeo import _check_ladder, make_schedule, rodeo_cycles
 from .spectral import infidelity, lowest_two
 from .spin_model import (
     BondCouplings,
@@ -81,6 +82,14 @@ class FusionConfig:
             raise ValueError(f"unknown level policy {self.level_policy!r}")
         if self.J == 0.0:
             raise ValueError("coupling J must be nonzero")
+        _check_ladder(self.depth, self.max_superiterations, self.ratio)
+        if not 0.0 < self.precondition_infidelity < 1.0:
+            raise ValueError(
+                f"precondition infidelity {self.precondition_infidelity} outside (0, 1)"
+            )
+        _check_search(self.T_start, self.T_cap, self.bisections, self.step_tol)
+        if not self.expmv_tol > 0.0:
+            raise ValueError(f"expmv tolerance must be positive, got {self.expmv_tol}")
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,23 @@ eigendecomposition (small sectors) or a Lanczos/Krylov approximation with
 internal substepping (large ones).
 
 The Krylov substep runs a real Lanczos iteration on the state stored as
-2n interleaved (Re, Im) floats.  H is real symmetric, so every Lanczos
-vector p_k(H) v is built by a real polynomial p_k, and the Hermitian
-inner products <p_j(H) v, H p_k(H) v> are real (Hochbruck & Lubich,
-SIAM J. Numer. Anal. 34, 1911 (1997)).  The complex iteration therefore
-equals the real one on R^{2n} with H acting on Re and Im alike, which
-the real CSR matrix does on an (n, 2) view without a complex upcast;
-only exp(-i T t) e1 of the real tridiagonal T is complex.
+a (2, n) block [Re; Im].  H is real symmetric, so every Lanczos vector
+p_k(H) v is built by a real polynomial p_k, and the Hermitian inner
+products <p_j(H) v, H p_k(H) v> are real (Hochbruck & Lubich, SIAM J.
+Numer. Anal. 34, 1911 (1997)).  The complex iteration therefore equals
+the real one on R^{2n} with H acting on Re and Im alike, which the real
+CSR matrix does as two 1-D products without a complex upcast; only
+exp(-i T t) e1 of the real tridiagonal T is complex, and the result is
+recombined from Re(u) and Im(u) applied to the basis.
+
+The iteration is the three-term recurrence with local orthogonalization
+only, as in Expokit's DSEXPV (Sidje, ACM TOMS 24, 130 (1998)): each new
+vector is orthogonalized against the two before it and the basis is
+never reorthogonalized.  Its loss of global orthogonality does not spoil
+exp(-iHt)v, whose finite-precision error stays at the size the exact
+recurrence would give (Druskin, Greenbaum & Knizhnerman, SIAM J. Sci.
+Comput. 19, 38 (1998)); the a posteriori estimate beta0 * b * |t| *
+|u_m| still decides when a substep is done.
 
 The adiabatic ramp integrates a piecewise-constant midpoint Hamiltonian,
 doubles its step count until the measured infidelity stabilizes, and a
@@ -89,48 +99,55 @@ def _expm_tridiag(alphas, betas, t):
     return S @ (np.exp(-1j * theta * t) * S[0, :])
 
 
-def _lanczos_substep(mat, amps, t, tol_abs, m_max):
-    """One Krylov substep; returns the propagated vector or stalls.
+def _lanczos_substep(mat, x, t, tol_abs, m_max):
+    """One Krylov substep on the (2, n) block x = [Re; Im]; returns the
+    propagated block or stalls.
 
-    The state is held as 2n interleaved (Re, Im) floats, so the real
-    matrix acts on an (n, 2) view and every inner product is real.
+    Three-term recurrence with local orthogonalization only: each new
+    vector is orthogonalized against the two before it.
     """
-    beta0 = np.linalg.norm(amps)
+    beta0 = float(np.linalg.norm(x))
     if beta0 == 0.0:
-        return amps.copy()
-    n = amps.size
-    V = np.empty((m_max + 1, 2 * n))
-    V[0] = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64) / beta0
+        return x.copy()
+    V = np.empty((m_max + 1,) + x.shape)
+    np.divide(x, beta0, out=V[0])
     alphas = np.empty(m_max)
     betas = np.empty(m_max)
+    w = np.empty_like(x)
     err = np.inf
     for k in range(m_max):
-        Vk = V[: k + 1]
-        w = (mat @ V[k].reshape(n, 2)).reshape(2 * n)
-        h = Vk @ w
-        w -= h @ Vk
-        alphas[k] = h[k]
-        w -= (Vk @ w) @ Vk
+        v = V[k]
+        w[0] = mat @ v[0]
+        w[1] = mat @ v[1]
+        if k:
+            w -= betas[k - 1] * V[k - 1]
+        alphas[k] = np.vdot(v, w)
+        w -= alphas[k] * v
         b = float(np.linalg.norm(w))
         u = _expm_tridiag(alphas[: k + 1], betas[:k], t)
         err = beta0 * b * abs(t) * abs(u[-1])
         if err <= tol_abs or b <= 1e-14 * beta0:
-            return beta0 * (u @ Vk.view(np.complex128))
+            # sum_j u_j V_j with complex u: (Re, Im) = (P_re - Q_im, P_im + Q_re)
+            Vk = V[: k + 1].reshape(k + 1, -1)
+            P = (u.real @ Vk).reshape(x.shape)
+            Q = (u.imag @ Vk).reshape(x.shape)
+            return beta0 * np.array([P[0] - Q[1], P[1] + Q[0]])
         betas[k] = b
-        V[k + 1] = w / b
+        np.divide(w, b, out=V[k + 1])
     raise _SubstepStall(err)
 
 
-def _krylov_propagate(mat, norm_bound, amps, t, tol, m_max=MAX_KRYLOV):
-    nrm = float(np.linalg.norm(amps))
+def _krylov_propagate(mat, norm_bound, x, t, tol, m_max=MAX_KRYLOV):
+    """exp(-i mat t) applied to the (2, n) block x = [Re; Im]."""
+    nrm = float(np.linalg.norm(x))
     if nrm == 0.0 or t == 0.0:
-        return amps.astype(np.complex128, copy=True)
+        return x.copy()
     n_sub = max(1, math.ceil(abs(t) * norm_bound / _THETA_SUB))
     last = np.inf
     for _ in range(_MAX_ESCALATIONS):
         tol_each = tol * nrm / n_sub
         dt = t / n_sub
-        y = amps
+        y = x
         try:
             for _ in range(n_sub):
                 y = _lanczos_substep(mat, y, dt, tol_each, m_max)
@@ -143,6 +160,16 @@ def _krylov_propagate(mat, norm_bound, amps, t, tol, m_max=MAX_KRYLOV):
         f"(tol {tol:.1e}, |t| {abs(t):.3g})",
         residual=last,
     )
+
+
+def _split(amps: np.ndarray) -> np.ndarray:
+    """The (2, n) real block [Re; Im] of complex amplitudes."""
+    return np.array([amps.real, amps.imag], dtype=np.float64)
+
+
+def _join(x: np.ndarray) -> np.ndarray:
+    """Complex amplitudes of a (2, n) block [Re; Im]."""
+    return x[0] + 1j * x[1]
 
 
 def _dense_propagate(H: SparseHamiltonian, t: float, amps: np.ndarray) -> np.ndarray:
@@ -174,7 +201,8 @@ def expmv(
     if method == "dense":
         amps = _dense_propagate(H, t, v.amps)
     else:
-        amps = _krylov_propagate(H.matrix, H.norm_inf(), v.amps, t, tol, max_krylov)
+        x = _split(v.amps)
+        amps = _join(_krylov_propagate(H.matrix, H.norm_inf(), x, t, tol, max_krylov))
     return StateVector(v.basis, amps)
 
 
@@ -245,11 +273,13 @@ def adiabatic_ramp(
         nu = float(np.abs(Pu).sum(axis=1).max()) if Pu.nnz else 0.0
         step_tol = tol / schedule.steps
         mat = Pb.copy()  # refilled in place: Pb and Pu share one pattern
+        x = _split(amps)
         for k in range(schedule.steps):
             lam = schedule.coupling_at((k + 0.5) * ds)
             np.multiply(Pu.data, lam, out=mat.data)
             mat.data += Pb.data
-            amps = _krylov_propagate(mat, nb + abs(lam) * nu, amps, ds, step_tol)
+            x = _krylov_propagate(mat, nb + abs(lam) * nu, x, ds, step_tol)
+        amps = _join(x)
     return StateVector(basis, amps)
 
 
@@ -317,6 +347,17 @@ def default_step_tol(target_infidelity: float) -> float:
     return min(1e-4, target_infidelity / 10.0)
 
 
+def _check_search(T_start, T_cap, bisections, step_tol) -> None:
+    if not T_start > 0.0:
+        raise ValueError(f"first ramp duration must be positive, got {T_start}")
+    if not T_cap >= T_start:
+        raise ValueError(f"ramp duration cap {T_cap} is below the first duration {T_start}")
+    if bisections < 0:
+        raise ValueError(f"bisections must be nonnegative, got {bisections}")
+    if step_tol is not None and not step_tol > 0.0:
+        raise ValueError(f"step tolerance must be positive, got {step_tol}")
+
+
 def ramp_time_for_infidelity(
     target_infidelity: float,
     ctx: RampContext,
@@ -338,6 +379,7 @@ def ramp_time_for_infidelity(
     """
     if not 0.0 < target_infidelity < 1.0:
         raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
+    _check_search(T_start, T_cap, refine_bisections, step_tol)
     if step_tol is None:
         step_tol = default_step_tol(target_infidelity)
     cache = probe_cache if probe_cache is not None else {}

@@ -39,6 +39,15 @@ class RodeoSchedule:
         return float(self.times.sum())
 
 
+def _check_ladder(depth: int, superiterations: int, ratio: float) -> None:
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    if superiterations < 0:
+        raise ValueError(f"superiterations must be nonnegative, got {superiterations}")
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+
+
 def make_schedule(
     gap: float,
     *,
@@ -49,12 +58,7 @@ def make_schedule(
     """Geometric cycle-time ladder seeded by t1 = pi / gap."""
     if gap <= 0.0:
         raise ValueError(f"gap must be positive, got {gap}")
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    if superiterations < 0:
-        raise ValueError(f"superiterations must be nonnegative, got {superiterations}")
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    _check_ladder(depth, superiterations, ratio)
     t1 = np.pi / gap
     ladder = t1 * ratio ** np.arange(depth)
     times = np.tile(ladder, superiterations)
@@ -68,14 +72,17 @@ def rodeo_cycle(
     t_j: float,
     *,
     tol: float = 1e-10,
+    evolved: StateVector | None = None,
 ) -> tuple[StateVector, float]:
     """One conditioned cycle; returns (normalized survivor, probability).
 
     The unnormalized survivor is w = (v + e^{i E_t t_j} e^{-i H t_j} v)/2
     and the success probability is |w|^2.  When the probability
     underflows to zero the unnormalized (zero) vector is returned as is.
+    ``evolved``, if given, is e^{-i H t_j} v already computed.
     """
-    evolved = expmv(H, t_j, v, tol=tol)
+    if evolved is None:
+        evolved = expmv(H, t_j, v, tol=tol)
     w = 0.5 * (v.amps + np.exp(1j * E_t * t_j) * evolved.amps)
     nrm = float(np.linalg.norm(w))
     prob = nrm * nrm
@@ -91,6 +98,7 @@ def rodeo_cycles(
     times: np.ndarray,
     *,
     tol: float = 1e-10,
+    evolved: StateVector | None = None,
 ) -> Iterator[tuple[StateVector, float, float]]:
     """Run one cycle per entry of ``times`` on v0, renormalizing after each.
 
@@ -99,12 +107,14 @@ def rodeo_cycles(
     probabilities in cycle order, equal to the squared norm the
     unnormalized cycle product would have.  Raises
     :class:`RodeoAnnihilationError` once the running product falls below
-    the annihilation floor.
+    the annihilation floor.  ``evolved``, if given, is e^{-i H t_1} v0 for
+    the first cycle time t_1, computed once and shared by the caller.
     """
     state = v0
     p_total = 1.0
     for j, t_j in enumerate(times):
-        state, p = rodeo_cycle(state, H, E_t, float(t_j), tol=tol)
+        state, p = rodeo_cycle(state, H, E_t, float(t_j), tol=tol, evolved=evolved)
+        evolved = None
         p_total *= p
         if p_total < ANNIHILATION_FLOOR:
             raise RodeoAnnihilationError(
@@ -130,16 +140,18 @@ def run_rodeo(
     schedule: RodeoSchedule,
     *,
     tol: float = 1e-10,
+    evolved: StateVector | None = None,
 ) -> RodeoOutcome:
     """Run every cycle of ``schedule`` on v0 and collect the outcome.
 
-    Renormalization, ``p_total`` and the annihilation error are those of
-    :func:`rodeo_cycles`.
+    Renormalization, ``p_total``, the annihilation error and ``evolved``
+    are those of :func:`rodeo_cycles`.
     """
     state = v0
     p_total = 1.0
     probs = []
-    for state, p, p_total in rodeo_cycles(v0, H, E_t, schedule.times, tol=tol):
+    cycles = rodeo_cycles(v0, H, E_t, schedule.times, tol=tol, evolved=evolved)
+    for state, p, p_total in cycles:
         probs.append(p)
     return RodeoOutcome(state, p_total, np.array(probs), schedule.total_time)
 
@@ -154,14 +166,18 @@ def energy_scan(
 ) -> list[tuple[float, float]]:
     """Total success probability of ``schedule`` at each target energy.
 
-    Each grid point runs the full schedule on a fresh copy of v0; points
-    where the weight is annihilated report probability 0 instead of
-    raising.
+    Each grid point runs the full schedule on v0; the first cycle's
+    propagation of v0 does not depend on E_t, so it is computed once and
+    shared by every point.  Points where the weight is annihilated report
+    probability 0 instead of raising.
     """
+    evolved = None
+    if schedule.times.size:
+        evolved = expmv(H, float(schedule.times[0]), v0, tol=tol)
     results = []
     for E_t in np.asarray(grid, dtype=np.float64):
         try:
-            outcome = run_rodeo(v0, H, float(E_t), schedule, tol=tol)
+            outcome = run_rodeo(v0, H, float(E_t), schedule, tol=tol, evolved=evolved)
             p = outcome.p_total
         except RodeoAnnihilationError:
             p = 0.0

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import xxfusion.propagate as propagate
 import xxfusion.spectral as spectral
 from xxfusion import cli
 
@@ -274,6 +275,20 @@ def test_fuse_failure_writes_partial_rows(tmp_path, capsys):
 def test_fuse_plan_validation_exit_codes(capsys):
     assert run(["fuse", "--L-final", "12", "--L-base", "2"]) == 2
     assert run(["fuse", "--L-final", "8", "--filling", "1/3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fuse", "--L-final", "4", "--method", "adiabatic", "--depth", "0", "--ratio", "7"],
+     ["compare", "--L", "8", "--depth", "0"]],
+)
+def test_bad_rodeo_settings_exit_2_before_any_ramp(argv, monkeypatch, capsys):
+    def no_ramp(*args, **kwargs):
+        raise AssertionError("a ramp ran before the settings were checked")
+
+    monkeypatch.setattr(propagate, "converged_ramp", no_ramp)
+    assert run(argv) == 2
+    assert "depth must be at least 1" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- structure

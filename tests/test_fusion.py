@@ -58,6 +58,15 @@ def test_fusion_config_validation():
         FusionConfig(level_policy="greedy")
     with pytest.raises(ValueError):
         FusionConfig(J=0.0)
+    # every rodeo and search setting is checked at construction
+    for bad in (dict(depth=0), dict(ratio=0.0), dict(ratio=1.5),
+                dict(max_superiterations=-1), dict(precondition_infidelity=0.0),
+                dict(precondition_infidelity=1.0), dict(T_start=0.0),
+                dict(T_start=4.0, T_cap=2.0), dict(bisections=-1), dict(expmv_tol=0.0),
+                dict(step_tol=0.0), dict(step_tol=-1e-4)):
+        with pytest.raises(ValueError):
+            FusionConfig(**bad)
+    FusionConfig(ratio=1.0, max_superiterations=0, T_cap=1.0, bisections=0)
     cfg = FusionConfig()
     assert cfg.depth == 8 and cfg.ratio == 0.5
     assert cfg.precondition_infidelity == 1e-2

@@ -152,6 +152,47 @@ def test_expmv_auto_krylov_matches_dense_above_cutoff(kind):
     assert np.linalg.norm(auto.amps - dense.amps) < 1e-9
 
 
+def random_coupling_chain_924(seed=924):
+    rng = np.random.default_rng(seed)
+    basis = enumerate_sector(12, 6)
+    H = build_hamiltonian(basis, BondCouplings(rng.uniform(-2.0, 2.0, 11)))
+    return H, random_state(basis, rng)
+
+
+@pytest.mark.parametrize("t", [0.3, 7.68, 40.0, 200.0])
+def test_expmv_krylov_long_times_match_dense(t):
+    # the three-term recurrence keeps no global orthogonality; at t = 200
+    # the propagation runs over a hundred substeps, so a drifting basis
+    # would show as accumulated error or a norm leak
+    H, v = random_coupling_chain_924()
+    krylov = expmv(H, t, v, method="krylov")
+    dense = expmv(H, t, v, method="dense")
+    assert np.linalg.norm(krylov.amps - dense.amps) < 1e-9
+    assert abs(krylov.norm() - 1.0) < 1e-12
+
+
+def test_expmv_krylov_escalation_matches_dense(monkeypatch):
+    H, v = random_coupling_chain_924()
+    stalls = []
+    substep = propagate._lanczos_substep
+
+    def counted(*args):
+        try:
+            return substep(*args)
+        except propagate._SubstepStall:
+            stalls.append(args[2])
+            raise
+
+    monkeypatch.setattr(propagate, "_lanczos_substep", counted)
+    # four basis vectors are too few for one substep, so the substep
+    # count is doubled until the error estimate passes
+    krylov = expmv(H, 0.1, v, tol=1e-6, method="krylov", max_krylov=4)
+    assert len(set(stalls)) >= 2  # stalled at two or more substep lengths
+    dense = expmv(H, 0.1, v, method="dense")
+    assert np.linalg.norm(krylov.amps - dense.amps) < 1e-6
+    assert abs(krylov.norm() - 1.0) < 1e-12
+
+
 def test_expmv_argument_errors():
     basis, H = chain(4, 2)
     v = random_state(basis)
@@ -291,9 +332,14 @@ def test_ramp_search_cap_failure_reports_best():
     assert 0.0 < err.value.best_infidelity < 1.0
 
 
-def test_ramp_search_argument_errors():
+def test_ramp_search_argument_errors(monkeypatch):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("a ramp was probed")
+
+    monkeypatch.setattr(propagate, "converged_ramp", no_probe)
     ctx = ramp_context(4, 2)
-    with pytest.raises(ValueError):
-        ramp_time_for_infidelity(0.0, ctx)
-    with pytest.raises(ValueError):
-        ramp_time_for_infidelity(1.5, ctx)
+    for target, bad in ((0.0, {}), (1.5, {}), (1e-2, dict(T_start=0.0)),
+                        (1e-2, dict(T_start=4.0, T_cap=2.0)),
+                        (1e-2, dict(refine_bisections=-1)), (1e-2, dict(step_tol=0.0))):
+        with pytest.raises(ValueError):
+            ramp_time_for_infidelity(target, ctx, **bad)

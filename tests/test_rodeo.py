@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import xxfusion.rodeo as rodeo
 from xxfusion import (
     BondCouplings,
     RodeoAnnihilationError,
@@ -217,3 +218,32 @@ def test_energy_scan_neel_input_splits_evenly():
     results = dict(energy_scan(neel, H, np.array([-1.0, 1.0]), sched))
     assert results[-1.0] == pytest.approx(0.5, abs=1e-12)
     assert results[1.0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_energy_scan_shares_first_propagation(monkeypatch):
+    basis, H = chain(6, 3)
+    pair = lowest_two(H)
+    sched = make_schedule(pair.gap, depth=3, superiterations=2)
+    v0 = pair.ground
+    # the first cycle, at t_1 = pi / gap, annihilates the ground at E0 + gap
+    grid = np.array([pair.E0, pair.E0 + pair.gap, 0.0, 0.7])
+    t1_calls = []
+    expmv = rodeo.expmv
+
+    def counted(H_, t, v, **kwargs):
+        if t == sched.times[0]:
+            t1_calls.append(v)
+        return expmv(H_, t, v, **kwargs)
+
+    monkeypatch.setattr(rodeo, "expmv", counted)
+    results = energy_scan(v0, H, grid, sched)
+    first_cycle_inputs = [v for v in t1_calls if v is v0]
+    assert len(first_cycle_inputs) == 1
+    for (E_t, p), E_grid in zip(results, grid):
+        assert E_t == E_grid
+        try:
+            expected = run_rodeo(v0, H, E_t, sched).p_total
+        except RodeoAnnihilationError:
+            expected = 0.0
+        assert p == expected
+    assert results[1][1] == 0.0
