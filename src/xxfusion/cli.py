@@ -47,18 +47,6 @@ class ConfigError(Exception):
     pass
 
 
-def _p_int(text: str) -> int:
-    return int(text)
-
-
-def _p_float(text: str) -> float:
-    return float(text)
-
-
-def _p_str(text: str) -> str:
-    return text
-
-
 def _p_fraction(text: str) -> Fraction:
     aliases = {"half": Fraction(1, 2), "quarter": Fraction(1, 4)}
     if text in aliases:
@@ -102,82 +90,82 @@ class Opt:
 _DEFAULTS = FusionConfig()
 
 _SEARCH_OPTS = [
-    Opt("t_start", _p_float, _DEFAULTS.T_start, "first ramp duration probed (1/J)"),
-    Opt("t_cap", _p_float, _DEFAULTS.T_cap, "largest ramp duration probed (1/J)"),
-    Opt("bisections", _p_int, _DEFAULTS.bisections,
+    Opt("t_start", float, _DEFAULTS.T_start, "first ramp duration probed (1/J)"),
+    Opt("t_cap", float, _DEFAULTS.T_cap, "largest ramp duration probed (1/J)"),
+    Opt("bisections", int, _DEFAULTS.bisections,
         "bisection rounds after the doubling bracket"),
-    Opt("expmv_tol", _p_float, _DEFAULTS.expmv_tol,
+    Opt("expmv_tol", float, _DEFAULTS.expmv_tol,
         "propagator tolerance per application"),
     Opt("step_tol", _p_step_tol, _DEFAULTS.step_tol,
         "ramp step-doubling stall tolerance; 'auto' ties it to the target"),
 ]
 
 _RODEO_OPTS = [
-    Opt("depth", _p_int, _DEFAULTS.depth, "cycle times per superiteration"),
-    Opt("ratio", _p_float, _DEFAULTS.ratio,
+    Opt("depth", int, _DEFAULTS.depth, "cycle times per superiteration"),
+    Opt("ratio", float, _DEFAULTS.ratio,
         "geometric ratio between successive cycle times"),
-    Opt("precondition", _p_float, _DEFAULTS.precondition_infidelity,
+    Opt("precondition", float, _DEFAULTS.precondition_infidelity,
         "hybrid preconditioning infidelity"),
 ]
 
 OPTIONS = {
     "gap": [
-        Opt("L", _p_int, 4, "chain length"),
+        Opt("L", int, 4, "chain length"),
         Opt("filling", _p_fraction, Fraction(1, 2), "up-spin fraction (e.g. 1/2)"),
-        Opt("n_up", _p_int, None, "up-spin count; overrides filling"),
-        Opt("J", _p_float, 1.0, "bond coupling"),
+        Opt("n_up", int, None, "up-spin count; overrides filling"),
+        Opt("J", float, 1.0, "bond coupling"),
     ],
     "compare": [
-        Opt("L", _p_int, 8, "fused chain length"),
+        Opt("L", int, 8, "fused chain length"),
         Opt("filling", _p_fraction, Fraction(1, 2), "up-spin fraction"),
         Opt("targets", _p_targets, (1e-3, 1e-4), "comma-separated infidelity targets"),
-        Opt("J", _p_float, 1.0, "bond coupling"),
+        Opt("J", float, 1.0, "bond coupling"),
         *_RODEO_OPTS,
-        Opt("max_superiterations", _p_int, _DEFAULTS.max_superiterations,
+        Opt("max_superiterations", int, _DEFAULTS.max_superiterations,
             "superiteration sweep cap"),
         *_SEARCH_OPTS,
-        Opt("output", _p_str, "-", "CSV path, or - for stdout"),
+        Opt("output", str, "-", "CSV path, or - for stdout"),
     ],
     "scan": [
-        Opt("L", _p_int, 2, "chain length"),
+        Opt("L", int, 2, "chain length"),
         Opt("filling", _p_fraction, Fraction(1, 2), "up-spin fraction"),
-        Opt("n_up", _p_int, None, "up-spin count; overrides filling"),
-        Opt("J", _p_float, 1.0, "bond coupling"),
-        Opt("e_min", _p_float, -2.0, "lowest target energy"),
-        Opt("e_max", _p_float, 2.0, "highest target energy"),
-        Opt("points", _p_int, 81, "grid points (inclusive endpoints)"),
-        Opt("depth", _p_int, 3, "cycle times per superiteration"),
-        Opt("superiterations", _p_int, 2, "superiteration count"),
-        Opt("ratio", _p_float, 0.5, "geometric ratio between successive cycle times"),
-        Opt("initial", _p_str, "neel",
+        Opt("n_up", int, None, "up-spin count; overrides filling"),
+        Opt("J", float, 1.0, "bond coupling"),
+        Opt("e_min", float, -2.0, "lowest target energy"),
+        Opt("e_max", float, 2.0, "highest target energy"),
+        Opt("points", int, 81, "grid points (inclusive endpoints)"),
+        Opt("depth", int, 3, "cycle times per superiteration"),
+        Opt("superiterations", int, 2, "superiteration count"),
+        Opt("ratio", float, 0.5, "geometric ratio between successive cycle times"),
+        Opt("initial", str, "neel",
             "input state: neel, ground, product, or config:<bits>"),
-        Opt("expmv_tol", _p_float, 1e-10, "propagator tolerance per application"),
-        Opt("output", _p_str, "-", "CSV path, or - for stdout"),
+        Opt("expmv_tol", float, 1e-10, "propagator tolerance per application"),
+        Opt("output", str, "-", "CSV path, or - for stdout"),
     ],
     "converge": [
-        Opt("L", _p_int, 8, "fused chain length"),
+        Opt("L", int, 8, "fused chain length"),
         Opt("filling", _p_fraction, Fraction(1, 2), "up-spin fraction"),
         Opt("method", _p_purifier, "hybrid", "rodeo or hybrid"),
-        Opt("J", _p_float, 1.0, "bond coupling"),
+        Opt("J", float, 1.0, "bond coupling"),
         *_RODEO_OPTS,
-        Opt("m_max", _p_int, 8, "largest superiteration count reported"),
+        Opt("m_max", int, 8, "largest superiteration count reported"),
         *_SEARCH_OPTS,
-        Opt("output", _p_str, "-", "CSV path, or - for stdout"),
+        Opt("output", str, "-", "CSV path, or - for stdout"),
     ],
     "fuse": [
-        Opt("L_final", _p_int, 8, "target chain length"),
-        Opt("L_base", _p_int, 2, "exactly prepared base chain length"),
+        Opt("L_final", int, 8, "target chain length"),
+        Opt("L_base", int, 2, "exactly prepared base chain length"),
         Opt("filling", _p_fraction, Fraction(1, 2), "up-spin fraction"),
         Opt("method", _p_method, "hybrid", "adiabatic, rodeo, or hybrid"),
-        Opt("target", _p_float, 1e-3, "per-level infidelity target"),
-        Opt("level_policy", _p_str, "uniform",
+        Opt("target", float, 1e-3, "per-level infidelity target"),
+        Opt("level_policy", str, "uniform",
             "uniform: every level gets the target; budget: target split across levels"),
-        Opt("J", _p_float, 1.0, "bond coupling"),
+        Opt("J", float, 1.0, "bond coupling"),
         *_RODEO_OPTS,
-        Opt("max_superiterations", _p_int, _DEFAULTS.max_superiterations,
+        Opt("max_superiterations", int, _DEFAULTS.max_superiterations,
             "superiteration sweep cap"),
         *_SEARCH_OPTS,
-        Opt("output", _p_str, "-", "CSV path, or - for stdout"),
+        Opt("output", str, "-", "CSV path, or - for stdout"),
     ],
 }
 
@@ -463,10 +451,7 @@ def main(argv=None) -> int:
     try:
         values = _resolve(args.command, args)
         return impl(values)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except SimulationError as err:

@@ -14,7 +14,7 @@ class DegenerateGapError(SimulationError):
 
 
 class LanczosConvergenceError(SimulationError):
-    """Lanczos used up its vector budget before two Ritz pairs converged."""
+    """The iterative eigensolver stopped before two Ritz pairs converged."""
 
 
 class PropagationError(SimulationError):

@@ -1,9 +1,10 @@
 """Lowest two eigenpairs per sector, the free-fermion oracle, overlaps.
 
-Below ``DENSE_CUTOFF`` the solver simply diagonalizes; above it a Lanczos
-iteration with full reorthogonalization extracts the two lowest Ritz
-pairs.  The free-fermion single-particle energies give an independent
-check on every sector ground energy of the uniform chain.
+Below ``DENSE_CUTOFF`` the solver simply diagonalizes; above it ARPACK's
+implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``) extracts the
+two lowest Ritz pairs from a fixed-seed start vector.  The free-fermion
+single-particle energies give an independent check on every sector
+ground energy of the uniform chain.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import DegenerateGapError, LanczosConvergenceError
 from .spin_model import SparseHamiltonian, StateVector
@@ -19,14 +20,13 @@ from .spin_model import SparseHamiltonian, StateVector
 #: Sector dimension at which lowest_two switches from dense to Lanczos.
 DENSE_CUTOFF = 400
 
-#: Relative residual demanded of each Ritz pair.
+#: ARPACK tolerance: residual of each Ritz pair relative to its Ritz value.
 LANCZOS_TOL = 1e-10
 
 #: Gaps below this multiple of the coupling scale are treated as degenerate.
 DEGENERATE_GAP_FACTOR = 1e-10
 
 _LANCZOS_SEED = 0x5EC7
-_LANCZOS_MAX_VECS = 700
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,11 @@ class SpectralPair:
 
 
 def _phase_fixed(vec: np.ndarray) -> np.ndarray:
-    # real eigenvector; make the largest-magnitude amplitude positive
-    k = int(np.argmax(np.abs(vec)))
+    # real eigenvector; make the first amplitude of largest magnitude
+    # positive.  Largest amplitudes often come in pairs of equal size and
+    # opposite sign, so a plain argmax would pick one by roundoff.
+    mag = np.abs(vec)
+    k = int(np.argmax(mag >= (1.0 - 1e-8) * mag.max()))
     return -vec if vec[k] < 0 else vec.copy()
 
 
@@ -54,60 +57,31 @@ def _dense_lowest_two(H: SparseHamiltonian):
 
 
 def _lanczos_lowest_two(H: SparseHamiltonian, tol: float = LANCZOS_TOL):
-    """Two lowest Ritz pairs by fully reorthogonalized Lanczos.
+    """Two lowest eigenpairs by ARPACK's implicitly restarted Lanczos.
 
-    The starting vector is drawn from a fixed-seed generator so repeated
-    runs are bit-identical.  Residuals are estimated from the last row of
-    the tridiagonal eigenvectors and both pairs must pass before exit.
+    ARPACK restarts within at most 20 vectors for two pairs, so memory does
+    not grow with the iteration count and no growing basis is fully
+    reorthogonalized.  Its default start vector is random; a fixed-seed
+    one keeps repeated runs bit-identical.
     """
-    mat = H.matrix
-    dim = H.dim
-    m_max = min(dim, _LANCZOS_MAX_VECS)
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    v0 = rng.standard_normal(dim)
-    v0 /= np.linalg.norm(v0)
-
-    V = np.empty((m_max + 1, dim))
-    V[0] = v0
-    alphas: list[float] = []
-    betas: list[float] = []
-    scale = max(H.norm_inf(), 1e-300)
-
-    for k in range(m_max):
-        w = mat @ V[k]
-        h = V[: k + 1] @ w
-        w -= V[: k + 1].T @ h
-        alphas.append(float(h[k]))
-        w -= V[: k + 1].T @ (V[: k + 1] @ w)  # second orthogonalization pass
-        b = float(np.linalg.norm(w))
-
-        done = False
-        if len(alphas) >= 2 and (b <= 1e-13 * scale or k % 2 == 1 or k == m_max - 1):
-            theta, S = scipy.linalg.eigh_tridiagonal(alphas, betas)
-            res = b * np.abs(S[-1, :2])
-            done = bool(np.all(res <= tol * scale)) or b <= 1e-13 * scale
-        if done:
-            x0 = V[: k + 1].T @ S[:, 0]
-            x0 /= np.linalg.norm(x0)
-            return float(theta[0]), float(theta[1]), _phase_fixed(x0)
-        if b <= 1e-13 * scale:
-            # invariant subspace before two pairs converged; reseed
-            w = np.random.default_rng(_LANCZOS_SEED + k + 1).standard_normal(dim)
-            w -= V[: k + 1].T @ (V[: k + 1] @ w)
-            b = float(np.linalg.norm(w))
-        betas.append(b)
-        V[k + 1] = w / b
-
-    raise LanczosConvergenceError(
-        f"Lanczos did not converge two pairs within {m_max} vectors (dim {dim})"
-    )
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(H.dim)
+    try:
+        w, U = eigsh(H.matrix, k=2, which="SA", v0=v0, tol=tol)
+    except ArpackNoConvergence as err:
+        raise LanczosConvergenceError(
+            f"Lanczos did not converge two pairs (dim {H.dim}): {err}"
+        ) from err
+    lo, hi = np.argsort(w)
+    return float(w[lo]), float(w[hi]), _phase_fixed(U[:, lo])
 
 
 def lowest_two(H: SparseHamiltonian, *, force_method: str | None = None) -> SpectralPair:
     """Ground and first excited energies plus the ground vector.
 
-    The ground vector's largest-magnitude amplitude is fixed real
-    positive, which pins the sign of the otherwise arbitrary real phase.
+    The ground vector's first amplitude of largest magnitude (to a relative
+    1e-8, so that ties of opposite sign are resolved by position, not by
+    roundoff) is fixed real positive, which pins the sign of the otherwise
+    arbitrary real phase; both routes therefore return the same vector.
     Raises :class:`DegenerateGapError` when E1 - E0 is below
     ``DEGENERATE_GAP_FACTOR`` times the coupling scale, since every
     schedule downstream divides by the gap.
@@ -117,6 +91,8 @@ def lowest_two(H: SparseHamiltonian, *, force_method: str | None = None) -> Spec
     if force_method not in (None, "dense", "lanczos"):
         raise ValueError(f"unknown method {force_method!r}")
     method = force_method or ("dense" if H.dim < DENSE_CUTOFF else "lanczos")
+    if method == "lanczos" and H.dim < 3:
+        raise ValueError(f"the Lanczos route needs dimension 3 or more, got {H.dim}")
     if method == "dense":
         E0, E1, vec = _dense_lowest_two(H)
     else:

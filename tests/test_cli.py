@@ -1,6 +1,7 @@
 """Command-line driver: config resolution, CSV output, exit codes."""
 
 import ast
+import functools
 import math
 from pathlib import Path
 
@@ -49,7 +50,7 @@ def test_gap_rejects_gapless_sector(capsys):
 
 
 def test_gap_lanczos_failure_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "_LANCZOS_MAX_VECS", 3)
+    monkeypatch.setattr(spectral, "eigsh", functools.partial(spectral.eigsh, maxiter=1))
     assert run(["gap", "--L", "12"]) == 1  # dim 924 goes through Lanczos
     captured = capsys.readouterr()
     assert captured.err.startswith("error: Lanczos did not converge")

@@ -1,5 +1,6 @@
 """Eigensolver routes, the free-fermion oracle, and overlap measures."""
 
+import functools
 import math
 
 import numpy as np
@@ -77,19 +78,30 @@ def test_lowest_two_L4_golden():
 
 def test_lowest_two_L16_lanczos_golden():
     # dim 12870 forces the iterative path
-    pair = lowest_two(uniform_chain(16, 8))
+    H = uniform_chain(16, 8)
+    pair = lowest_two(H)
     assert pair.E0 == pytest.approx(-9.837951447459409, abs=1e-9)
     assert pair.gap == pytest.approx(0.36907343785319924, abs=1e-9)
+    g = pair.ground.amps.real
+    assert np.linalg.norm(H.matrix @ g - pair.E0 * g) <= 1e-12
 
 
 def test_lowest_two_routes_agree():
-    H = uniform_chain(10, 5)  # dim 252, below the crossover
-    dense = lowest_two(H, force_method="dense")
-    lanczos = lowest_two(H, force_method="lanczos")
-    assert lanczos.E0 == pytest.approx(dense.E0, abs=1e-10)
-    assert lanczos.E1 == pytest.approx(dense.E1, abs=1e-10)
-    overlap = abs(np.vdot(dense.ground.amps, lanczos.ground.amps))
-    assert overlap == pytest.approx(1.0, abs=1e-9)
+    # every sector with L <= 12 that both routes can solve (dim >= 3);
+    # largest amplitudes often tie with opposite signs, and both routes
+    # must still return the same ground, sign included
+    sectors = [
+        (L, n) for L in range(2, 13) for n in range(1, L) if math.comb(L, n) >= 3
+    ]
+    assert len(sectors) == 65
+    for L, n in sectors:
+        H = uniform_chain(L, n)
+        dense = lowest_two(H, force_method="dense")
+        lanczos = lowest_two(H, force_method="lanczos")
+        assert lanczos.E0 == pytest.approx(dense.E0, abs=1e-10)
+        assert lanczos.E1 == pytest.approx(dense.E1, abs=1e-10)
+        # elementwise 1e-8 at dim <= 924 also bounds 1 - overlap by 5e-14
+        assert np.max(np.abs(dense.ground.amps - lanczos.ground.amps)) <= 1e-8, (L, n)
 
 
 def test_lowest_two_ground_properties():
@@ -107,7 +119,8 @@ def test_lowest_two_ground_properties():
 
 
 def test_lowest_two_gap_for_every_small_sector():
-    for L in range(2, 11):
+    # L = 11..13 reaches sectors above DENSE_CUTOFF, the iterative route
+    for L in range(2, 14):
         for n in range(1, L):
             if math.comb(L, n) < 2:
                 continue
@@ -125,12 +138,15 @@ def test_lowest_two_degenerate_and_trivial_errors():
         lowest_two(uniform_chain(2, 0))  # dim 1, no excited state
     with pytest.raises(ValueError):
         lowest_two(uniform_chain(4, 2), force_method="qr")
+    with pytest.raises(ValueError):
+        lowest_two(uniform_chain(2, 1), force_method="lanczos")  # ARPACK needs dim > 2
 
 
 def test_lowest_two_lanczos_budget_failure_is_typed(monkeypatch):
-    monkeypatch.setattr(spectral, "_LANCZOS_MAX_VECS", 3)
+    # a one-iteration ARPACK budget cannot converge two pairs at this size
+    monkeypatch.setattr(spectral, "eigsh", functools.partial(spectral.eigsh, maxiter=1))
     H = uniform_chain(12, 6)  # dim 924, above the dense cutoff
-    with pytest.raises(LanczosConvergenceError, match="within 3 vectors") as info:
+    with pytest.raises(LanczosConvergenceError, match="did not converge") as info:
         lowest_two(H)
     assert isinstance(info.value, SimulationError)
 
