@@ -45,7 +45,7 @@ from .spin_model import (
     SectorBasis,
     SparseHamiltonian,
     StateVector,
-    _hop_coordinates,
+    _hop_pattern,
     middle_bond,
 )
 
@@ -209,23 +209,14 @@ def expmv(
 def _aligned_bond_split(basis: SectorBasis, base: BondCouplings, bond: int):
     """CSR pair (base part, unit bond part) sharing one sparsity pattern.
 
-    Both matrices come from the same coordinate list, so per-step
-    couplings combine as a pure data-array update with no symbolic work.
+    Both matrices are data arrays on one hop pattern over the nonzero base
+    bonds and ``bond``, so per-step couplings combine as a pure data-array
+    update with no symbolic work.
     """
-    fixed = [(b, Jb) for b, Jb in enumerate(base.J) if Jb != 0.0]
-    rb, cb, vb = _hop_coordinates(basis, fixed)
-    ru, cu, vu = _hop_coordinates(basis, [(bond, 1.0)])
-    rows = np.concatenate([rb, ru])
-    cols = np.concatenate([cb, cu])
-    data_base = np.concatenate([vb, np.zeros_like(vu)])
-    data_unit = np.concatenate([np.zeros_like(vb), vu])
+    indptr, indices, hop_bond = _hop_pattern(basis, [*np.flatnonzero(base.J), bond])
     shape = (basis.dim, basis.dim)
-    Pb = sp.csr_matrix((data_base, (rows, cols)), shape=shape)
-    Pu = sp.csr_matrix((data_unit, (rows, cols)), shape=shape)
-    if not (
-        np.array_equal(Pb.indptr, Pu.indptr) and np.array_equal(Pb.indices, Pu.indices)
-    ):
-        raise AssertionError("bond split lost pattern alignment")
+    Pb = sp.csr_matrix((base.J[hop_bond], indices, indptr), shape=shape)
+    Pu = sp.csr_matrix(((hop_bond == bond).astype(np.float64), indices, indptr), shape=shape)
     return Pb, Pu
 
 

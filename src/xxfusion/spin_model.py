@@ -8,11 +8,19 @@ Conventions used throughout the package:
   site L-1 leftmost,
 * chains are open; bond b couples sites b and b+1,
 * hbar = 1, so times carry units of 1/J.
+
+A sector lists its configurations in ascending order, so the ordinal of
+a configuration with up spins at sites p_1 < ... < p_n is its rank in
+the combinatorial number system, sum_i C(p_i, i).  Hamiltonians are
+assembled directly from that rank: a hop moves one up spin across a bond
+and shifts the ordinal by one binomial, and each CSR row lists its
+down-hops (partner c - 2^b) by decreasing bond b, then its up-hops
+(partner c + 2^b) by increasing b, so its columns come out ascending
+with no sort and no binary search.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,13 +32,17 @@ from .errors import CapacityError
 #: Refuse to enumerate sectors beyond this size; statevectors would not fit.
 MAX_SECTOR_DIM = 1 << 24
 
+#: Longest chain whose configurations fit a signed 64-bit integer.
+MAX_SITES = 63
+
 
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
     """All configurations of an L-site chain with exactly n_up spins up.
 
-    ``configs`` is sorted ascending, so ordinals are recovered by binary
-    search, and ``dim == binomial(L, n_up)``.
+    ``configs`` is sorted ascending, so a configuration's ordinal is its
+    combinatorial rank (see the module notes), ``index_of`` recovers it
+    by binary search, and ``dim == binomial(L, n_up)``.
     """
 
     L: int
@@ -58,24 +70,34 @@ def enumerate_sector(L: int, n_up: int, *, max_dim: int = MAX_SECTOR_DIM) -> Sec
     """Enumerate the fixed-magnetization basis of an open L-site chain.
 
     Returns a :class:`SectorBasis` whose configurations are sorted
-    ascending as integers.
+    ascending as integers.  They are grown one bit at a time: with the
+    configurations of the low m bits kept by up count k, adding bit m
+    gives ``level[k] + (level[k-1] | 1 << m)``, which is already ascending.
     """
     if L < 1:
         raise ValueError(f"need at least one site, got L={L}")
     if not 0 <= n_up <= L:
         raise ValueError(f"n_up={n_up} outside [0, {L}]")
+    if L > MAX_SITES:
+        raise CapacityError(
+            f"L={L} exceeds {MAX_SITES} sites, the most a 64-bit configuration holds"
+        )
     dim = math.comb(L, n_up)
     if dim > max_dim:
         raise CapacityError(
             f"sector (L={L}, n_up={n_up}) has dimension {dim}, above the cap {max_dim}"
         )
-    configs = np.fromiter(
-        (sum(1 << i for i in sites) for sites in itertools.combinations(range(L), n_up)),
-        dtype=np.int64,
-        count=dim,
-    )
-    configs.sort()
-    return SectorBasis(L, n_up, configs)
+    empty = np.empty(0, dtype=np.int64)
+    level = {0: np.zeros(1, dtype=np.int64)}
+    for m in range(L):
+        bit = np.int64(1 << m)
+        # keep only up counts from which n_up is still reachable
+        lowest = max(0, n_up - (L - 1 - m))
+        level = {
+            k: np.concatenate([level.get(k, empty), level.get(k - 1, empty) | bit])
+            for k in range(lowest, min(m + 1, n_up) + 1)
+        }
+    return SectorBasis(L, n_up, level[n_up])
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,28 +182,47 @@ class SparseHamiltonian:
         return self._norm_cache
 
 
-def _hop_coordinates(basis: SectorBasis, bonds) -> tuple:
-    """COO arrays (rows, cols, J values) for the hops of the given bonds.
+def _hop_pattern(basis: SectorBasis, bonds) -> tuple:
+    """Canonical CSR pattern (indptr, indices, bond) of the hops across ``bonds``.
 
-    Distinct bonds flip distinct bit pairs, so no coordinate repeats and
-    callers may build several couplings on one shared coordinate list.
+    ``bond`` holds the bond of every stored entry, so any per-bond
+    coupling becomes the data array ``J[bond]`` on this one pattern.
+    Moving the up spin across bond b changes the ordinal by +-C(b, k),
+    where k counts the up spins below site b.  Rows are filled in the
+    order of the module notes: down-hops from the row start, up-hops from
+    the row end, both by decreasing b.
     """
     configs = basis.configs
-    rows, cols, vals = [], [], []
-    for b, Jb in bonds:
-        antiparallel = (((configs >> b) ^ (configs >> (b + 1))) & 1) == 1
-        src = np.nonzero(antiparallel)[0]
-        if src.size == 0:
-            continue
-        partners = configs[src] ^ (3 << b)
-        dst = np.searchsorted(configs, partners)
-        rows.append(dst)
-        cols.append(src)
-        vals.append(np.full(src.size, Jb))
-    if not rows:
-        empty = np.empty(0)
-        return empty.astype(np.int64), empty.astype(np.int64), empty
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    n_up = basis.n_up
+    wanted = set(int(b) for b in bonds)
+    antiparallel = configs ^ (configs >> 1)
+    counts = np.zeros(basis.dim, dtype=np.int64)
+    for b in wanted:
+        counts += (antiparallel >> b) & 1
+    indptr = np.zeros(basis.dim + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    bond = np.empty(indices.size, dtype=np.uint8)
+    down_pos = indptr[:-1].astype(np.int64)  # filled forward from the row start
+    up_pos = indptr[1:].astype(np.int64)  # filled backward from the row end
+    above = np.zeros(basis.dim, dtype=np.int64)  # up spins on sites > b + 1
+    lo = (configs >> (basis.L - 1)) & 1
+    for b in reversed(range(basis.L - 1)):
+        hi, lo = lo, (configs >> b) & 1
+        if b in wanted:
+            shift = np.array([math.comb(b, k) for k in range(n_up)], dtype=np.int64)
+            down = np.flatnonzero(hi > lo)
+            pos = down_pos[down]
+            down_pos[down] += 1
+            indices[pos] = down - shift[n_up - 1 - above[down]]
+            bond[pos] = b
+            up = np.flatnonzero(lo > hi)
+            up_pos[up] -= 1
+            pos = up_pos[up]
+            indices[pos] = up + shift[n_up - 1 - above[up]]
+            bond[pos] = b
+        above += hi
+    return indptr, indices, bond
 
 
 def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHamiltonian:
@@ -189,15 +230,17 @@ def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHam
 
     A bond b contributes J[b] between configurations that differ by one
     exchange of antiparallel neighbors across that bond; magnetization is
-    conserved, so the sector closes under all hops.
+    conserved, so the sector closes under all hops.  Zero bonds store
+    nothing.
     """
     if couplings.n_sites != basis.L:
         raise ValueError(
             f"couplings are for {couplings.n_sites} sites, basis has {basis.L}"
         )
-    bonds = [(b, Jb) for b, Jb in enumerate(couplings.J) if Jb != 0.0]
-    rows, cols, vals = _hop_coordinates(basis, bonds)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+    indptr, indices, bond = _hop_pattern(basis, np.flatnonzero(couplings.J))
+    matrix = sp.csr_matrix(
+        (couplings.J[bond], indices, indptr), shape=(basis.dim, basis.dim)
+    )
     return SparseHamiltonian(basis, couplings, matrix)
 
 

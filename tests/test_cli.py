@@ -179,6 +179,16 @@ def test_scan_product_input(capsys):
     assert run(["scan", "--L", "4", "--initial", "product", "--points", "3"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["gap", "--L", "64", "--filling", "1/32"], ["scan", "--L", "64", "--n-up", "1"]]
+)
+def test_chain_longer_than_63_sites_exits_1(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: L=64 exceeds 63 sites")
+    assert captured.out == ""
+
+
 def test_scan_initial_errors(capsys):
     assert run(["scan", "--L", "4", "--n-up", "1", "--initial", "neel"]) == 2
     assert run(["scan", "--initial", "config:01x"]) == 2

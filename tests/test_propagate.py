@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import xxfusion.propagate as propagate
 from xxfusion import (
     BondCouplings,
@@ -229,6 +230,29 @@ def test_adiabatic_ramp_argument_errors():
     doubled = StateVector(ctx.basis, 2.0 * ctx.v0.amps)
     with pytest.raises(ValueError):
         adiabatic_ramp(doubled, ctx.basis, ctx.base, sched)
+
+
+@given(st.sampled_from([4, 6, 8, 10]), st.data())
+@settings(deadline=None, max_examples=30)
+def test_bond_split_shares_pattern_and_refills_exactly(L, data):
+    n = data.draw(st.integers(0, L))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    bond = middle_bond(L)
+    J = rng.uniform(-2.0, 2.0, L - 1)
+    J[bond] = 0.0
+    J[rng.choice([b for b in range(L - 1) if b != bond])] = 0.0
+    lam = data.draw(st.floats(-3.0, 3.0))
+    base = BondCouplings(J)
+    Pb, Pu = propagate._aligned_bond_split(enumerate_sector(L, n), base, bond)
+    assert np.array_equal(Pb.indptr, Pu.indptr)
+    assert np.array_equal(Pb.indices, Pu.indices)
+    assert Pb.has_canonical_format and Pu.has_canonical_format
+    mat = Pb.copy()
+    np.multiply(Pu.data, lam, out=mat.data)
+    mat.data += Pb.data
+    _, ref = oracles.dense_hamiltonian(L, n, base.with_bond(bond, lam).J)
+    assert np.array_equal(mat.toarray(), ref)
 
 
 def test_adiabatic_ramp_zero_duration_is_identity():

@@ -40,7 +40,7 @@ def test_enumerate_sector_L4_half():
 
 
 def test_enumerate_sector_matches_bit_scan():
-    for L in range(1, 9):
+    for L in range(1, 15):
         for n in range(L + 1):
             basis = enumerate_sector(L, n)
             assert list(basis.configs) == oracles.sector_configs(L, n)
@@ -85,6 +85,17 @@ def test_enumerate_sector_capacity_guard():
     # binomial(28, 14) = 40116600 exceeds the 2^24 statevector cap
     with pytest.raises(CapacityError):
         enumerate_sector(28, 14)
+
+
+def test_enumerate_sector_site_cap():
+    # configurations are int64 bit strings: 63 sites fit, 64 do not
+    top = enumerate_sector(63, 1)
+    assert top.dim == 63 and int(top.configs[-1]) == 1 << 62
+    assert int(enumerate_sector(63, 63).configs[0]) == (1 << 63) - 1
+    with pytest.raises(CapacityError, match="63 sites"):
+        enumerate_sector(64, 1)
+    with pytest.raises(CapacityError, match="63 sites"):
+        enumerate_sector(200, 0)
 
 
 def test_same_sector():
@@ -135,11 +146,26 @@ def test_middle_bond():
 def test_hamiltonian_matches_dense_oracle(L, data):
     n = data.draw(st.integers(0, L))
     seed = data.draw(st.integers(0, 2**32 - 1))
+    cut = data.draw(st.lists(st.booleans(), min_size=L - 1, max_size=L - 1))
     J = np.random.default_rng(seed).uniform(-2.0, 2.0, L - 1)
+    J[np.array(cut, dtype=bool)] = 0.0  # exact-zero bonds store nothing
     basis = enumerate_sector(L, n)
     H = build_hamiltonian(basis, BondCouplings(J))
     _, ref = oracles.dense_hamiltonian(L, n, J)
     assert np.array_equal(H.matrix.toarray(), ref)
+    assert H.matrix.nnz == np.count_nonzero(ref)
+
+
+def test_hamiltonian_is_canonical_csr():
+    # sorted, duplicate-free columns with no explicit zeros: the unique
+    # CSR form of the matrix, built without any sort
+    for L in range(2, 13):
+        bonds = BondCouplings.uniform(L)
+        for n in range(L + 1):
+            m = build_hamiltonian(enumerate_sector(L, n), bonds).matrix
+            assert m.has_canonical_format
+            assert m.indptr.dtype == np.int32 and m.indices.dtype == np.int32
+            assert np.count_nonzero(m.data) == m.nnz
 
 
 def test_hamiltonian_structure_invariants():
