@@ -194,8 +194,9 @@ class FusionStep:
     ) -> RampResult:
         """Shortest converged ramp from the product reaching ``target``.
 
-        ``step_tol`` defaults to ``config.step_tol``; ``cache`` shares
-        duration probes between searches of this step.
+        ``step_tol`` defaults to ``config.step_tol``; ``cache`` shares the
+        integrated ramps, keyed by ``(T_A, steps)``, between searches.  A
+        cache is valid for one step and one ``config.expmv_tol`` only.
         """
         c = self.config
         return ramp_time_for_infidelity(
@@ -394,7 +395,8 @@ def compare_methods(
     one call is converged to one step tolerance, ``config.step_tol`` or
     else :func:`default_step_tol` of the tightest target: a cell's value
     depends on the other targets of the call.  The hybrid preconditioning
-    ramp uses the tolerance of its own target.
+    ramp uses the tolerance of its own target and reuses every ramp the
+    adiabatic searches integrated.
     """
     config = config or FusionConfig()
     filling = Fraction(filling)
@@ -420,7 +422,7 @@ def compare_methods(
             )
         )
 
-    # adiabatic: one duration search per target, probes shared via cache
+    # adiabatic: one duration search per target, ramps shared via cache
     cache: dict = {}
     for target in targets:
         try:

@@ -1,8 +1,8 @@
 """Exact-propagator application and the linear middle-bond ramp.
 
-``expmv`` applies exp(-i H t) either through a cached dense
-eigendecomposition (small sectors) or a Lanczos/Krylov approximation with
-internal substepping (large ones).
+``expmv`` applies exp(-i H t) of one fixed H, as in the rodeo cycles,
+either through its cached dense eigendecomposition (small sectors) or a
+Lanczos/Krylov approximation with internal substepping (large ones).
 
 The Krylov substep runs a real Lanczos iteration on the state stored as
 a (2, n) block [Re; Im].  H is real symmetric, so every Lanczos vector
@@ -21,12 +21,15 @@ never reorthogonalized.  Its loss of global orthogonality does not spoil
 exp(-iHt)v, whose finite-precision error stays at the size the exact
 recurrence would give (Druskin, Greenbaum & Knizhnerman, SIAM J. Sci.
 Comput. 19, 38 (1998)); the a posteriori estimate beta0 * b * |t| *
-|u_m| still decides when a substep is done.
+|u_m| still decides when a substep is done; u itself is formed only then.
 
-The adiabatic ramp integrates a piecewise-constant midpoint Hamiltonian,
-doubles its step count until the measured infidelity stabilizes, and a
-doubling-plus-bisection search finds the shortest ramp duration reaching
-a requested infidelity.
+The adiabatic ramp integrates a piecewise-constant midpoint Hamiltonian
+that changes every step, so in every sector each step is one Krylov
+propagation on a CSR matrix refilled in place, all steps sharing one
+basis workspace.  The step count is doubled until the measured
+infidelity stabilizes, and a doubling-plus-bisection search, whose probes
+share ramps through a (T_A, steps) cache, finds the shortest ramp
+duration reaching a requested infidelity.
 """
 
 from __future__ import annotations
@@ -88,57 +91,57 @@ class _SubstepStall(Exception):
         self.residual = residual
 
 
-def _expm_tridiag(alphas, betas, t):
-    # exp(-i T t) e1 for the real symmetric tridiagonal T; dstevd is the
-    # driver scipy's eigh_tridiagonal picks, called without its wrapper
+def _tridiag_eig(alphas, betas):
+    # eigenpairs of the real symmetric tridiagonal T; dstevd is the driver
+    # scipy's eigh_tridiagonal picks, called without its wrapper
     if alphas.size == 1:
-        return np.exp(-1j * alphas * t)
+        return alphas, np.ones((1, 1))
     theta, S, info = scipy.linalg.lapack.dstevd(alphas, betas)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd failed with info={info}")
-    return S @ (np.exp(-1j * theta * t) * S[0, :])
+    return theta, S
 
 
-def _lanczos_substep(mat, x, t, tol_abs, m_max):
+def _lanczos_substep(mat, x, t, tol_abs, V):
     """One Krylov substep on the (2, n) block x = [Re; Im]; returns the
-    propagated block or stalls.
-
-    Three-term recurrence with local orthogonalization only: each new
-    vector is orthogonalized against the two before it.
+    propagated block or stalls.  The three-term recurrence builds each
+    vector in place in its row of the workspace V, (m_max + 1, 2, n).
     """
     beta0 = float(np.linalg.norm(x))
     if beta0 == 0.0:
         return x.copy()
-    V = np.empty((m_max + 1,) + x.shape)
+    m_max = V.shape[0] - 1
     np.divide(x, beta0, out=V[0])
-    alphas = np.empty(m_max)
-    betas = np.empty(m_max)
-    w = np.empty_like(x)
+    alphas, betas = np.empty((2, m_max))
     err = np.inf
     for k in range(m_max):
-        v = V[k]
+        v, w = V[k], V[k + 1]
         w[0] = mat @ v[0]
         w[1] = mat @ v[1]
         if k:
             w -= betas[k - 1] * V[k - 1]
         alphas[k] = np.vdot(v, w)
         w -= alphas[k] * v
-        b = float(np.linalg.norm(w))
-        u = _expm_tridiag(alphas[: k + 1], betas[:k], t)
-        err = beta0 * b * abs(t) * abs(u[-1])
+        b = math.sqrt(np.vdot(w, w))
+        # u = exp(-i T t) e1 = S (exp(-i theta t) S[0]); the estimate needs
+        # its last entry only
+        theta, S = _tridiag_eig(alphas[: k + 1], betas[:k])
+        phase = np.exp(theta * (-1j * t))
+        err = beta0 * b * abs(t) * abs(np.dot(S[-1] * S[0], phase))
         if err <= tol_abs or b <= 1e-14 * beta0:
             # sum_j u_j V_j with complex u: (Re, Im) = (P_re - Q_im, P_im + Q_re)
+            u = S @ (phase * S[0])
             Vk = V[: k + 1].reshape(k + 1, -1)
             P = (u.real @ Vk).reshape(x.shape)
             Q = (u.imag @ Vk).reshape(x.shape)
             return beta0 * np.array([P[0] - Q[1], P[1] + Q[0]])
         betas[k] = b
-        np.divide(w, b, out=V[k + 1])
+        w /= b
     raise _SubstepStall(err)
 
 
-def _krylov_propagate(mat, norm_bound, x, t, tol, m_max=MAX_KRYLOV):
-    """exp(-i mat t) applied to the (2, n) block x = [Re; Im]."""
+def _krylov_propagate(mat, norm_bound, x, t, tol, V):
+    """exp(-i mat t) applied to the (2, n) block x = [Re; Im]; V is the basis workspace."""
     nrm = float(np.linalg.norm(x))
     if nrm == 0.0 or t == 0.0:
         return x.copy()
@@ -150,7 +153,7 @@ def _krylov_propagate(mat, norm_bound, x, t, tol, m_max=MAX_KRYLOV):
         y = x
         try:
             for _ in range(n_sub):
-                y = _lanczos_substep(mat, y, dt, tol_each, m_max)
+                y = _lanczos_substep(mat, y, dt, tol_each, V)
             return y
         except _SubstepStall as stall:
             last = stall.residual
@@ -170,11 +173,6 @@ def _split(amps: np.ndarray) -> np.ndarray:
 def _join(x: np.ndarray) -> np.ndarray:
     """Complex amplitudes of a (2, n) block [Re; Im]."""
     return x[0] + 1j * x[1]
-
-
-def _dense_propagate(H: SparseHamiltonian, t: float, amps: np.ndarray) -> np.ndarray:
-    w, U = H.dense_eig()
-    return U @ (np.exp(-1j * w * t) * (U.T @ amps))
 
 
 def expmv(
@@ -199,10 +197,12 @@ def expmv(
     if method == "auto":
         method = "dense" if H.dim < DENSE_CUTOFF else "krylov"
     if method == "dense":
-        amps = _dense_propagate(H, t, v.amps)
+        w, U = H.dense_eig()
+        amps = U @ (np.exp(-1j * w * t) * (U.T @ v.amps))
     else:
         x = _split(v.amps)
-        amps = _join(_krylov_propagate(H.matrix, H.norm_inf(), x, t, tol, max_krylov))
+        V = np.empty((max_krylov + 1,) + x.shape)
+        amps = _join(_krylov_propagate(H.matrix, H.norm_inf(), x, t, tol, V))
     return StateVector(v.basis, amps)
 
 
@@ -232,7 +232,10 @@ def adiabatic_ramp(
 
     ``base`` must hold the ramped bond at zero; step k evolves for
     T_A/steps under H(base) + lambda(s_mid) H(bond) with lambda evaluated
-    at the step midpoint.  Norm is preserved to integrator precision.
+    at the step midpoint.  Every step, in every sector, is a Krylov
+    propagation to ``tol / steps`` on one CSR matrix refilled in place;
+    no dense eigensolver is called.  Norm is preserved to integrator
+    precision.
     """
     if base.n_sites != basis.L:
         raise ValueError("couplings do not match the sector length")
@@ -250,28 +253,19 @@ def adiabatic_ramp(
         return StateVector(basis, v0.amps.copy())
 
     Pb, Pu = _aligned_bond_split(basis, base, schedule.bond)
+    nb = float(np.abs(Pb).sum(axis=1).max()) if Pb.nnz else 0.0
+    nu = float(np.abs(Pu).sum(axis=1).max()) if Pu.nnz else 0.0
     ds = schedule.T_A / schedule.steps
-    amps = v0.amps
-    if basis.dim < DENSE_CUTOFF:
-        Hb = Pb.toarray()
-        Hu = Pu.toarray()
-        for k in range(schedule.steps):
-            lam = schedule.coupling_at((k + 0.5) * ds)
-            w, U = np.linalg.eigh(Hb + lam * Hu)
-            amps = U @ (np.exp(-1j * w * ds) * (U.T @ amps))
-    else:
-        nb = float(np.abs(Pb).sum(axis=1).max()) if Pb.nnz else 0.0
-        nu = float(np.abs(Pu).sum(axis=1).max()) if Pu.nnz else 0.0
-        step_tol = tol / schedule.steps
-        mat = Pb.copy()  # refilled in place: Pb and Pu share one pattern
-        x = _split(amps)
-        for k in range(schedule.steps):
-            lam = schedule.coupling_at((k + 0.5) * ds)
-            np.multiply(Pu.data, lam, out=mat.data)
-            mat.data += Pb.data
-            x = _krylov_propagate(mat, nb + abs(lam) * nu, x, ds, step_tol)
-        amps = _join(x)
-    return StateVector(basis, amps)
+    step_tol = tol / schedule.steps
+    mat = Pb.copy()  # refilled in place: Pb and Pu share one pattern
+    x = _split(v0.amps)
+    V = np.empty((MAX_KRYLOV + 1,) + x.shape)  # one basis for every step
+    for k in range(schedule.steps):
+        lam = schedule.coupling_at((k + 0.5) * ds)
+        np.multiply(Pu.data, lam, out=mat.data)
+        mat.data += Pb.data
+        x = _krylov_propagate(mat, nb + abs(lam) * nu, x, ds, step_tol, V)
+    return StateVector(basis, _join(x))
 
 
 @dataclass(frozen=True)
@@ -305,31 +299,33 @@ def converged_ramp(
     *,
     step_tol: float,
     tol: float = 1e-10,
-    initial_steps: int | None = None,
+    cache: dict | None = None,
 ) -> RampResult:
     """Ramp at fixed duration, doubling steps until infidelity stabilizes.
 
     Stops once successive doublings move the measured infidelity by less
     than ``step_tol``; raises :class:`StepRefinementError` at the step
-    cap.
+    cap.  ``cache`` maps ``(T_A, steps)`` to ramps already integrated for
+    this ``ctx`` and ``tol``; they are looked up instead of run again.
     """
-    steps = initial_steps if initial_steps is not None else _initial_steps(ctx, T_A)
-    sched = RampSchedule(T_A, steps, ctx.bond, ctx.J_target)
-    state = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched, tol=tol)
-    fid = infidelity(state.normalized(), ctx.target)
-    while True:
+    cache = {} if cache is None else cache
+    steps = _initial_steps(ctx, T_A)
+    prev = None
+    while steps <= MAX_RAMP_STEPS:
+        if (T_A, steps) not in cache:
+            sched = RampSchedule(T_A, steps, ctx.bond, ctx.J_target)
+            state = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched, tol=tol)
+            fid = infidelity(state.normalized(), ctx.target)
+            cache[T_A, steps] = RampResult(T_A, fid, state, steps)
+        res = cache[T_A, steps]
+        if prev is not None and abs(res.infidelity - prev.infidelity) < step_tol:
+            return res
+        prev = res
         steps *= 2
-        if steps > MAX_RAMP_STEPS:
-            raise StepRefinementError(
-                f"infidelity did not stabilize below {step_tol:.1e} within "
-                f"{MAX_RAMP_STEPS} steps at T_A={T_A:.6g}"
-            )
-        sched = RampSchedule(T_A, steps, ctx.bond, ctx.J_target)
-        state = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched, tol=tol)
-        new_fid = infidelity(state.normalized(), ctx.target)
-        if abs(new_fid - fid) < step_tol:
-            return RampResult(T_A, new_fid, state, steps)
-        fid = new_fid
+    raise StepRefinementError(
+        f"infidelity did not stabilize below {step_tol:.1e} within "
+        f"{MAX_RAMP_STEPS} steps at T_A={T_A:.6g}"
+    )
 
 
 def default_step_tol(target_infidelity: float) -> float:
@@ -366,7 +362,8 @@ def ramp_time_for_infidelity(
     infidelity; ``refine_bisections`` optional bisection rounds then
     shrink the bracket.  Each probe is evaluated with step doubling until
     its infidelity is converged to ``step_tol`` (default:
-    :func:`default_step_tol` of the target).
+    :func:`default_step_tol` of the target).  Searches sharing one
+    ``probe_cache`` integrate no ramp twice, whatever their ``step_tol``.
     """
     if not 0.0 < target_infidelity < 1.0:
         raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
@@ -376,9 +373,10 @@ def ramp_time_for_infidelity(
     cache = probe_cache if probe_cache is not None else {}
 
     def probe(T_A: float) -> RampResult:
-        key = (T_A, step_tol)
+        # converged probes sit beside the (T_A, steps) ramps they are made of
+        key = ("probe", T_A, step_tol)
         if key not in cache:
-            cache[key] = converged_ramp(ctx, T_A, step_tol=step_tol, tol=tol)
+            cache[key] = converged_ramp(ctx, T_A, step_tol=step_tol, tol=tol, cache=cache)
         return cache[key]
 
     best = None

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import xxfusion.propagate as propagate
 from xxfusion import (
     BondCouplings,
     CostLedger,
@@ -284,6 +285,23 @@ def test_compare_methods_reports_per_cell_failures():
         assert math.isnan(r.t_A) and math.isnan(r.J_kappa)
         assert r.message != ""
         assert 0.0 < r.achieved_infidelity < 1.0  # best infidelity seen
+
+
+def test_compare_methods_integrates_each_ramp_once(monkeypatch):
+    # the hybrid preconditioning search runs at its own step tolerance but
+    # shares the adiabatic searches' ramps
+    ramps = []
+    ramp = propagate.adiabatic_ramp
+
+    def counted(v0, basis, base, schedule, **kwargs):
+        ramps.append((schedule.T_A, schedule.steps))
+        return ramp(v0, basis, base, schedule, **kwargs)
+
+    monkeypatch.setattr(propagate, "adiabatic_ramp", counted)
+    rows = compare_methods(8, Fraction(1, 2), [1e-3, 1e-4])
+    assert all(r.status == "OK" for r in rows)
+    assert ramps
+    assert len(ramps) == len(set(ramps))
 
 
 def test_compare_methods_argument_errors():

@@ -261,10 +261,11 @@ def test_adiabatic_ramp_zero_duration_is_identity():
     assert np.allclose(out.amps, ctx.v0.amps, atol=1e-15)
 
 
-def test_adiabatic_ramp_dense_matches_stepwise_expm():
+@pytest.mark.parametrize("L, n", [(4, 2), (8, 2), (8, 4)], ids=["d6", "d28", "d70"])
+def test_adiabatic_ramp_matches_stepwise_expm(L, n):
     # independent reference: the same midpoint product assembled from
     # scipy dense exponentials of the full stepped Hamiltonian
-    ctx = ramp_context(4, 2)
+    ctx = ramp_context(L, n)
     steps, T = 12, 2.5
     sched = RampSchedule(T, steps, ctx.bond, 1.0)
     out = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched)
@@ -278,19 +279,16 @@ def test_adiabatic_ramp_dense_matches_stepwise_expm():
     assert np.linalg.norm(out.amps - amps) < 1e-10
 
 
-def test_adiabatic_ramp_krylov_route_agrees():
-    basis = enumerate_sector(8, 4)  # dim 70
-    ctx = ramp_context(8, 4)
-    sched = RampSchedule(3.0, 24, ctx.bond, 1.0)
-    dense = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched)
-    forced = propagate.DENSE_CUTOFF
-    try:
-        propagate.DENSE_CUTOFF = 1  # force the sparse path
-        krylov = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched)
-    finally:
-        propagate.DENSE_CUTOFF = forced
-    assert np.linalg.norm(dense.amps - krylov.amps) < 1e-9
-    assert basis.dim == 70
+@pytest.mark.parametrize("L, n", [(4, 2), (8, 4)])
+def test_adiabatic_ramp_needs_no_dense_eigensolver(L, n, monkeypatch):
+    ctx = ramp_context(L, n)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the ramp called a dense eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    out = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, RampSchedule(3.0, 24, ctx.bond, 1.0))
+    assert abs(out.norm() - 1.0) < 1e-12
 
 
 def test_longer_ramps_prepare_better_states():
