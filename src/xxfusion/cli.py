@@ -302,7 +302,7 @@ def cmd_compare(values: dict) -> int:
     return 1 if failed else 0
 
 
-def _scan_initial(kind: str, basis, H, J: float):
+def _scan_initial(kind: str, basis, pair, J: float):
     if kind == "neel":
         config = sum(1 << i for i in range(0, basis.L, 2))
         try:
@@ -313,7 +313,7 @@ def _scan_initial(kind: str, basis, H, J: float):
                 f"not n_up={basis.n_up}; choose initial=config:<bits>"
             ) from err
     if kind == "ground":
-        return lowest_two(H).ground
+        return pair.ground
     if kind == "product":
         if basis.L % 2 != 0 or basis.n_up % 2 != 0:
             raise ConfigError("initial=product needs even L and even n_up")
@@ -335,6 +335,8 @@ def _scan_initial(kind: str, basis, H, J: float):
 
 
 def cmd_scan(values: dict) -> int:
+    if not values["expmv_tol"] > 0.0:
+        raise ConfigError(f"expmv tolerance must be positive, got {values['expmv_tol']}")
     n_up = _sector_occupancy(values["L"], values["filling"], values["n_up"])
     basis = enumerate_sector(values["L"], n_up)
     if basis.dim < 2:
@@ -349,7 +351,7 @@ def cmd_scan(values: dict) -> int:
         superiterations=values["superiterations"],
         ratio=values["ratio"],
     )
-    v0 = _scan_initial(values["initial"], basis, H, values["J"])
+    v0 = _scan_initial(values["initial"], basis, pair, values["J"])
     grid = np.linspace(values["e_min"], values["e_max"], values["points"])
     results = energy_scan(v0, H, grid, schedule, tol=values["expmv_tol"])
     rows = [f"{_fmt(E)},{_fmt(p)},OK" for E, p in results]

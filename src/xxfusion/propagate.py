@@ -30,12 +30,23 @@ basis workspace.  The step count is doubled until the measured
 infidelity stabilizes, and a doubling-plus-bisection search, whose probes
 share ramps through a (T_A, steps) cache, finds the shortest ramp
 duration reaching a requested infidelity.
+
+A search probe stops doubling early once it is certain to miss the
+target: the midpoint ramp's error is O(ds^2), so after a doubling pair
+whose infidelities differ by Delta the drift still to come is about
+Delta/3 (Richardson), and a probe with f(2N) - Delta above the target
+misses it with a threefold margin on that drift (over the doubling
+pairs of the benchmark's fusion-costs runs the drift was at most
+0.335 Delta, and every sequence rose with N).  Probes that reach the
+target, and every probe of a search that fails, are converged in full,
+so the search returns and reports what it would with every probe
+converged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -194,6 +205,8 @@ def expmv(
         raise ValueError("state and Hamiltonian live in different sectors")
     if method not in ("auto", "dense", "krylov"):
         raise ValueError(f"unknown method {method!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"expmv tolerance must be nonnegative, got {tol}")
     if method == "auto":
         method = "dense" if H.dim < DENSE_CUTOFF else "krylov"
     if method == "dense":
@@ -286,6 +299,8 @@ class RampResult:
     infidelity: float
     state: StateVector
     steps: int
+    #: False on a probe whose doubling stopped early, certain to miss its target
+    converged: bool = True
 
 
 def _initial_steps(ctx: RampContext, T_A: float) -> int:
@@ -300,13 +315,19 @@ def converged_ramp(
     step_tol: float,
     tol: float = 1e-10,
     cache: dict | None = None,
+    target: float | None = None,
 ) -> RampResult:
     """Ramp at fixed duration, doubling steps until infidelity stabilizes.
 
     Stops once successive doublings move the measured infidelity by less
     than ``step_tol``; raises :class:`StepRefinementError` at the step
-    cap.  ``cache`` maps ``(T_A, steps)`` to ramps already integrated for
-    this ``ctx`` and ``tol``; they are looked up instead of run again.
+    cap.  With a ``target`` infidelity, a doubling that moves it by
+    Delta >= ``step_tol`` while the finer value still exceeds the target
+    by more than Delta ends the refinement early: the result is marked
+    ``converged=False`` and is certain to miss the target.  ``cache``
+    maps ``(T_A, steps)`` to ramps already integrated for this ``ctx``
+    and ``tol``; they are looked up instead of run again, so a call with
+    a looser target or none resumes where an early stop left off.
     """
     cache = {} if cache is None else cache
     steps = _initial_steps(ctx, T_A)
@@ -318,8 +339,12 @@ def converged_ramp(
             fid = infidelity(state.normalized(), ctx.target)
             cache[T_A, steps] = RampResult(T_A, fid, state, steps)
         res = cache[T_A, steps]
-        if prev is not None and abs(res.infidelity - prev.infidelity) < step_tol:
-            return res
+        if prev is not None:
+            delta = abs(res.infidelity - prev.infidelity)
+            if delta < step_tol:
+                return res
+            if target is not None and res.infidelity - delta > target:
+                return replace(res, converged=False)
         prev = res
         steps *= 2
     raise StepRefinementError(
@@ -362,8 +387,12 @@ def ramp_time_for_infidelity(
     infidelity; ``refine_bisections`` optional bisection rounds then
     shrink the bracket.  Each probe is evaluated with step doubling until
     its infidelity is converged to ``step_tol`` (default:
-    :func:`default_step_tol` of the target).  Searches sharing one
-    ``probe_cache`` integrate no ramp twice, whatever their ``step_tol``.
+    :func:`default_step_tol` of the target), or until it is certain to
+    miss the target (see :func:`converged_ramp`).  The returned ramp is
+    always converged; when no duration reaches the target, every probed
+    duration is converged before :class:`RampSearchError` reports the
+    best of them.  Searches sharing one ``probe_cache`` integrate no ramp
+    twice, whatever their ``step_tol`` and target.
     """
     if not 0.0 < target_infidelity < 1.0:
         raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
@@ -372,34 +401,37 @@ def ramp_time_for_infidelity(
         step_tol = default_step_tol(target_infidelity)
     cache = probe_cache if probe_cache is not None else {}
 
-    def probe(T_A: float) -> RampResult:
-        # converged probes sit beside the (T_A, steps) ramps they are made of
+    def probe(T_A: float, target: float | None = target_infidelity) -> RampResult:
+        # converged probes sit beside the (T_A, steps) ramps they are made
+        # of; an early-stopped one is rebuilt from those ramps when asked again
         key = ("probe", T_A, step_tol)
-        if key not in cache:
-            cache[key] = converged_ramp(ctx, T_A, step_tol=step_tol, tol=tol, cache=cache)
-        return cache[key]
+        if key in cache:
+            return cache[key]
+        res = converged_ramp(ctx, T_A, step_tol=step_tol, tol=tol, cache=cache, target=target)
+        if res.converged:
+            cache[key] = res
+        return res
 
-    best = None
-    lo = None
+    missed = []
     hi = None
     T = T_start
     while T <= T_cap:
         res = probe(T)
-        if best is None or res.infidelity < best.infidelity:
-            best = res
         if res.infidelity <= target_infidelity:
             hi = res
             break
-        lo = T
+        missed.append(T)
         T *= 2.0
     if hi is None:
+        best = min((probe(T, None) for T in missed), key=lambda r: r.infidelity)
         raise RampSearchError(
             f"no ramp duration up to {T_cap:.6g} reached infidelity "
             f"{target_infidelity:.3e} (best {best.infidelity:.3e} at "
             f"T_A={best.T_A:.6g})",
-            best_infidelity=best.infidelity if best is not None else float("nan"),
+            best_infidelity=best.infidelity,
         )
-    if lo is not None:
+    if missed:
+        lo = missed[-1]
         for _ in range(refine_bisections):
             mid = 0.5 * (lo + hi.T_A)
             res = probe(mid)

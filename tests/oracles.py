@@ -10,7 +10,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from xxfusion import StateVector
+from xxfusion import RampSchedule, StateVector, adiabatic_ramp, infidelity
 
 _ANCILLA_DIM_CAP = 100
 
@@ -103,3 +103,41 @@ def single_particle_energies(L: int, J: float = 1.0) -> list:
 
 def sector_ground_energy(L: int, n_up: int, J: float = 1.0) -> float:
     return float(sum(sorted(single_particle_energies(L, J))[:n_up]))
+
+
+def converged_probe(ctx, T_A: float, step_tol: float):
+    """A ramp probe doubled until its infidelity stabilizes, with no
+    early stop and no shared ramps.  Returns (infidelity, state, steps)."""
+    scale = max(abs(ctx.J_target), ctx.base.scale)
+    steps = max(8, math.ceil(2.0 * T_A * scale))
+    prev = None
+    while True:
+        sched = RampSchedule(T_A, steps, ctx.bond, ctx.J_target)
+        state = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched)
+        fid = infidelity(state.normalized(), ctx.target)
+        if prev is not None and abs(fid - prev) < step_tol:
+            return fid, state, steps
+        prev = fid
+        steps *= 2
+
+
+def ramp_search(target: float, ctx, bisections: int):
+    """The duration search with every probe fully converged: doubling from
+    T = 1 until a probe reaches the target, then ``bisections`` rounds.
+    Returns (T_A, infidelity, state, steps) of the shortest passing probe."""
+    step_tol = min(1e-4, target / 10.0)
+    lo, T = None, 1.0
+    fid, state, steps = converged_probe(ctx, T, step_tol)
+    while fid > target:
+        lo, T = T, 2.0 * T
+        fid, state, steps = converged_probe(ctx, T, step_tol)
+    hi = (T, fid, state, steps)
+    if lo is not None:
+        for _ in range(bisections):
+            mid = 0.5 * (lo + hi[0])
+            fid, state, steps = converged_probe(ctx, mid, step_tol)
+            if fid <= target:
+                hi = (mid, fid, state, steps)
+            else:
+                lo = mid
+    return hi

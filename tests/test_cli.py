@@ -189,6 +189,32 @@ def test_chain_longer_than_63_sites_exits_1(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("sector", [["--L", "4"], ["--L", "12", "--n-up", "6"]])
+def test_scan_rejects_nonpositive_expmv_tol(sector, tol, capsys):
+    # below and above the dense cutoff alike
+    assert run(["scan", *sector, "--initial", "product", "--expmv-tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "config error: expmv tolerance must be positive" in captured.err
+    assert captured.out == ""
+
+
+def test_scan_ground_input_solves_the_sector_once(monkeypatch, capsys):
+    argv = ["scan", "--L", "6", "--initial", "ground", "--points", "5"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    calls = []
+
+    def counted(H):
+        calls.append(H.dim)
+        return spectral.lowest_two(H)
+
+    monkeypatch.setattr(cli, "lowest_two", counted)
+    assert run(argv) == 0
+    assert calls == [20]
+    assert capsys.readouterr().out == expected
+
+
 def test_scan_initial_errors(capsys):
     assert run(["scan", "--L", "4", "--n-up", "1", "--initial", "neel"]) == 2
     assert run(["scan", "--initial", "config:01x"]) == 2

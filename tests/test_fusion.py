@@ -18,6 +18,8 @@ from xxfusion import (
     StepRecord,
     build_hamiltonian,
     compare_methods,
+    converged_ramp,
+    default_step_tol,
     enumerate_sector,
     expected_cost,
     fuse_step,
@@ -287,9 +289,19 @@ def test_compare_methods_reports_per_cell_failures():
         assert 0.0 < r.achieved_infidelity < 1.0  # best infidelity seen
 
 
+def test_compare_methods_failed_cell_reports_converged_probe():
+    rows = compare_methods(4, Fraction(1, 2), (1e-3,), config=FusionConfig(T_cap=1.0))
+    adiabatic = next(r for r in rows if r.method == "adiabatic")
+    assert adiabatic.status == "FAILED"
+    ctx = FusionStep.exact_halves(4, Fraction(1, 2), FusionConfig()).ctx
+    full = converged_ramp(ctx, 1.0, step_tol=default_step_tol(1e-3))
+    assert adiabatic.achieved_infidelity == full.infidelity
+
+
 def test_compare_methods_integrates_each_ramp_once(monkeypatch):
     # the hybrid preconditioning search runs at its own step tolerance but
-    # shares the adiabatic searches' ramps
+    # shares the adiabatic searches' ramps, and probes certain to miss their
+    # target stop doubling early (60 ramps when every probe converges)
     ramps = []
     ramp = propagate.adiabatic_ramp
 
@@ -302,6 +314,7 @@ def test_compare_methods_integrates_each_ramp_once(monkeypatch):
     assert all(r.status == "OK" for r in rows)
     assert ramps
     assert len(ramps) == len(set(ramps))
+    assert len(ramps) <= 37
 
 
 def test_compare_methods_argument_errors():

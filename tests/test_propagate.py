@@ -1,5 +1,6 @@
 """Time evolution and the adiabatic middle-bond ramp."""
 
+import functools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from xxfusion import (
     adiabatic_ramp,
     build_hamiltonian,
     converged_ramp,
+    default_step_tol,
     embed_product,
     enumerate_sector,
     expmv,
@@ -43,6 +45,7 @@ def chain(L, n, J=1.0):
     return basis, build_hamiltonian(basis, BondCouplings.uniform(L, J))
 
 
+@functools.cache
 def ramp_context(L, n):
     """Product of exact half grounds ramping toward the fused ground."""
     basis, H = chain(L, n)
@@ -201,6 +204,10 @@ def test_expmv_argument_errors():
         expmv(H, 1.0, v, method="pade")
     with pytest.raises(ValueError):
         expmv(H, 1.0, random_state(enumerate_sector(4, 1)))
+    for method in ("dense", "krylov"):
+        for tol in (-1e-10, float("nan")):
+            with pytest.raises(ValueError, match="tolerance"):
+                expmv(H, 1.0, v, tol=tol, method=method)
 
 
 # -------------------------------------------------------------- schedule
@@ -338,20 +345,86 @@ def test_ramp_search_without_refinement_lands_on_grid():
     assert res.infidelity <= 1e-2
 
 
-def test_ramp_search_shares_probe_cache():
+def counted_ramps(monkeypatch):
+    """List that collects (T_A, steps) of every ramp integrated from now on."""
+    ramps = []
+    ramp = propagate.adiabatic_ramp
+
+    def counted(v0, basis, base, schedule, **kwargs):
+        ramps.append((schedule.T_A, schedule.steps))
+        return ramp(v0, basis, base, schedule, **kwargs)
+
+    monkeypatch.setattr(propagate, "adiabatic_ramp", counted)
+    return ramps
+
+
+def test_ramp_search_shares_probe_cache(monkeypatch):
+    ctx = ramp_context(4, 2)
+    ramps = counted_ramps(monkeypatch)
+    cache = {}
+    first = ramp_time_for_infidelity(1e-2, ctx, probe_cache=cache, step_tol=1e-4)
+    n_first = len(cache)
+    assert n_first >= 3 and ramps
+    ramps.clear()
+    second = ramp_time_for_infidelity(1e-2, ctx, probe_cache=cache, step_tol=1e-4)
+    assert ramps == []  # second search reuses every probe
+    assert len(cache) == n_first
+    assert second is first
+
+
+def test_ramp_search_cache_order_does_not_matter():
+    # the tight search leaves probes it stopped early; the loose one resumes them
     ctx = ramp_context(4, 2)
     cache = {}
-    ramp_time_for_infidelity(1e-2, ctx, probe_cache=cache, step_tol=1e-4)
-    n_first = len(cache)
-    assert n_first >= 3
-    ramp_time_for_infidelity(1e-2, ctx, probe_cache=cache, step_tol=1e-4)
-    assert len(cache) == n_first  # second search reuses every probe
+    ramp_time_for_infidelity(1e-3, ctx, probe_cache=cache)
+    shared = ramp_time_for_infidelity(1e-2, ctx, probe_cache=cache)
+    fresh = ramp_time_for_infidelity(1e-2, ctx)
+    assert (shared.T_A, shared.steps, shared.infidelity) == (
+        fresh.T_A, fresh.steps, fresh.infidelity)
+    assert shared.state.amps.tobytes() == fresh.state.amps.tobytes()
 
 
 def test_ramp_search_cap_failure_reports_best():
+    ctx = ramp_context(4, 2)
+    cache = {}
     with pytest.raises(RampSearchError) as err:
-        ramp_time_for_infidelity(1e-9, ramp_context(4, 2), T_cap=2.0)
-    assert 0.0 < err.value.best_infidelity < 1.0
+        ramp_time_for_infidelity(1e-9, ctx, T_cap=2.0, probe_cache=cache)
+    # the best of the fully converged probes, none stopped early; the cached
+    # ramps spare integrating them again
+    step_tol = default_step_tol(1e-9)
+    best = min(converged_ramp(ctx, T, step_tol=step_tol, cache=cache).infidelity
+               for T in (1.0, 2.0))
+    assert err.value.best_infidelity == best
+
+
+def test_converged_ramp_stops_early_only_when_certain_to_miss():
+    ctx = ramp_context(8, 4)
+    full = converged_ramp(ctx, 2.0, step_tol=1e-5)
+    early = converged_ramp(ctx, 2.0, step_tol=1e-5, target=1e-3)
+    assert full.converged and not early.converged
+    assert early.steps < full.steps
+    assert early.infidelity > 1e-3 and full.infidelity > 1e-3
+    # a target the probe reaches, or none, converges in full
+    for target in (0.9, None):
+        again = converged_ramp(ctx, 2.0, step_tol=1e-5, target=target)
+        assert again.converged
+        assert (again.steps, again.infidelity) == (full.steps, full.infidelity)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.floats(-4.0, -1.0),
+    st.sampled_from([(4, 2), (8, 2), (8, 4)]),
+    st.integers(0, 3),
+)
+def test_ramp_search_matches_fully_converged_search(log_target, sector, bisections):
+    target = 10.0**log_target
+    ctx = ramp_context(*sector)
+    res = ramp_time_for_infidelity(target, ctx, refine_bisections=bisections)
+    T_A, fid, state, steps = oracles.ramp_search(target, ctx, bisections)
+    assert res.converged
+    assert (res.T_A, res.steps, res.infidelity) == (T_A, steps, fid)
+    assert res.state.amps.tobytes() == state.amps.tobytes()
 
 
 def test_ramp_search_argument_errors(monkeypatch):
