@@ -87,9 +87,7 @@ class FusionConfig:
             raise ValueError(
                 f"precondition infidelity {self.precondition_infidelity} outside (0, 1)"
             )
-        _check_search(self.T_start, self.T_cap, self.bisections, self.step_tol)
-        if not self.expmv_tol > 0.0:
-            raise ValueError(f"expmv tolerance must be positive, got {self.expmv_tol}")
+        _check_search(self.T_start, self.T_cap, self.bisections, self.step_tol, self.expmv_tol)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ a (2, n) block [Re; Im].  H is real symmetric, so every Lanczos vector
 p_k(H) v is built by a real polynomial p_k, and the Hermitian inner
 products <p_j(H) v, H p_k(H) v> are real (Hochbruck & Lubich, SIAM J.
 Numer. Anal. 34, 1911 (1997)).  The complex iteration therefore equals
-the real one on R^{2n} with H acting on Re and Im alike, which the real
-CSR matrix does as two 1-D products without a complex upcast; only
-exp(-i T t) e1 of the real tridiagonal T is complex, and the result is
-recombined from Re(u) and Im(u) applied to the basis.
+the real one on R^{2n} with H acting on Re and Im alike: one product of
+the real CSR block_diag(H, H), row sum for row sum the two products of H,
+with no complex upcast; only exp(-i T t) e1 of the real tridiagonal T is
+complex, and the result is recombined from Re(u) and Im(u) applied to
+the basis.
 
 The iteration is the three-term recurrence with local orthogonalization
 only, as in Expokit's DSEXPV (Sidje, ACM TOMS 24, 130 (1998)): each new
@@ -22,14 +23,18 @@ exp(-iHt)v, whose finite-precision error stays at the size the exact
 recurrence would give (Druskin, Greenbaum & Knizhnerman, SIAM J. Sci.
 Comput. 19, 38 (1998)); the a posteriori estimate beta0 * b * |t| *
 |u_m| still decides when a substep is done; u itself is formed only then.
+Each estimate costs a dstevd of T, so estimates start one iteration
+before the previous substep's stop (carried through a propagation and a
+ramp); if the first passes, the stored iterations are walked back until
+one fails, giving the every-iteration stop when estimates fall monotonically.
 
 The adiabatic ramp integrates a piecewise-constant midpoint Hamiltonian
 that changes every step, so in every sector each step is one Krylov
-propagation on a CSR matrix refilled in place, all steps sharing one
-basis workspace.  The step count is doubled until the measured
-infidelity stabilizes, and a doubling-plus-bisection search, whose probes
-share ramps through a (T_A, steps) cache, finds the shortest ramp
-duration reaching a requested infidelity.
+propagation on the doubled base CSR with the ramped bond's entries set
+in place, all steps sharing one basis workspace.  The step count is
+doubled until the measured infidelity stabilizes, and a doubling-plus-
+bisection search, whose probes share ramps through a (T_A, steps)
+cache, finds the shortest ramp duration reaching a requested infidelity.
 
 A search probe stops doubling early once it is certain to miss the
 target: the midpoint ramp's error is O(ds^2), so after a doubling pair
@@ -88,8 +93,8 @@ class RampSchedule:
     J_target: float
 
     def __post_init__(self):
-        if self.T_A < 0.0:
-            raise ValueError(f"ramp duration must be nonnegative, got {self.T_A}")
+        if not 0.0 <= self.T_A < math.inf:
+            raise ValueError(f"ramp duration must be nonnegative and finite, got {self.T_A}")
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")
 
@@ -113,49 +118,57 @@ def _tridiag_eig(alphas, betas):
     return theta, S
 
 
-def _lanczos_substep(mat, x, t, tol_abs, V):
-    """One Krylov substep on the (2, n) block x = [Re; Im]; returns the
-    propagated block or stalls.  The three-term recurrence builds each
-    vector in place in its row of the workspace V, (m_max + 1, 2, n).
-    """
+def _lanczos_substep(mat2, x, t, tol_abs, V, check_from=0):
+    """One Krylov substep of mat2 = block_diag(H, H) on the (2, n) block
+    x = [Re; Im], built in place in the workspace V, (m_max + 1, 2n);
+    returns the block and its stop, or stalls.  Estimates start at
+    iteration ``check_from``; breakdown is tested on every iteration."""
     beta0 = float(np.linalg.norm(x))
     if beta0 == 0.0:
-        return x.copy()
+        return x.copy(), 0
     m_max = V.shape[0] - 1
-    np.divide(x, beta0, out=V[0])
+    np.divide(x.ravel(), beta0, out=V[0])
     alphas, betas = np.empty((2, m_max))
+
+    def exp_e1(k):
+        # u = exp(-i T_k t) e1 = S (exp(-i theta t) S[0]); the estimate needs u[-1]
+        theta, S = _tridiag_eig(alphas[: k + 1], betas[:k])
+        phase = np.exp(theta * (-1j * t))
+        return beta0 * betas[k] * abs(t) * abs(np.dot(S[-1] * S[0], phase)), S, phase
+
     err = np.inf
     for k in range(m_max):
         v, w = V[k], V[k + 1]
-        w[0] = mat @ v[0]
-        w[1] = mat @ v[1]
+        w[:] = mat2 @ v
         if k:
             w -= betas[k - 1] * V[k - 1]
         alphas[k] = np.vdot(v, w)
         w -= alphas[k] * v
-        b = math.sqrt(np.vdot(w, w))
-        # u = exp(-i T t) e1 = S (exp(-i theta t) S[0]); the estimate needs
-        # its last entry only
-        theta, S = _tridiag_eig(alphas[: k + 1], betas[:k])
-        phase = np.exp(theta * (-1j * t))
-        err = beta0 * b * abs(t) * abs(np.dot(S[-1] * S[0], phase))
-        if err <= tol_abs or b <= 1e-14 * beta0:
-            # sum_j u_j V_j with complex u: (Re, Im) = (P_re - Q_im, P_im + Q_re)
-            u = S @ (phase * S[0])
-            Vk = V[: k + 1].reshape(k + 1, -1)
-            P = (u.real @ Vk).reshape(x.shape)
-            Q = (u.imag @ Vk).reshape(x.shape)
-            return beta0 * np.array([P[0] - Q[1], P[1] + Q[0]])
-        betas[k] = b
+        b = betas[k] = math.sqrt(np.vdot(w, w))
+        breakdown = b <= 1e-14 * beta0
+        if breakdown or k >= check_from:
+            err, S, phase = exp_e1(k)
+            if breakdown or err <= tol_abs:
+                break
         w /= b
-    raise _SubstepStall(err)
+    else:
+        raise _SubstepStall(err)
+    while 0 < k <= check_from and (prev := exp_e1(k - 1))[0] <= tol_abs:
+        _, S, phase = prev  # the first estimate passed: walk back
+        k -= 1
+    # sum_j u_j V_j with complex u: (Re, Im) = (P_re - Q_im, P_im + Q_re)
+    u = S @ (phase * S[0])
+    P = (u.real @ V[: k + 1]).reshape(x.shape)
+    Q = (u.imag @ V[: k + 1]).reshape(x.shape)
+    return beta0 * np.array([P[0] - Q[1], P[1] + Q[0]]), k
 
 
-def _krylov_propagate(mat, norm_bound, x, t, tol, V):
-    """exp(-i mat t) applied to the (2, n) block x = [Re; Im]; V is the basis workspace."""
+def _krylov_propagate(mat2, norm_bound, x, t, tol, V, k_prev=0):
+    """exp(-i H t) on the (2, n) block x = [Re; Im] with mat2 = block_diag(H, H)
+    and workspace V; returns the block and the stop of its last substep."""
     nrm = float(np.linalg.norm(x))
     if nrm == 0.0 or t == 0.0:
-        return x.copy()
+        return x.copy(), k_prev
     n_sub = max(1, math.ceil(abs(t) * norm_bound / _THETA_SUB))
     last = np.inf
     for _ in range(_MAX_ESCALATIONS):
@@ -164,16 +177,25 @@ def _krylov_propagate(mat, norm_bound, x, t, tol, V):
         y = x
         try:
             for _ in range(n_sub):
-                y = _lanczos_substep(mat, y, dt, tol_each, V)
-            return y
+                y, k_prev = _lanczos_substep(mat2, y, dt, tol_each, V, max(k_prev - 1, 0))
+            return y, k_prev
         except _SubstepStall as stall:
             last = stall.residual
             n_sub *= 2
+            k_prev = 0
     raise PropagationError(
         f"Krylov propagation stalled at residual {last:.3e} "
         f"(tol {tol:.1e}, |t| {abs(t):.3g})",
         residual=last,
     )
+
+
+def _doubled(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """block_diag(mat, mat) in CSR, built from mat's arrays."""
+    n = mat.shape[0]
+    indptr = np.concatenate([mat.indptr, mat.indptr[1:] + mat.nnz])
+    indices = np.concatenate([mat.indices, mat.indices + n])
+    return sp.csr_matrix((np.tile(mat.data, 2), indices, indptr), shape=(2 * n, 2 * n))
 
 
 def _split(amps: np.ndarray) -> np.ndarray:
@@ -199,7 +221,8 @@ def expmv(
 
     ``method`` is "auto" (dense below the sector-size cutoff, Krylov
     above), "dense", or "krylov"; forcing a path is mostly useful for
-    cross-checking the two against each other.
+    cross-checking the two against each other.  The Krylov path builds
+    block_diag(H, H) per call; its first substep checks every iteration.
     """
     if not H.basis.same_sector(v.basis) or H.dim != v.basis.dim:
         raise ValueError("state and Hamiltonian live in different sectors")
@@ -214,23 +237,18 @@ def expmv(
         amps = U @ (np.exp(-1j * w * t) * (U.T @ v.amps))
     else:
         x = _split(v.amps)
-        V = np.empty((max_krylov + 1,) + x.shape)
-        amps = _join(_krylov_propagate(H.matrix, H.norm_inf(), x, t, tol, V))
+        V = np.empty((max_krylov + 1, x.size))
+        amps = _join(_krylov_propagate(_doubled(H.matrix), H.norm_inf(), x, t, tol, V)[0])
     return StateVector(v.basis, amps)
 
 
 def _aligned_bond_split(basis: SectorBasis, base: BondCouplings, bond: int):
-    """CSR pair (base part, unit bond part) sharing one sparsity pattern.
-
-    Both matrices are data arrays on one hop pattern over the nonzero base
-    bonds and ``bond``, so per-step couplings combine as a pure data-array
-    update with no symbolic work.
-    """
+    """Doubled base CSR (:func:`_doubled`) on the hop pattern of the nonzero
+    base bonds and ``bond``, and the data indices of the ``bond`` entries,
+    which hold 0: a step's coupling is written there with no symbolic work."""
     indptr, indices, hop_bond = _hop_pattern(basis, [*np.flatnonzero(base.J), bond])
-    shape = (basis.dim, basis.dim)
-    Pb = sp.csr_matrix((base.J[hop_bond], indices, indptr), shape=shape)
-    Pu = sp.csr_matrix(((hop_bond == bond).astype(np.float64), indices, indptr), shape=shape)
-    return Pb, Pu
+    Pb = sp.csr_matrix((base.J[hop_bond], indices, indptr), shape=(basis.dim, basis.dim))
+    return _doubled(Pb), np.flatnonzero(np.tile(hop_bond == bond, 2))
 
 
 def adiabatic_ramp(
@@ -246,10 +264,12 @@ def adiabatic_ramp(
     ``base`` must hold the ramped bond at zero; step k evolves for
     T_A/steps under H(base) + lambda(s_mid) H(bond) with lambda evaluated
     at the step midpoint.  Every step, in every sector, is a Krylov
-    propagation to ``tol / steps`` on one CSR matrix refilled in place;
-    no dense eigensolver is called.  Norm is preserved to integrator
-    precision.
+    propagation to ``tol / steps`` (``tol`` > 0) on one doubled CSR with
+    lambda set in place; no dense eigensolver is called.  Norm is
+    preserved to integrator precision.
     """
+    if not tol > 0.0:
+        raise ValueError(f"Krylov tolerance must be positive, got {tol}")
     if base.n_sites != basis.L:
         raise ValueError("couplings do not match the sector length")
     if schedule.bond != middle_bond(basis.L):
@@ -265,19 +285,17 @@ def adiabatic_ramp(
     if schedule.T_A == 0.0:
         return StateVector(basis, v0.amps.copy())
 
-    Pb, Pu = _aligned_bond_split(basis, base, schedule.bond)
-    nb = float(np.abs(Pb).sum(axis=1).max()) if Pb.nnz else 0.0
-    nu = float(np.abs(Pu).sum(axis=1).max()) if Pu.nnz else 0.0
+    mat, ramp = _aligned_bond_split(basis, base, schedule.bond)
+    nb = float(np.abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
+    nu = 1.0 if ramp.size else 0.0
     ds = schedule.T_A / schedule.steps
     step_tol = tol / schedule.steps
-    mat = Pb.copy()  # refilled in place: Pb and Pu share one pattern
-    x = _split(v0.amps)
-    V = np.empty((MAX_KRYLOV + 1,) + x.shape)  # one basis for every step
+    x, k_stop = _split(v0.amps), 0
+    V = np.empty((MAX_KRYLOV + 1, x.size))  # one basis for every step
     for k in range(schedule.steps):
         lam = schedule.coupling_at((k + 0.5) * ds)
-        np.multiply(Pu.data, lam, out=mat.data)
-        mat.data += Pb.data
-        x = _krylov_propagate(mat, nb + abs(lam) * nu, x, ds, step_tol, V)
+        mat.data[ramp] = lam
+        x, k_stop = _krylov_propagate(mat, nb + abs(lam) * nu, x, ds, step_tol, V, k_stop)
     return StateVector(basis, _join(x))
 
 
@@ -329,6 +347,8 @@ def converged_ramp(
     and ``tol``; they are looked up instead of run again, so a call with
     a looser target or none resumes where an early stop left off.
     """
+    if not tol > 0.0:
+        raise ValueError(f"Krylov tolerance must be positive, got {tol}")
     cache = {} if cache is None else cache
     steps = _initial_steps(ctx, T_A)
     prev = None
@@ -359,15 +379,17 @@ def default_step_tol(target_infidelity: float) -> float:
     return min(1e-4, target_infidelity / 10.0)
 
 
-def _check_search(T_start, T_cap, bisections, step_tol) -> None:
+def _check_search(T_start, T_cap, bisections, step_tol, tol) -> None:
     if not T_start > 0.0:
         raise ValueError(f"first ramp duration must be positive, got {T_start}")
-    if not T_cap >= T_start:
-        raise ValueError(f"ramp duration cap {T_cap} is below the first duration {T_start}")
+    if not T_start <= T_cap < math.inf:
+        raise ValueError(f"ramp duration cap {T_cap} is not finite or below T_start {T_start}")
     if bisections < 0:
         raise ValueError(f"bisections must be nonnegative, got {bisections}")
     if step_tol is not None and not step_tol > 0.0:
         raise ValueError(f"step tolerance must be positive, got {step_tol}")
+    if not tol > 0.0:
+        raise ValueError(f"Krylov tolerance must be positive, got {tol}")
 
 
 def ramp_time_for_infidelity(
@@ -396,7 +418,7 @@ def ramp_time_for_infidelity(
     """
     if not 0.0 < target_infidelity < 1.0:
         raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
-    _check_search(T_start, T_cap, refine_bisections, step_tol)
+    _check_search(T_start, T_cap, refine_bisections, step_tol, tol)
     if step_tol is None:
         step_tol = default_step_tol(target_infidelity)
     cache = probe_cache if probe_cache is not None else {}

@@ -22,7 +22,6 @@ from xxfusion import (
     adiabatic_ramp,
     build_hamiltonian,
     converged_ramp,
-    default_step_tol,
     embed_product,
     enumerate_sector,
     expmv,
@@ -197,6 +196,54 @@ def test_expmv_krylov_escalation_matches_dense(monkeypatch):
     assert abs(krylov.norm() - 1.0) < 1e-12
 
 
+def assert_schedule_is_bit_identical(monkeypatch, run):
+    """``run()`` returns the same array, its substeps stopping at the same
+    iterations, as when every substep computes the estimate on every iteration."""
+    substep = propagate._lanczos_substep
+    out = []
+    for every_iteration in (False, True):
+        stops = []
+
+        def recorded(mat2, x, t, tol_abs, V, check_from=0):
+            y, k = substep(mat2, x, t, tol_abs, V, 0 if every_iteration else check_from)
+            stops.append(k)
+            return y, k
+
+        with monkeypatch.context() as m:
+            m.setattr(propagate, "_lanczos_substep", recorded)
+            out.append((run(), stops))
+    (scheduled, stops), (every, every_stops) = out
+    assert stops == every_stops
+    assert np.array_equal(scheduled, every)
+
+
+@pytest.mark.parametrize("t", [0.3, 7.68, 40.0])
+@pytest.mark.parametrize("L, n", [(12, 6), (14, 6)], ids=["d924", "d3003"])
+def test_expmv_estimate_schedule_is_bit_identical(L, n, t, monkeypatch):
+    rng = np.random.default_rng(L)
+    basis = enumerate_sector(L, n)
+    H = build_hamiltonian(basis, BondCouplings(rng.uniform(-2.0, 2.0, L - 1)))
+    v = random_state(basis, rng)
+    assert_schedule_is_bit_identical(
+        monkeypatch, lambda: expmv(H, t, v, method="krylov").amps)
+
+
+def test_substep_walks_back_to_the_first_passing_estimate():
+    # a full-length substep; estimates computed only from past its stop
+    # must walk back to it and return the same block
+    H, v = random_coupling_chain_924()
+    x = propagate._split(v.amps)
+    mat2 = propagate._doubled(H.matrix)
+    V = np.empty((propagate.MAX_KRYLOV + 1, x.size))
+    dt = propagate._THETA_SUB / H.norm_inf()
+    ref, stop = propagate._lanczos_substep(mat2, x, dt, 1e-10, V)
+    assert 10 < stop < propagate.MAX_KRYLOV - 8
+    for check_from in (1, stop - 1, stop, stop + 1, stop + 8):
+        y, k = propagate._lanczos_substep(mat2, x, dt, 1e-10, V, check_from)
+        assert k == stop
+        assert np.array_equal(y, ref)
+
+
 def test_expmv_argument_errors():
     basis, H = chain(4, 2)
     v = random_state(basis)
@@ -217,8 +264,9 @@ def test_ramp_schedule_is_linear():
     sched = RampSchedule(8.0, 16, 3, 0.75)
     for s in (0.0, 2.0, 4.0, 8.0):
         assert sched.coupling_at(s) == pytest.approx(0.75 * s / 8.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        RampSchedule(-1.0, 4, 0, 1.0)
+    for T_A in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration"):
+            RampSchedule(T_A, 4, 0, 1.0)
     with pytest.raises(ValueError):
         RampSchedule(1.0, 0, 0, 1.0)
 
@@ -237,6 +285,9 @@ def test_adiabatic_ramp_argument_errors():
     doubled = StateVector(ctx.basis, 2.0 * ctx.v0.amps)
     with pytest.raises(ValueError):
         adiabatic_ramp(doubled, ctx.basis, ctx.base, sched)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched, tol=tol)
 
 
 @given(st.sampled_from([4, 6, 8, 10]), st.data())
@@ -249,17 +300,15 @@ def test_bond_split_shares_pattern_and_refills_exactly(L, data):
     J = rng.uniform(-2.0, 2.0, L - 1)
     J[bond] = 0.0
     J[rng.choice([b for b in range(L - 1) if b != bond])] = 0.0
-    lam = data.draw(st.floats(-3.0, 3.0))
     base = BondCouplings(J)
-    Pb, Pu = propagate._aligned_bond_split(enumerate_sector(L, n), base, bond)
-    assert np.array_equal(Pb.indptr, Pu.indptr)
-    assert np.array_equal(Pb.indices, Pu.indices)
-    assert Pb.has_canonical_format and Pu.has_canonical_format
-    mat = Pb.copy()
-    np.multiply(Pu.data, lam, out=mat.data)
-    mat.data += Pb.data
-    _, ref = oracles.dense_hamiltonian(L, n, base.with_bond(bond, lam).J)
-    assert np.array_equal(mat.toarray(), ref)
+    mat, ramp = propagate._aligned_bond_split(enumerate_sector(L, n), base, bond)
+    assert mat.has_canonical_format
+    # every lambda is written over the last: both halves of the doubled
+    # matrix must hold exactly the dense Hamiltonian at that coupling
+    for lam in data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)):
+        mat.data[ramp] = lam
+        _, ref = oracles.dense_hamiltonian(L, n, base.with_bond(bond, lam).J)
+        assert np.array_equal(mat.toarray(), scipy.linalg.block_diag(ref, ref))
 
 
 def test_adiabatic_ramp_zero_duration_is_identity():
@@ -284,6 +333,39 @@ def test_adiabatic_ramp_matches_stepwise_expm(L, n):
         Hk = build_hamiltonian(ctx.basis, bonds).matrix.toarray()
         amps = scipy.linalg.expm(-1j * ds * Hk) @ amps
     assert np.linalg.norm(out.amps - amps) < 1e-10
+
+
+@pytest.mark.parametrize("L, n", [(4, 2), (8, 4), (16, 4)], ids=["d6", "d70", "d1820"])
+def test_ramp_estimate_schedule_is_bit_identical(L, n, monkeypatch):
+    ctx = ramp_context(L, n)
+    sched = RampSchedule(9.0, 48, ctx.bond, 1.0)
+    assert_schedule_is_bit_identical(
+        monkeypatch, lambda: adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched).amps)
+
+
+def counted_calls(monkeypatch, name):
+    """List that grows by one entry per call of ``propagate.<name>`` from now on."""
+    calls = []
+    f = getattr(propagate, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(propagate, name, counted)
+    return calls
+
+
+def test_ramp_computes_few_estimates_per_substep(monkeypatch):
+    # consecutive steps stop at nearly the same iteration, so checking the
+    # estimate only near the last stop needs two or three per substep
+    # where checking every iteration needs about eleven
+    ctx = ramp_context(16, 4)  # dim 1820
+    eig = counted_calls(monkeypatch, "_tridiag_eig")
+    substeps = counted_calls(monkeypatch, "_lanczos_substep")
+    adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, RampSchedule(9.0, 32, ctx.bond, 1.0))
+    assert len(substeps) >= 32
+    assert len(eig) <= 3 * len(substeps)
 
 
 @pytest.mark.parametrize("L, n", [(4, 2), (8, 4)])
@@ -323,6 +405,16 @@ def test_converged_ramp_tightening_tolerance_refines():
     assert tight.steps > loose.steps
     # both are converged estimates of the same continuum value
     assert loose.infidelity == pytest.approx(tight.infidelity, abs=5e-3)
+
+
+def test_converged_ramp_rejects_bad_tolerance(monkeypatch):
+    def no_ramp(*args, **kwargs):
+        raise AssertionError("a ramp was integrated")
+
+    monkeypatch.setattr(propagate, "adiabatic_ramp", no_ramp)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            converged_ramp(ramp_context(4, 2), 1.0, step_tol=1e-4, tol=tol)
 
 
 def test_converged_ramp_step_cap(monkeypatch):
@@ -387,11 +479,13 @@ def test_ramp_search_cache_order_does_not_matter():
 def test_ramp_search_cap_failure_reports_best():
     ctx = ramp_context(4, 2)
     cache = {}
+    # a step_tol looser than default_step_tol(1e-9) = 1e-10 keeps both probes
+    # short; they still stop early first, then converge in full on failure
+    step_tol = 1e-5
     with pytest.raises(RampSearchError) as err:
-        ramp_time_for_infidelity(1e-9, ctx, T_cap=2.0, probe_cache=cache)
+        ramp_time_for_infidelity(1e-9, ctx, T_cap=2.0, step_tol=step_tol, probe_cache=cache)
     # the best of the fully converged probes, none stopped early; the cached
     # ramps spare integrating them again
-    step_tol = default_step_tol(1e-9)
     best = min(converged_ramp(ctx, T, step_tol=step_tol, cache=cache).infidelity
                for T in (1.0, 2.0))
     assert err.value.best_infidelity == best
@@ -435,6 +529,8 @@ def test_ramp_search_argument_errors(monkeypatch):
     ctx = ramp_context(4, 2)
     for target, bad in ((0.0, {}), (1.5, {}), (1e-2, dict(T_start=0.0)),
                         (1e-2, dict(T_start=4.0, T_cap=2.0)),
-                        (1e-2, dict(refine_bisections=-1)), (1e-2, dict(step_tol=0.0))):
+                        (1e-2, dict(T_cap=math.inf)), (1e-2, dict(refine_bisections=-1)),
+                        (1e-2, dict(step_tol=0.0)), (1e-2, dict(tol=0.0)),
+                        (1e-2, dict(tol=math.nan))):
         with pytest.raises(ValueError):
             ramp_time_for_infidelity(target, ctx, **bad)
