@@ -190,7 +190,8 @@ class FusionStep:
     def ramp(
         self, target: float, *, step_tol: float | None = None, cache: dict | None = None
     ) -> RampResult:
-        """Shortest converged ramp from the product reaching ``target``.
+        """Converged ramp from the product reaching ``target``, by the duration
+        search of :func:`ramp_time_for_infidelity`.
 
         ``step_tol`` defaults to ``config.step_tol``; ``cache`` shares the
         integrated ramps, keyed by ``(T_A, steps)``, between searches.  A

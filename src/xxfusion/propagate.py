@@ -2,7 +2,8 @@
 
 ``expmv`` applies exp(-i H t) of one fixed H, as in the rodeo cycles,
 either through its cached dense eigendecomposition (small sectors) or a
-Lanczos/Krylov approximation with internal substepping (large ones).
+Lanczos/Krylov approximation with internal substepping (large ones),
+whose propagator (doubled CSR, workspace, stop hint) is kept on H.
 
 The Krylov substep runs a real Lanczos iteration on the state stored as
 a (2, n) block [Re; Im].  H is real symmetric, so every Lanczos vector
@@ -24,17 +25,39 @@ recurrence would give (Druskin, Greenbaum & Knizhnerman, SIAM J. Sci.
 Comput. 19, 38 (1998)); the a posteriori estimate beta0 * b * |t| *
 |u_m| still decides when a substep is done; u itself is formed only then.
 Each estimate costs a dstevd of T, so estimates start one iteration
-before the previous substep's stop (carried through a propagation and a
-ramp); if the first passes, the stored iterations are walked back until
-one fails, giving the every-iteration stop when estimates fall monotonically.
+before the previous substep's stop (carried through a propagation, a
+ramp, and the ``expmv`` calls on one H); if the first passes, the stored
+iterations are walked back until one fails, giving the every-iteration
+stop when estimates fall monotonically.  A workspace larger than physical
+memory is refused with CapacityError before it is allocated.
 
 The adiabatic ramp integrates a piecewise-constant midpoint Hamiltonian
 that changes every step, so in every sector each step is one Krylov
-propagation on the doubled base CSR with the ramped bond's entries set
-in place, all steps sharing one basis workspace.  The step count is
-doubled until the measured infidelity stabilizes, and a doubling-plus-
-bisection search, whose probes share ramps through a (T_A, steps)
-cache, finds the shortest ramp duration reaching a requested infidelity.
+propagation on a doubled CSR whose ramped entries are rewritten in
+place, all steps sharing one basis workspace.
+
+The ramp runs in the chain's symmetric subspace whenever its inputs
+allow (Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  With palindromic
+base couplings, H(lambda) = H_base + lambda H_bond commutes at every
+lambda with reflection of the chain, i <-> L-1-i (the middle bond maps
+to itself), and at half filling also with the global spin flip; the
+product of two identical halves is even under both.  When v0 lies
+within the ramp's ``tol`` of its even part, the ramp integrates
+P^T H(lambda) P on P^T v0 and lifts the result back as P x, with P the
+isometry of :meth:`SectorBasis.symmetric_isometry` (one column per
+orbit: its indicator over sqrt(|orbit|)).  That subspace is about half
+the sector, a quarter at half filling (12,870 -> 3,299 at L=16), and a
+step costs in proportion to its dimension.  Otherwise P is the identity
+and the arithmetic is the full sector's, bit for bit.  Either operator
+is built once per sector and couplings and kept on the basis.
+
+The step count is doubled until the measured infidelity stabilizes.  A
+search, whose probes share ramps through a (T_A, steps) cache, returns
+the first duration on the doubling grid T_start * 2^k that meets the
+target, refined by bisection between it and the last miss.  The
+infidelity is not monotone in T_A, so that need not be the shortest
+duration meeting the target: at L=16, half filling and target 1e-4 the
+continuous ramp first crosses it at T_A = 54, and the search returns 72.
 
 A search probe stops doubling early once it is certain to miss the
 target: the midpoint ramp's error is O(ds^2), so after a doubling pair
@@ -57,7 +80,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import PropagationError, RampSearchError, StepRefinementError
+from .errors import CapacityError, PropagationError, RampSearchError, StepRefinementError
 from .spectral import DENSE_CUTOFF, infidelity
 from .spin_model import (
     BondCouplings,
@@ -208,6 +231,44 @@ def _join(x: np.ndarray) -> np.ndarray:
     return x[0] + 1j * x[1]
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    import os
+
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+class _Propagator:
+    """exp(-i H t) on (2, n) blocks for one real symmetric CSR H: the doubled
+    CSR, its Krylov workspace and the stop hint carried from call to call.
+
+    Refuses with :class:`CapacityError`, before allocating, a workspace
+    larger than physical memory.  ``mat2.data`` may be rewritten between
+    calls (the ramp does, per step); the hint only decides where error
+    estimates start, and the walk-back keeps the stop where it would be.
+    """
+
+    def __init__(self, mat: sp.csr_matrix, max_krylov: int = MAX_KRYLOV):
+        n = mat.shape[0]
+        need = (max_krylov + 1) * 2 * n * 8
+        have = _physical_memory()
+        if have is not None and need > have:
+            raise CapacityError(
+                f"Krylov workspace of {need / 2**30:.3g} GiB at dimension {n} "
+                f"exceeds the {have / 2**30:.3g} GiB of physical memory"
+            )
+        self.mat2 = _doubled(mat)
+        self.V = np.empty((max_krylov + 1, 2 * n))
+        self.k_stop = 0
+
+    def __call__(self, x, t, tol, norm_bound):
+        y, self.k_stop = _krylov_propagate(self.mat2, norm_bound, x, t, tol, self.V, self.k_stop)
+        return y
+
+
 def expmv(
     H: SparseHamiltonian,
     t: float,
@@ -221,8 +282,11 @@ def expmv(
 
     ``method`` is "auto" (dense below the sector-size cutoff, Krylov
     above), "dense", or "krylov"; forcing a path is mostly useful for
-    cross-checking the two against each other.  The Krylov path builds
-    block_diag(H, H) per call; its first substep checks every iteration.
+    cross-checking the two against each other.  The Krylov path keeps its
+    doubled CSR, workspace and stop hint on ``H`` across calls, so
+    repeated calls on one H rebuild nothing and start their error
+    estimates near the last stop; a workspace larger than physical memory
+    raises :class:`CapacityError` before it is allocated.
     """
     if not H.basis.same_sector(v.basis) or H.dim != v.basis.dim:
         raise ValueError("state and Hamiltonian live in different sectors")
@@ -236,19 +300,65 @@ def expmv(
         w, U = H.dense_eig()
         amps = U @ (np.exp(-1j * w * t) * (U.T @ v.amps))
     else:
-        x = _split(v.amps)
-        V = np.empty((max_krylov + 1, x.size))
-        amps = _join(_krylov_propagate(_doubled(H.matrix), H.norm_inf(), x, t, tol, V)[0])
+        prop = H._propagator
+        if prop is None or prop.V.shape[0] != max_krylov + 1:
+            prop = _Propagator(H.matrix, max_krylov)
+            object.__setattr__(H, "_propagator", prop)
+        amps = _join(prop(_split(v.amps), t, tol, H.norm_inf()))
     return StateVector(v.basis, amps)
 
 
-def _aligned_bond_split(basis: SectorBasis, base: BondCouplings, bond: int):
-    """Doubled base CSR (:func:`_doubled`) on the hop pattern of the nonzero
-    base bonds and ``bond``, and the data indices of the ``bond`` entries,
-    which hold 0: a step's coupling is written there with no symbolic work."""
-    indptr, indices, hop_bond = _hop_pattern(basis, [*np.flatnonzero(base.J), bond])
-    Pb = sp.csr_matrix((base.J[hop_bond], indices, indptr), shape=(basis.dim, basis.dim))
-    return _doubled(Pb), np.flatnonzero(np.tile(hop_bond == bond, 2))
+def _norm_inf(data: np.ndarray, mat: sp.csr_matrix) -> float:
+    """Largest absolute row sum of ``data`` on the pattern of ``mat``."""
+    return float(abs(sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape))
+                 .sum(axis=1).max())
+
+
+class _RampOperator:
+    """P^T (H_base + lambda H_bond) P of one ramp problem on one doubled CSR
+    pattern, whose entries touched by the bond are refilled per step as
+    base + lambda * coef, and its propagator.
+
+    With P = None (the identity) the pattern is the hop pattern of the
+    nonzero base bonds and the bond, and a refill writes 0 + lambda * 1 =
+    lambda.  With an isometry P both terms come from one complex product,
+    real part the base couplings and imaginary part the bond's
+    coefficient, so they share its pattern.
+    """
+
+    def __init__(self, basis: SectorBasis, base: BondCouplings, bond: int, P=None):
+        indptr, indices, hop_bond = _hop_pattern(basis, [*np.flatnonzero(base.J), bond])
+        mat = sp.csr_matrix((base.J[hop_bond], indices, indptr), shape=(basis.dim, basis.dim))
+        coef = (hop_bond == bond).astype(np.float64)
+        if P is not None:
+            mat.data = mat.data + 1j * coef
+            mat = (P.T @ mat @ P).tocsr()
+            mat.sort_indices()
+            mat.data, coef = mat.data.real.copy(), mat.data.imag.copy()
+        self.nb = _norm_inf(mat.data, mat)
+        self.nu = _norm_inf(coef, mat)
+        self.prop = _Propagator(mat)
+        self.ramp = np.flatnonzero(np.tile(coef != 0.0, 2))
+        self.base = self.prop.mat2.data[self.ramp].copy()
+        self.coef = np.tile(coef, 2)[self.ramp]
+
+    def set(self, lam: float) -> float:
+        """Write H(lambda) into the pattern; returns its norm bound."""
+        self.prop.mat2.data[self.ramp] = self.base + lam * self.coef
+        return self.nb + abs(lam) * self.nu
+
+
+def _symmetric_reduction(basis: SectorBasis, base: BondCouplings, v0: StateVector, tol: float):
+    """(P, P^T v0) when the ramp can run in the symmetric subspace, else None:
+    the base couplings are palindromic, so H(lambda) commutes with the chain's
+    symmetries, and v0 lies within ``tol`` of its even part P P^T v0."""
+    if not np.array_equal(base.J, base.J[::-1]):
+        return None
+    P = basis.symmetric_isometry()
+    x = P.T @ v0.amps
+    if np.linalg.norm(v0.amps - P @ x) > tol:
+        return None
+    return P, x
 
 
 def adiabatic_ramp(
@@ -265,8 +375,12 @@ def adiabatic_ramp(
     T_A/steps under H(base) + lambda(s_mid) H(bond) with lambda evaluated
     at the step midpoint.  Every step, in every sector, is a Krylov
     propagation to ``tol / steps`` (``tol`` > 0) on one doubled CSR with
-    lambda set in place; no dense eigensolver is called.  Norm is
-    preserved to integrator precision.
+    lambda set in place; no dense eigensolver is called.  When ``base`` is
+    palindromic and v0 is within ``tol`` of its even part, the ramp runs
+    on P^T v0 in the symmetric subspace (see the module notes) and the
+    state is lifted back as P x; otherwise it runs in the full sector.
+    The operator is built once per sector, couplings and path, and kept
+    on ``basis``.  Norm is preserved to integrator precision.
     """
     if not tol > 0.0:
         raise ValueError(f"Krylov tolerance must be positive, got {tol}")
@@ -285,18 +399,20 @@ def adiabatic_ramp(
     if schedule.T_A == 0.0:
         return StateVector(basis, v0.amps.copy())
 
-    mat, ramp = _aligned_bond_split(basis, base, schedule.bond)
-    nb = float(np.abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
-    nu = 1.0 if ramp.size else 0.0
+    P, amps = _symmetric_reduction(basis, base, v0, tol) or (None, v0.amps)
+    key = (base.J.tobytes(), P is not None)
+    if key not in basis._ramp_operators:
+        basis._ramp_operators[key] = _RampOperator(basis, base, schedule.bond, P)
+    op = basis._ramp_operators[key]
     ds = schedule.T_A / schedule.steps
     step_tol = tol / schedule.steps
-    x, k_stop = _split(v0.amps), 0
-    V = np.empty((MAX_KRYLOV + 1, x.size))  # one basis for every step
+    x = _split(amps)
+    op.prop.k_stop = 0  # every ramp starts its estimate schedule afresh
     for k in range(schedule.steps):
         lam = schedule.coupling_at((k + 0.5) * ds)
-        mat.data[ramp] = lam
-        x, k_stop = _krylov_propagate(mat, nb + abs(lam) * nu, x, ds, step_tol, V, k_stop)
-    return StateVector(basis, _join(x))
+        x = op.prop(x, ds, step_tol, op.set(lam))
+    amps = _join(x)
+    return StateVector(basis, amps if P is None else P @ amps)
 
 
 @dataclass(frozen=True)
@@ -403,18 +519,22 @@ def ramp_time_for_infidelity(
     tol: float = 1e-10,
     probe_cache: dict | None = None,
 ) -> RampResult:
-    """Shortest ramp duration on a doubling grid reaching the target.
+    """First ramp duration on a doubling grid that meets the target,
+    refined by bisection.
 
     Durations T_start * 2^k are probed until one achieves the target
     infidelity; ``refine_bisections`` optional bisection rounds then
-    shrink the bracket.  Each probe is evaluated with step doubling until
-    its infidelity is converged to ``step_tol`` (default:
-    :func:`default_step_tol` of the target), or until it is certain to
-    miss the target (see :func:`converged_ramp`).  The returned ramp is
-    always converged; when no duration reaches the target, every probed
-    duration is converged before :class:`RampSearchError` reports the
-    best of them.  Searches sharing one ``probe_cache`` integrate no ramp
-    twice, whatever their ``step_tol`` and target.
+    shrink the bracket between it and the last miss.  The infidelity is
+    not monotone in T_A, so a shorter duration off this grid may also
+    meet the target (see the module notes).  Each probe is evaluated
+    with step doubling until its infidelity is converged to ``step_tol``
+    (default: :func:`default_step_tol` of the target), or until it is
+    certain to miss the target (see :func:`converged_ramp`).  The
+    returned ramp is always converged; when no duration reaches the
+    target, every probed duration is converged before
+    :class:`RampSearchError` reports the best of them.  Searches sharing
+    one ``probe_cache`` integrate no ramp twice, whatever their
+    ``step_tol`` and target.
     """
     if not 0.0 < target_infidelity < 1.0:
         raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")

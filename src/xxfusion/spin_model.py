@@ -48,10 +48,40 @@ class SectorBasis:
     L: int
     n_up: int
     configs: np.ndarray
+    _isometry: sp.csr_matrix | None = field(default=None, init=False, repr=False)
+    #: ramp operators built on this sector, kept by ``propagate.adiabatic_ramp``
+    _ramp_operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return int(self.configs.size)
+
+    def symmetric_isometry(self) -> sp.csr_matrix:
+        """Cached isometry P (dim x m) onto the states even under the chain's
+        symmetry group: reflection i <-> L-1-i, and at half filling also the
+        global spin flip.
+
+        Column j is the indicator of the j-th orbit, in ascending order of
+        its least configuration, scaled by 1/sqrt(|orbit|); so P^T P = 1 and
+        P P^T projects onto the even states.
+        """
+        if self._isometry is None:
+            c = self.configs
+            mirrored = np.zeros_like(c)
+            for i in range(self.L):
+                mirrored |= ((c >> i) & 1) << (self.L - 1 - i)
+            least = np.minimum(c, mirrored)
+            if 2 * self.n_up == self.L:
+                ones = np.int64((1 << self.L) - 1)
+                least = np.minimum(least, np.minimum(c ^ ones, mirrored ^ ones))
+            orbit = (np.cumsum(least == c) - 1)[np.searchsorted(c, least)]
+            weight = 1.0 / np.sqrt(np.bincount(orbit))
+            P = sp.csr_matrix(
+                (weight[orbit], orbit, np.arange(self.dim + 1)),
+                shape=(self.dim, weight.size),
+            )
+            object.__setattr__(self, "_isometry", P)
+        return self._isometry
 
     def index_of(self, config: int) -> int:
         """Ordinal of ``config`` within the sector."""
@@ -159,6 +189,8 @@ class SparseHamiltonian:
     matrix: sp.csr_matrix
     _eig_cache: tuple | None = field(default=None, init=False, repr=False)
     _norm_cache: float | None = field(default=None, init=False, repr=False)
+    #: Krylov propagator of ``propagate.expmv``, built on its first call
+    _propagator: object = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:

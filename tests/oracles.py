@@ -45,6 +45,31 @@ def dense_hamiltonian(L: int, n_up: int, J) -> tuple:
     return configs, H
 
 
+def mirrored(c: int, L: int) -> int:
+    """Configuration ``c`` with site i moved to site L-1-i, bit by bit."""
+    return sum(((c >> i) & 1) << (L - 1 - i) for i in range(L))
+
+
+def symmetric_projector(L: int, n_up: int) -> np.ndarray:
+    """Dense projector onto the sector states even under reflection and,
+    at half filling, the global spin flip: the average of the symmetry
+    group's permutation matrices, each built by inspecting bits.
+
+    Returns a matrix over ``sector_configs(L, n_up)``.
+    """
+    configs = sector_configs(L, n_up)
+    index = {c: i for i, c in enumerate(configs)}
+    ones = (1 << L) - 1
+    group = [lambda c: c, lambda c: mirrored(c, L)]
+    if 2 * n_up == L:
+        group += [lambda c: c ^ ones, lambda c: mirrored(c, L) ^ ones]
+    proj = np.zeros((len(configs), len(configs)))
+    for g in group:
+        for i, c in enumerate(configs):
+            proj[index[g(c)], i] += 1.0 / len(group)
+    return proj
+
+
 def embed_amplitudes(a_amps, a_configs, b_amps, b_configs, half: int) -> dict:
     """Product-state amplitudes keyed by fused configuration.
 
@@ -124,7 +149,7 @@ def converged_probe(ctx, T_A: float, step_tol: float):
 def ramp_search(target: float, ctx, bisections: int):
     """The duration search with every probe fully converged: doubling from
     T = 1 until a probe reaches the target, then ``bisections`` rounds.
-    Returns (T_A, infidelity, state, steps) of the shortest passing probe."""
+    Returns (T_A, infidelity, state, steps) of the passing probe it ends on."""
     step_tol = min(1e-4, target / 10.0)
     lo, T = None, 1.0
     fid, state, steps = converged_probe(ctx, T, step_tol)

@@ -1,6 +1,7 @@
 """Time evolution and the adiabatic middle-bond ramp."""
 
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import oracles
 import xxfusion.propagate as propagate
 from xxfusion import (
     BondCouplings,
+    CapacityError,
     PropagationError,
     RampContext,
     RampSchedule,
@@ -228,6 +230,69 @@ def test_expmv_estimate_schedule_is_bit_identical(L, n, t, monkeypatch):
         monkeypatch, lambda: expmv(H, t, v, method="krylov").amps)
 
 
+@pytest.mark.parametrize("L, n", [(12, 6), (14, 6)], ids=["d924", "d3003"])
+def test_expmv_sequence_schedule_is_bit_identical(L, n, monkeypatch):
+    # calls on one H carry the stop hint from one to the next, whatever t
+    rng = np.random.default_rng(L + 1)
+    basis = enumerate_sector(L, n)
+    H = build_hamiltonian(basis, BondCouplings(rng.uniform(-2.0, 2.0, L - 1)))
+    v = random_state(basis, rng)
+    times = (7.68, 0.3, 40.0, -0.3, 0.05, 7.68)
+    assert_schedule_is_bit_identical(
+        monkeypatch,
+        lambda: np.concatenate([expmv(H, t, v, method="krylov").amps for t in times]))
+
+
+def test_expmv_keeps_one_propagator_per_hamiltonian(monkeypatch):
+    H, v = random_coupling_chain_924()
+    fresh = [random_coupling_chain_924()[0] for _ in range(3)]
+    doubled = counted_calls(monkeypatch, "_doubled")
+    eig = counted_calls(monkeypatch, "_tridiag_eig")
+    times = (0.3, 0.2, 0.3)
+    for t, H_new in zip(times, fresh):
+        expmv(H_new, t, v, method="krylov")
+    assert len(doubled) == 3
+    n_fresh = len(eig)
+    doubled.clear()
+    eig.clear()
+    for t in times:
+        expmv(H, t, v, method="krylov")
+    assert len(doubled) == 1  # built on the first call only
+    assert len(eig) < n_fresh  # later calls start their estimates near the last stop
+
+
+@pytest.mark.parametrize("method", ["krylov", "ramp"])
+def test_krylov_workspace_beyond_memory_raises_before_allocating(method, monkeypatch):
+    ctx = ramp_context(12, 6)
+    basis = enumerate_sector(12, 6)  # fresh: nothing cached yet
+    H = build_hamiltonian(basis, BondCouplings.uniform(12))
+    dim = basis.dim if method == "krylov" else basis.symmetric_isometry().shape[1]
+    need = (propagate.MAX_KRYLOV + 1) * 2 * dim * 8
+
+    def run():
+        if method == "krylov":
+            return expmv(H, 1.0, StateVector(basis, ctx.v0.amps), method="krylov")
+        sched = RampSchedule(1.0, 4, ctx.bond, 1.0)
+        return adiabatic_ramp(StateVector(basis, ctx.v0.amps), basis, ctx.base, sched)
+
+    def no_workspace(*args, **kwargs):
+        raise AssertionError("the workspace was allocated")
+
+    monkeypatch.setattr(propagate, "_physical_memory", lambda: need - 1)
+    with monkeypatch.context() as m:
+        m.setattr(propagate, "_doubled", no_workspace)
+        with pytest.raises(CapacityError, match="exceeds"):
+            run()
+    monkeypatch.setattr(propagate, "_physical_memory", lambda: need)
+    assert abs(run().norm() - 1.0) < 1e-12
+    monkeypatch.setattr(propagate, "_physical_memory", lambda: None)  # unknown: no limit
+    assert abs(run().norm() - 1.0) < 1e-12
+
+
+def test_physical_memory_is_read():
+    assert propagate._physical_memory() > 0
+
+
 def test_substep_walks_back_to_the_first_passing_estimate():
     # a full-length substep; estimates computed only from past its stop
     # must walk back to it and return the same block
@@ -301,12 +366,13 @@ def test_bond_split_shares_pattern_and_refills_exactly(L, data):
     J[bond] = 0.0
     J[rng.choice([b for b in range(L - 1) if b != bond])] = 0.0
     base = BondCouplings(J)
-    mat, ramp = propagate._aligned_bond_split(enumerate_sector(L, n), base, bond)
+    op = propagate._RampOperator(enumerate_sector(L, n), base, bond)
+    mat = op.prop.mat2
     assert mat.has_canonical_format
     # every lambda is written over the last: both halves of the doubled
     # matrix must hold exactly the dense Hamiltonian at that coupling
     for lam in data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)):
-        mat.data[ramp] = lam
+        op.set(lam)
         _, ref = oracles.dense_hamiltonian(L, n, base.with_bond(bond, lam).J)
         assert np.array_equal(mat.toarray(), scipy.linalg.block_diag(ref, ref))
 
@@ -317,22 +383,109 @@ def test_adiabatic_ramp_zero_duration_is_identity():
     assert np.allclose(out.amps, ctx.v0.amps, atol=1e-15)
 
 
+def stepwise_expm(v0, basis, base, schedule):
+    """The midpoint product assembled from dense exponentials."""
+    amps = v0.amps.copy()
+    ds = schedule.T_A / schedule.steps
+    for k in range(schedule.steps):
+        lam = schedule.coupling_at((k + 0.5) * ds)
+        Hk = build_hamiltonian(basis, base.with_bond(schedule.bond, lam)).matrix.toarray()
+        amps = scipy.linalg.expm(-1j * ds * Hk) @ amps
+    return amps
+
+
 @pytest.mark.parametrize("L, n", [(4, 2), (8, 2), (8, 4)], ids=["d6", "d28", "d70"])
 def test_adiabatic_ramp_matches_stepwise_expm(L, n):
     # independent reference: the same midpoint product assembled from
     # scipy dense exponentials of the full stepped Hamiltonian
     ctx = ramp_context(L, n)
-    steps, T = 12, 2.5
-    sched = RampSchedule(T, steps, ctx.bond, 1.0)
+    sched = RampSchedule(2.5, 12, ctx.bond, 1.0)
     out = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched)
-    amps = ctx.v0.amps.copy()
-    ds = T / steps
-    for k in range(steps):
-        lam = sched.coupling_at((k + 0.5) * ds)
-        bonds = ctx.base.with_bond(ctx.bond, lam)
-        Hk = build_hamiltonian(ctx.basis, bonds).matrix.toarray()
-        amps = scipy.linalg.expm(-1j * ds * Hk) @ amps
-    assert np.linalg.norm(out.amps - amps) < 1e-10
+    ref = stepwise_expm(ctx.v0, ctx.basis, ctx.base, sched)
+    assert np.linalg.norm(out.amps - ref) < 1e-10
+
+
+def full_space(monkeypatch):
+    """Run every ramp from now on in the full sector."""
+    monkeypatch.setattr(propagate, "_symmetric_reduction", lambda *args: None)
+
+
+def reductions(monkeypatch):
+    """List that collects whether each ramp from now on runs in the symmetric subspace."""
+    taken = []
+    reduce = propagate._symmetric_reduction
+
+    def recorded(*args):
+        out = reduce(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(propagate, "_symmetric_reduction", recorded)
+    return taken
+
+
+RAMP_SECTORS = [(L, n) for L in (4, 6, 8, 10, 12) for n in range(2, L - 1, 2)]
+
+
+@pytest.mark.parametrize("L, n", RAMP_SECTORS)
+def test_symmetric_ramp_matches_full_space_ramp(L, n, monkeypatch):
+    ctx = ramp_context(L, n)
+    sched = RampSchedule(6.0, 40, ctx.bond, 1.0)
+    taken = reductions(monkeypatch)
+    reduced = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched)
+    assert taken == [True]
+    full_space(monkeypatch)
+    full = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched)
+    assert np.linalg.norm(reduced.amps - full.amps) <= 1e-12
+
+
+def full_space_reference(v0, basis, base, schedule, tol=1e-10):
+    """The midpoint ramp in the full sector, written out step by step on
+    ``build_hamiltonian``'s CSR of every step's couplings: the arithmetic the
+    full-sector path keeps bit for bit."""
+    ds = schedule.T_A / schedule.steps
+    nb = build_hamiltonian(basis, base).norm_inf()
+    x, k_stop = propagate._split(v0.amps), 0
+    V = np.empty((propagate.MAX_KRYLOV + 1, x.size))
+    for k in range(schedule.steps):
+        lam = schedule.coupling_at((k + 0.5) * ds)
+        H = build_hamiltonian(basis, base.with_bond(schedule.bond, lam))
+        x, k_stop = propagate._krylov_propagate(
+            propagate._doubled(H.matrix), nb + abs(lam), x, ds, tol / schedule.steps, V, k_stop)
+    return propagate._join(x)
+
+
+@pytest.mark.parametrize("case", ["odd-v0", "nearly-even-v0", "non-palindromic"])
+@pytest.mark.parametrize("L, n", [(8, 4), (10, 4)])
+def test_ramp_off_symmetry_runs_in_full_sector_bit_identically(L, n, case, monkeypatch):
+    ctx = ramp_context(L, n)
+    rng = np.random.default_rng(L * 100 + n)
+    v0, base = ctx.v0, ctx.base
+    if case == "odd-v0":
+        v0 = random_state(ctx.basis, rng)
+    elif case == "nearly-even-v0":  # 1e-8 from its even part: above the 1e-10 tol
+        v0 = StateVector(ctx.basis, v0.amps + 1e-8 * random_state(ctx.basis, rng).amps).normalized()
+    else:
+        J = rng.uniform(0.5, 1.5, L - 1)
+        J[ctx.bond] = 0.0
+        base = BondCouplings(J)
+    sched = RampSchedule(4.0, 24, ctx.bond, 1.0)
+    taken = reductions(monkeypatch)
+    out = adiabatic_ramp(v0, ctx.basis, base, sched)
+    assert taken == [False]
+    assert np.array_equal(out.amps, full_space_reference(v0, ctx.basis, base, sched))
+    assert np.linalg.norm(out.amps - stepwise_expm(v0, ctx.basis, base, sched)) < 1e-10
+
+
+def test_ramp_within_tol_of_even_runs_in_symmetric_subspace(monkeypatch):
+    ctx = ramp_context(8, 4)
+    odd = random_state(ctx.basis).amps
+    v0 = StateVector(ctx.basis, ctx.v0.amps + 1e-12 * odd).normalized()
+    sched = RampSchedule(4.0, 24, ctx.bond, 1.0)
+    taken = reductions(monkeypatch)
+    out = adiabatic_ramp(v0, ctx.basis, ctx.base, sched)
+    assert taken == [True]
+    assert np.linalg.norm(out.amps - stepwise_expm(v0, ctx.basis, ctx.base, sched)) < 1e-10
 
 
 @pytest.mark.parametrize("L, n", [(4, 2), (8, 4), (16, 4)], ids=["d6", "d70", "d1820"])
@@ -360,7 +513,8 @@ def test_ramp_computes_few_estimates_per_substep(monkeypatch):
     # consecutive steps stop at nearly the same iteration, so checking the
     # estimate only near the last stop needs two or three per substep
     # where checking every iteration needs about eleven
-    ctx = ramp_context(16, 4)  # dim 1820
+    ctx = ramp_context(16, 4)  # dim 1820, kept in the full sector
+    full_space(monkeypatch)
     eig = counted_calls(monkeypatch, "_tridiag_eig")
     substeps = counted_calls(monkeypatch, "_lanczos_substep")
     adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, RampSchedule(9.0, 32, ctx.bond, 1.0))
@@ -534,3 +688,15 @@ def test_ramp_search_argument_errors(monkeypatch):
                         (1e-2, dict(tol=math.nan))):
         with pytest.raises(ValueError):
             ramp_time_for_infidelity(target, ctx, **bad)
+
+
+def test_ramp_and_expmv_keep_the_parameter_names_the_benchmark_binds():
+    # perfbench/tracing.py binds each call to these signatures and reads
+    # ``basis`` and ``schedule`` (the .d<dim> ramp metrics) and ``t``
+    ctx = ramp_context(4, 2)
+    sched = RampSchedule(1.0, 4, ctx.bond, 1.0)
+    bound = inspect.signature(adiabatic_ramp).bind(ctx.v0, ctx.basis, ctx.base, sched)
+    assert bound.arguments["basis"] is ctx.basis
+    assert bound.arguments["schedule"] is sched
+    H = build_hamiltonian(ctx.basis, BondCouplings.uniform(4))
+    assert inspect.signature(expmv).bind(H, 0.5, ctx.v0).arguments["t"] == 0.5

@@ -168,6 +168,36 @@ def test_hamiltonian_is_canonical_csr():
             assert np.count_nonzero(m.data) == m.nnz
 
 
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 12])
+def test_symmetric_isometry_matches_bitwise_projector(L):
+    # every sector: orthonormal orbit columns spanning exactly the states the
+    # bit-by-bit group average keeps, and invariant under every H(lambda) of
+    # palindromic couplings
+    rng = np.random.default_rng(L)
+    half = rng.uniform(-2.0, 2.0, L // 2)
+    for n in range(L + 1):
+        basis = enumerate_sector(L, n)
+        P = basis.symmetric_isometry()
+        assert basis.symmetric_isometry() is P
+        assert P.shape == (basis.dim, P.shape[1])
+        proj = oracles.symmetric_projector(L, n)
+        assert P.shape[1] == round(np.trace(proj))  # Burnside's orbit count
+        dense = P.toarray()
+        assert np.abs(dense.T @ dense - np.eye(P.shape[1])).max() < 1e-15
+        assert np.abs(dense @ dense.T - proj).max() < 1e-15
+        for lam in (0.0, 0.7, -1.9):
+            J = np.concatenate([half[:-1], [lam], half[-2::-1]])  # palindromic
+            _, H = oracles.dense_hamiltonian(L, n, J)
+            assert np.abs(proj @ H - H @ proj).max() < 1e-14
+            assert np.abs(dense @ dense.T @ H - H @ dense @ dense.T).max() < 1e-14
+
+
+@pytest.mark.parametrize("L, n, orbits", [(16, 8, 3299), (16, 4, 924), (8, 4, 23), (7, 3, 19)])
+def test_symmetric_isometry_orbit_counts(L, n, orbits):
+    # reflection and, at half filling, spin flip; an odd chain keeps reflection only
+    assert enumerate_sector(L, n).symmetric_isometry().shape[1] == orbits
+
+
 def test_hamiltonian_structure_invariants():
     basis = enumerate_sector(6, 3)
     bonds = BondCouplings.uniform(6, 1.3)
