@@ -34,12 +34,11 @@ def main():
         args.L, filling, FusionConfig(bisections=args.bisections)
     )
     targets = [float(t) for t in args.targets.split(",")]
-    probe_cache = {}
     rows = []
     print(f"# L={args.L} filling={filling} bisections={args.bisections}")
     print(f"{'target':>10} {'T_A':>10} {'achieved':>14} {'steps':>6}")
     for target in sorted(targets, reverse=True):
-        res = step.ramp(target, cache=probe_cache)
+        res = step.ramp(target)
         rows.append((res.T_A, res.infidelity))
         print(f"{target:>10.3g} {res.T_A:>10.6g} {res.infidelity:>14.6e} "
               f"{res.steps:>6d}")

@@ -368,7 +368,7 @@ def cmd_converge(values: dict) -> int:
     rows = []
     for m, _, fid, p_total, t_R in step.sweep(start):
         kappa = expected_cost(values["method"], t_A, t_R, p_total)
-        rows.append(f"{m},{_fmt(fid)},{_fmt(p_total)},{_fmt(config.J * kappa)},OK")
+        rows.append(f"{m},{_fmt(fid)},{_fmt(p_total)},{_fmt(abs(config.J) * kappa)},OK")
     _write_csv(
         values["output"], [_provenance("converge", values)],
         "M,infidelity,p_total,J_kappa,status", rows,
@@ -410,12 +410,13 @@ def cmd_fuse(values: dict) -> int:
         rows.append(",".join([
             str(i), str(r.L), r.method, _fmt(r.target_infidelity),
             _fmt(r.achieved_infidelity), _fmt(r.t_A), _fmt(r.t_R), _fmt(r.p),
-            _fmt(config.J * r.kappa), "OK",
+            _fmt(abs(config.J) * r.kappa), "OK",
         ]))
     if failed_row is not None:
         rows.append(failed_row)
     if not failed and records:
-        comments.append(f"cumulative_J_kappa = {_fmt(config.J * sum(r.kappa for r in records))}")
+        J_kappa = abs(config.J) * sum(r.kappa for r in records)
+        comments.append(f"cumulative_J_kappa = {_fmt(J_kappa)}")
         comments.append(f"final_infidelity = {_fmt(records[-1].achieved_infidelity)}")
     _write_csv(values["output"], comments, header, rows)
     return 1 if failed else 0

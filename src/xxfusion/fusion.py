@@ -12,8 +12,10 @@ with p the cumulative rodeo success probability.
 
 :class:`FusionStep` holds one step (the doubled chain's Hamiltonian,
 ground energy, gap and ramp problem) and owns its ramp search, the start
-of its rodeo sweep and the sweep itself; ``fuse_step``, ``run_fusion``
-and ``compare_methods`` are built on it.
+of its rodeo sweep, the sweep itself, and the evaluation of a method at
+a list of targets that both ``fuse_step`` and ``compare_methods`` run
+on; ``run_fusion`` chains ``fuse_step``.  Costs are reported as |J|
+kappa, so a negative coupling costs what the positive one does.
 """
 
 from __future__ import annotations
@@ -126,13 +128,29 @@ class FusionPlan:
     target_infidelity: float
 
 
+def _sector_ground(L: int, filling: Fraction, J: float, name: str) -> StateVector:
+    """Ground of the uniform L-site chain at ``filling``; ``name`` ("base",
+    "half") names the sector in the errors."""
+    n_up = filling * L
+    if n_up.denominator != 1:
+        raise ValueError(f"filling {filling} gives fractional occupation on {L} sites")
+    if not 0 < n_up < L:
+        raise ValueError(f"{name} sector (L={L}, n_up={n_up}) has no gap to anchor")
+    H = build_hamiltonian(enumerate_sector(L, int(n_up)), BondCouplings.uniform(L, J))
+    return lowest_two(H).ground
+
+
 @dataclass(frozen=True)
 class FusionStep:
     """One fusion step: the doubled chain, its exact lowest pair, and the
     ramp problem from two copies of a half-chain state to the ground.
 
     ``ramp`` searches the ramp duration, ``start`` gives the input of the
-    rodeo sweep, and ``sweep`` runs it one superiteration at a time.
+    rodeo sweep, ``sweep`` runs it one superiteration at a time, and
+    ``cells`` costs the step by one method at several targets, the one
+    path behind both ``fuse_step`` and ``compare_methods``.  Every ramp
+    integrated for the step is kept on its ``ctx``, so no search of the
+    step integrates a ramp twice.
     """
 
     config: FusionConfig
@@ -170,33 +188,15 @@ class FusionStep:
     @classmethod
     def exact_halves(cls, L: int, filling, config: FusionConfig) -> FusionStep:
         """Fuse two exact sector grounds of the L/2 chain at ``filling``."""
-        filling = Fraction(filling)
         if L % 2 != 0:
             raise ValueError(f"L={L} cannot be split into equal halves")
-        n_half = filling * (L // 2)
-        if n_half.denominator != 1:
-            raise ValueError(
-                f"filling {filling} gives fractional occupation on {L // 2} sites"
-            )
-        n_half = int(n_half)
-        if not 0 < n_half < L // 2:
-            raise ValueError(
-                f"half sector (L={L // 2}, n_up={n_half}) has no gap to anchor"
-            )
-        half_basis = enumerate_sector(L // 2, n_half)
-        half_H = build_hamiltonian(half_basis, BondCouplings.uniform(L // 2, config.J))
-        return cls.from_half(lowest_two(half_H).ground, config)
+        half = _sector_ground(L // 2, Fraction(filling), config.J, "half")
+        return cls.from_half(half, config)
 
-    def ramp(
-        self, target: float, *, step_tol: float | None = None, cache: dict | None = None
-    ) -> RampResult:
+    def ramp(self, target: float, *, step_tol: float | None = None) -> RampResult:
         """Converged ramp from the product reaching ``target``, by the duration
-        search of :func:`ramp_time_for_infidelity`.
-
-        ``step_tol`` defaults to ``config.step_tol``; ``cache`` shares the
-        integrated ramps, keyed by ``(T_A, steps)``, between searches.  A
-        cache is valid for one step and one ``config.expmv_tol`` only.
-        """
+        search of :func:`ramp_time_for_infidelity`; ``step_tol`` defaults to
+        ``config.step_tol``."""
         c = self.config
         return ramp_time_for_infidelity(
             target,
@@ -206,12 +206,9 @@ class FusionStep:
             refine_bisections=c.bisections,
             step_tol=c.step_tol if step_tol is None else step_tol,
             tol=c.expmv_tol,
-            probe_cache=cache,
         )
 
-    def start(
-        self, method: str, *, cache: dict | None = None
-    ) -> tuple[StateVector, float, int]:
+    def start(self, method: str) -> tuple[StateVector, float, int]:
         """Input of the rodeo sweep as ``(state, t_A, ramp_steps)``.
 
         "rodeo" starts from the product; "hybrid" from the product ramped
@@ -221,7 +218,7 @@ class FusionStep:
             return self.product, 0.0, 0
         if method != "hybrid":
             raise ValueError(f"method {method!r} has no rodeo sweep")
-        pre = self.ramp(self.config.precondition_infidelity, cache=cache)
+        pre = self.ramp(self.config.precondition_infidelity)
         return pre.state.normalized(), pre.T_A, pre.steps
 
     def sweep(
@@ -246,6 +243,67 @@ class FusionStep:
                 t_R += block_time
                 yield j // c.depth, state, infidelity(state, self.ground), p_total, t_R
 
+    def cells(
+        self, method: str, targets: list[float]
+    ) -> Iterator[tuple[StateVector, StepRecord] | SimulationError]:
+        """The step by ``method`` at each of ``targets`` (descending, so the
+        loosest first): per target, the prepared normalized state and its
+        record, or the :class:`SimulationError` that stopped the cell.
+
+        Adiabatic cells each search a ramp, all at one step tolerance:
+        ``config.step_tol``, or else :func:`default_step_tol` of the
+        tightest target.  Rodeo and hybrid cells share one ``start`` and
+        one sweep to the tightest target; each takes the first
+        superiteration that meets its target.  A sweep that raises keeps
+        the cells it already met.  A cell whose sweep fails carries the
+        best infidelity the sweep saw as ``best_infidelity``.
+        """
+        c = self.config
+        L = self.ctx.basis.L
+        if method == "adiabatic":
+            step_tol = c.step_tol if c.step_tol is not None else default_step_tol(targets[-1])
+            for target in targets:
+                try:
+                    res = self.ramp(target, step_tol=step_tol)
+                except SimulationError as err:
+                    yield err
+                    continue
+                kappa = expected_cost(method, res.T_A, 0.0, 1.0)
+                record = StepRecord(
+                    L, method, target, res.infidelity, res.T_A, 0.0, 1.0, kappa, 0, res.steps
+                )
+                yield res.state.normalized(), record
+            return
+        try:
+            start, t_A, ramp_steps = self.start(method)
+        except SimulationError as err:
+            for _ in targets:
+                yield err
+            return
+        pending = list(targets)
+        best = 1.0
+        try:
+            for m, state, fid, p_total, t_R in self.sweep(start):
+                best = min(best, fid)
+                while pending and fid <= pending[0]:
+                    kappa = expected_cost(method, t_A, t_R, p_total)
+                    yield state, StepRecord(
+                        L, method, pending.pop(0), fid, t_A, t_R, p_total, kappa, m, ramp_steps
+                    )
+                if not pending:
+                    return
+        except SimulationError as err:
+            err.best_infidelity = best
+            for _ in pending:
+                yield err
+            return
+        for target in pending:
+            yield PurificationError(
+                f"target infidelity {target:.3e} not reached within "
+                f"{c.max_superiterations} superiterations (best {best:.3e})",
+                best_infidelity=best,
+            )
+
 
 def fuse_step(
     ground_half: StateVector,
@@ -255,43 +313,22 @@ def fuse_step(
 ) -> tuple[StateVector, StepRecord]:
     """One fusion step: two copies of ``ground_half`` to the doubled ground.
 
-    Returns the prepared (normalized) state and its ledger record.  The
-    adiabatic route is unitary, so it cannot remove weight that the input
-    product already holds outside the reachable band; with impure halves
-    its search may exhaust the duration cap and raise.
+    Returns the prepared (normalized) state and its ledger record, the
+    single-target cell of :meth:`FusionStep.cells`, so its ``step_tol``
+    rule is that of ``compare_methods``.  The adiabatic route is unitary,
+    so it cannot remove weight that the input product already holds
+    outside the reachable band; with impure halves its search may
+    exhaust the duration cap and raise.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not 0.0 < target_infidelity < 1.0:
         raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
     config = config or FusionConfig()
-    step = FusionStep.from_half(ground_half, config)
-    L = 2 * ground_half.basis.L
-
-    if method == "adiabatic":
-        res = step.ramp(target_infidelity)
-        state = res.state.normalized()
-        record = StepRecord(
-            L, method, target_infidelity, res.infidelity, res.T_A, 0.0, 1.0,
-            expected_cost(method, res.T_A, 0.0, 1.0), 0, res.steps,
-        )
-        return state, record
-
-    start, t_A, ramp_steps = step.start(method)
-    best = 1.0
-    for m, state, fid, p_total, t_R in step.sweep(start):
-        best = min(best, fid)
-        if fid <= target_infidelity:
-            record = StepRecord(
-                L, method, target_infidelity, fid, t_A, t_R, p_total,
-                expected_cost(method, t_A, t_R, p_total), m, ramp_steps,
-            )
-            return state, record
-    raise PurificationError(
-        f"target infidelity {target_infidelity:.3e} not reached within "
-        f"{config.max_superiterations} superiterations (best {best:.3e})",
-        best_infidelity=best,
-    )
+    cell = next(FusionStep.from_half(ground_half, config).cells(method, [target_infidelity]))
+    if isinstance(cell, SimulationError):
+        raise cell
+    return cell
 
 
 def run_fusion(
@@ -319,20 +356,7 @@ def run_fusion(
         raise ValueError(
             f"L_final={plan.L_final} is not L_base={plan.L_base} times a power of two"
         )
-    n_base = filling * plan.L_base
-    if n_base.denominator != 1:
-        raise ValueError(
-            f"filling {filling} gives fractional occupation on {plan.L_base} sites"
-        )
-    n_base = int(n_base)
-    if not 0 < n_base < plan.L_base:
-        raise ValueError(
-            f"base sector (L={plan.L_base}, n_up={n_base}) has no gap to anchor"
-        )
-
-    base_basis = enumerate_sector(plan.L_base, n_base)
-    base_H = build_hamiltonian(base_basis, BondCouplings.uniform(plan.L_base, config.J))
-    state = lowest_two(base_H).ground
+    state = _sector_ground(plan.L_base, filling, config.J, "base")
     if steps == 0:
         return state, CostLedger([])
 
@@ -369,13 +393,6 @@ class CompareRow:
     message: str = ""
 
 
-def _failed_row(method, L, filling, target, achieved, message) -> CompareRow:
-    nan = float("nan")
-    return CompareRow(
-        method, L, filling, target, achieved, nan, nan, nan, nan, "FAILED", message
-    )
-
-
 def compare_methods(
     L: int,
     filling: Fraction,
@@ -386,16 +403,17 @@ def compare_methods(
     """Cost of one fusion step (exact halves) per method and target.
 
     Halves are exact sector grounds of the L/2 chain, so every method
-    starts from the same product state.  Targets are emitted loosest
-    first; rows follow METHODS order.  Per-cell failures produce FAILED
-    rows instead of aborting the table.
+    starts from the same product state.  Rows follow METHODS order, with
+    targets loosest first inside each method; each method's row group is
+    :meth:`FusionStep.cells` at all the targets, and a failed cell gives
+    a FAILED row instead of aborting the table.  ``J_kappa`` is
+    |J| kappa.
 
-    The duration searches share their probes, so every adiabatic cell of
-    one call is converged to one step tolerance, ``config.step_tol`` or
-    else :func:`default_step_tol` of the tightest target: a cell's value
-    depends on the other targets of the call.  The hybrid preconditioning
-    ramp uses the tolerance of its own target and reuses every ramp the
-    adiabatic searches integrated.
+    Every adiabatic cell of one call is converged to one step tolerance,
+    ``config.step_tol`` or else :func:`default_step_tol` of the tightest
+    target, so a cell's value depends on the other targets of the call.
+    The hybrid preconditioning ramp uses the tolerance of its own target;
+    every search reuses the ramps the step's context already holds.
     """
     config = config or FusionConfig()
     filling = Fraction(filling)
@@ -406,62 +424,19 @@ def compare_methods(
     step = FusionStep.exact_halves(L, filling, config)
     if not targets:
         return []
-    tightest = targets[-1]
-    group_step_tol = (
-        config.step_tol if config.step_tol is not None else default_step_tol(tightest)
-    )
-    rows: list[CompareRow] = []
-
-    def emit(method, target, achieved, t_A, t_R, p):
-        kappa = expected_cost(method, t_A, t_R, p)
-        rows.append(
-            CompareRow(
-                method, L, filling, target, achieved, t_A, t_R, p,
-                config.J * kappa, "OK",
-            )
-        )
-
-    # adiabatic: one duration search per target, ramps shared via cache
-    cache: dict = {}
-    for target in targets:
-        try:
-            res = step.ramp(target, step_tol=group_step_tol, cache=cache)
-            emit("adiabatic", target, res.infidelity, res.T_A, 0.0, 1.0)
-        except SimulationError as err:
-            achieved = getattr(err, "best_infidelity", float("nan"))
-            rows.append(_failed_row("adiabatic", L, filling, target, achieved, str(err)))
-
-    # rodeo and hybrid: one sweep each, to the tightest target
-    for method in ("rodeo", "hybrid"):
-        try:
-            start, t_A, _ = step.start(method, cache=cache)
-        except SimulationError as err:
-            achieved = getattr(err, "best_infidelity", float("nan"))
-            for target in targets:
-                rows.append(_failed_row(method, L, filling, target, achieved, str(err)))
-            continue
-        milestones = []
-        sweep_error = None
-        try:
-            for _, _, fid, p_total, t_R in step.sweep(start):
-                milestones.append((fid, p_total, t_R))
-                if fid <= tightest:
-                    break
-        except SimulationError as err:
-            sweep_error = err
-        for target in targets:
-            hit = next((ms for ms in milestones if ms[0] <= target), None)
-            if hit is None:
-                best = min(ms[0] for ms in milestones)
-                message = str(sweep_error) if sweep_error is not None else (
-                    f"target {target:.3e} not reached within "
-                    f"{config.max_superiterations} superiterations"
-                )
-                rows.append(_failed_row(method, L, filling, target, best, message))
-            else:
-                fid, p_total, t_R = hit
-                emit(method, target, fid, t_A, t_R, p_total)
-
-    order = {m: i for i, m in enumerate(METHODS)}
-    rows.sort(key=lambda r: (order[r.method], r.L, -r.target_infidelity))
+    nan = float("nan")
+    rows = []
+    for method in METHODS:
+        for target, cell in zip(targets, step.cells(method, targets)):
+            if isinstance(cell, SimulationError):
+                best = getattr(cell, "best_infidelity", nan)
+                rows.append(CompareRow(
+                    method, L, filling, target, best, nan, nan, nan, nan, "FAILED", str(cell)
+                ))
+                continue
+            r = cell[1]
+            rows.append(CompareRow(
+                method, L, filling, target, r.achieved_infidelity, r.t_A, r.t_R, r.p,
+                abs(config.J) * r.kappa, "OK",
+            ))
     return rows

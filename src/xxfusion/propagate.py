@@ -52,9 +52,11 @@ and the arithmetic is the full sector's, bit for bit.  Either operator
 is built once per sector and couplings and kept on the basis.
 
 The step count is doubled until the measured infidelity stabilizes.  A
-search, whose probes share ramps through a (T_A, steps) cache, returns
-the first duration on the doubling grid T_start * 2^k that meets the
-target, refined by bisection between it and the last miss.  The
+:class:`RampContext` keeps every ramp integrated for it, keyed by
+(T_A, steps, tol), so probes of any search on it, at any step tolerance
+or target, integrate no ramp twice.  A search returns the first
+duration on the doubling grid T_start * 2^k that meets the target,
+refined by bisection between it and the last miss.  The
 infidelity is not monotone in T_A, so that need not be the shortest
 duration meeting the target: at L=16, half filling and target 1e-4 the
 continuous ramp first crosses it at T_A = 54, and the search returns 72.
@@ -74,7 +76,7 @@ converged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -88,6 +90,7 @@ from .spin_model import (
     SparseHamiltonian,
     StateVector,
     _hop_pattern,
+    _physical_memory,
     middle_bond,
 )
 
@@ -231,16 +234,6 @@ def _join(x: np.ndarray) -> np.ndarray:
     return x[0] + 1j * x[1]
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    import os
-
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 class _Propagator:
     """exp(-i H t) on (2, n) blocks for one real symmetric CSR H: the doubled
     CSR, its Krylov workspace and the stop hint carried from call to call.
@@ -251,9 +244,9 @@ class _Propagator:
     estimates start, and the walk-back keeps the stop where it would be.
     """
 
-    def __init__(self, mat: sp.csr_matrix, max_krylov: int = MAX_KRYLOV):
+    def __init__(self, mat: sp.csr_matrix):
         n = mat.shape[0]
-        need = (max_krylov + 1) * 2 * n * 8
+        need = (MAX_KRYLOV + 1) * 2 * n * 8
         have = _physical_memory()
         if have is not None and need > have:
             raise CapacityError(
@@ -261,7 +254,7 @@ class _Propagator:
                 f"exceeds the {have / 2**30:.3g} GiB of physical memory"
             )
         self.mat2 = _doubled(mat)
-        self.V = np.empty((max_krylov + 1, 2 * n))
+        self.V = np.empty((MAX_KRYLOV + 1, 2 * n))
         self.k_stop = 0
 
     def __call__(self, x, t, tol, norm_bound):
@@ -276,7 +269,6 @@ def expmv(
     tol: float = 1e-10,
     *,
     method: str = "auto",
-    max_krylov: int = MAX_KRYLOV,
 ) -> StateVector:
     """Apply exp(-i H t) to v.
 
@@ -300,11 +292,9 @@ def expmv(
         w, U = H.dense_eig()
         amps = U @ (np.exp(-1j * w * t) * (U.T @ v.amps))
     else:
-        prop = H._propagator
-        if prop is None or prop.V.shape[0] != max_krylov + 1:
-            prop = _Propagator(H.matrix, max_krylov)
-            object.__setattr__(H, "_propagator", prop)
-        amps = _join(prop(_split(v.amps), t, tol, H.norm_inf()))
+        if H._propagator is None:
+            object.__setattr__(H, "_propagator", _Propagator(H.matrix))
+        amps = _join(H._propagator(_split(v.amps), t, tol, H.norm_inf()))
     return StateVector(v.basis, amps)
 
 
@@ -417,7 +407,9 @@ def adiabatic_ramp(
 
 @dataclass(frozen=True)
 class RampContext:
-    """Fixed data of one ramp problem: sector, couplings, input, target."""
+    """Fixed data of one ramp problem: sector, couplings, input, target;
+    and the ramps integrated for it, which :func:`converged_ramp` keeps
+    by ``(T_A, steps, tol)``."""
 
     basis: SectorBasis
     base: BondCouplings
@@ -425,6 +417,7 @@ class RampContext:
     J_target: float
     v0: StateVector
     target: StateVector
+    _ramps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -448,7 +441,6 @@ def converged_ramp(
     *,
     step_tol: float,
     tol: float = 1e-10,
-    cache: dict | None = None,
     target: float | None = None,
 ) -> RampResult:
     """Ramp at fixed duration, doubling steps until infidelity stabilizes.
@@ -458,23 +450,24 @@ def converged_ramp(
     cap.  With a ``target`` infidelity, a doubling that moves it by
     Delta >= ``step_tol`` while the finer value still exceeds the target
     by more than Delta ends the refinement early: the result is marked
-    ``converged=False`` and is certain to miss the target.  ``cache``
-    maps ``(T_A, steps)`` to ramps already integrated for this ``ctx``
-    and ``tol``; they are looked up instead of run again, so a call with
-    a looser target or none resumes where an early stop left off.
+    ``converged=False`` and is certain to miss the target.  Ramps the
+    context already holds for ``(T_A, steps, tol)`` are looked up instead
+    of run again, so a repeated call returns the same result without
+    integrating, and one with a looser target or none resumes where an
+    early stop left off.
     """
     if not tol > 0.0:
         raise ValueError(f"Krylov tolerance must be positive, got {tol}")
-    cache = {} if cache is None else cache
     steps = _initial_steps(ctx, T_A)
     prev = None
     while steps <= MAX_RAMP_STEPS:
-        if (T_A, steps) not in cache:
+        key = (T_A, steps, tol)
+        if key not in ctx._ramps:
             sched = RampSchedule(T_A, steps, ctx.bond, ctx.J_target)
             state = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched, tol=tol)
             fid = infidelity(state.normalized(), ctx.target)
-            cache[T_A, steps] = RampResult(T_A, fid, state, steps)
-        res = cache[T_A, steps]
+            ctx._ramps[key] = RampResult(T_A, fid, state, steps)
+        res = ctx._ramps[key]
         if prev is not None:
             delta = abs(res.infidelity - prev.infidelity)
             if delta < step_tol:
@@ -517,7 +510,6 @@ def ramp_time_for_infidelity(
     refine_bisections: int = 0,
     step_tol: float | None = None,
     tol: float = 1e-10,
-    probe_cache: dict | None = None,
 ) -> RampResult:
     """First ramp duration on a doubling grid that meets the target,
     refined by bisection.
@@ -532,40 +524,28 @@ def ramp_time_for_infidelity(
     certain to miss the target (see :func:`converged_ramp`).  The
     returned ramp is always converged; when no duration reaches the
     target, every probed duration is converged before
-    :class:`RampSearchError` reports the best of them.  Searches sharing
-    one ``probe_cache`` integrate no ramp twice, whatever their
-    ``step_tol`` and target.
+    :class:`RampSearchError` reports the best of them.  Searches on one
+    ``ctx`` integrate no ramp twice, whatever their ``step_tol`` and
+    target.
     """
     if not 0.0 < target_infidelity < 1.0:
         raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
     _check_search(T_start, T_cap, refine_bisections, step_tol, tol)
     if step_tol is None:
         step_tol = default_step_tol(target_infidelity)
-    cache = probe_cache if probe_cache is not None else {}
-
-    def probe(T_A: float, target: float | None = target_infidelity) -> RampResult:
-        # converged probes sit beside the (T_A, steps) ramps they are made
-        # of; an early-stopped one is rebuilt from those ramps when asked again
-        key = ("probe", T_A, step_tol)
-        if key in cache:
-            return cache[key]
-        res = converged_ramp(ctx, T_A, step_tol=step_tol, tol=tol, cache=cache, target=target)
-        if res.converged:
-            cache[key] = res
-        return res
-
     missed = []
     hi = None
     T = T_start
     while T <= T_cap:
-        res = probe(T)
+        res = converged_ramp(ctx, T, step_tol=step_tol, tol=tol, target=target_infidelity)
         if res.infidelity <= target_infidelity:
             hi = res
             break
         missed.append(T)
         T *= 2.0
     if hi is None:
-        best = min((probe(T, None) for T in missed), key=lambda r: r.infidelity)
+        best = min((converged_ramp(ctx, T, step_tol=step_tol, tol=tol) for T in missed),
+                   key=lambda r: r.infidelity)
         raise RampSearchError(
             f"no ramp duration up to {T_cap:.6g} reached infidelity "
             f"{target_infidelity:.3e} (best {best.infidelity:.3e} at "
@@ -576,7 +556,7 @@ def ramp_time_for_infidelity(
         lo = missed[-1]
         for _ in range(refine_bisections):
             mid = 0.5 * (lo + hi.T_A)
-            res = probe(mid)
+            res = converged_ramp(ctx, mid, step_tol=step_tol, tol=tol, target=target_infidelity)
             if res.infidelity <= target_infidelity:
                 hi = res
             else:

@@ -36,6 +36,16 @@ MAX_SECTOR_DIM = 1 << 24
 MAX_SITES = 63
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    import os
+
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
     """All configurations of an L-site chain with exactly n_up spins up.
@@ -264,10 +274,26 @@ def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHam
     exchange of antiparallel neighbors across that bond; magnetization is
     conserved, so the sector closes under all hops.  Zero bonds store
     nothing.
+
+    Raises :class:`CapacityError`, before allocating, when the sector,
+    the CSR and the Lanczos working set of ``spectral.lowest_two`` would
+    together exceed physical memory: 8 bytes per configuration, 12 per
+    stored hop (at most 2 dim n(L-n)/L of them: dim times the mean count
+    of antiparallel bonds), 4 per row pointer, and 20 + 3 float64
+    vectors of length dim in ARPACK.
     """
     if couplings.n_sites != basis.L:
         raise ValueError(
             f"couplings are for {couplings.n_sites} sites, basis has {basis.L}"
+        )
+    L, n, dim = basis.L, basis.n_up, basis.dim
+    need = 8 * dim + 12 * (2 * dim * n * (L - n) // L) + 4 * (dim + 1) + 8 * 23 * dim
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise CapacityError(
+            f"sector (L={L}, n_up={n}) needs {need / 2**30:.3g} GiB for its "
+            f"Hamiltonian and Lanczos vectors, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
         )
     indptr, indices, bond = _hop_pattern(basis, np.flatnonzero(couplings.J))
     matrix = sp.csr_matrix(

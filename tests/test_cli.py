@@ -297,6 +297,24 @@ def test_fuse_csv_golden(capsys):
     assert float(comments["final_infidelity"]) == pytest.approx(1.39914857759e-05, rel=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--L", "4"],
+    ["fuse", "--L-final", "8"],
+    ["converge", "--L", "4", "--m-max", "2"],
+])
+def test_negative_coupling_reports_the_same_costs(argv, capsys):
+    # costs are |J| kappa: the sign of J changes no time and no probability
+    out = {}
+    for J in ("1", "-1"):
+        assert run([*argv, "--J", J]) == 0
+        _, header, rows, trailing = csv_body(capsys.readouterr().out)
+        col = header.split(",").index("J_kappa")
+        cumulative = [c for c in trailing if "J_kappa" in c]
+        out[J] = [r.split(",")[col] for r in rows], cumulative
+    assert out["-1"] == out["1"]
+    assert all(float(k) >= 0.0 for k in out["1"][0])
+
+
 def test_fuse_failure_writes_partial_rows(tmp_path, capsys):
     out = tmp_path / "fuse.csv"
     rc = run(["fuse", "--method", "adiabatic", "--target", "3e-3",

@@ -15,6 +15,7 @@ from xxfusion import (
     FusionStep,
     PurificationError,
     RampSearchError,
+    RodeoAnnihilationError,
     StepRecord,
     build_hamiltonian,
     compare_methods,
@@ -315,6 +316,59 @@ def test_compare_methods_integrates_each_ramp_once(monkeypatch):
     assert ramps
     assert len(ramps) == len(set(ramps))
     assert len(ramps) <= 37
+
+
+@pytest.mark.parametrize("L", [4, 8])
+def test_fuse_step_records_equal_compare_rows(L):
+    # one cell evaluator: a single-target table is fuse_step, bit for bit
+    rows = compare_methods(L, Fraction(1, 2), [1e-3])
+    half = half_ground(L // 2, L // 4)
+    for row in rows:
+        _, rec = fuse_step(half, row.method, 1e-3)
+        assert row.status == "OK"
+        assert (rec.achieved_infidelity, rec.t_A, rec.t_R, rec.p, rec.kappa) == (
+            row.achieved_infidelity, row.t_A, row.t_R, row.p, row.J_kappa)
+
+
+def test_adiabatic_cells_converge_at_the_tightest_targets_step_tol():
+    step = FusionStep.exact_halves(8, Fraction(1, 2), FusionConfig())
+    (_, loose), _ = step.cells("adiabatic", [1e-3, 1e-4])
+    grouped = step.ramp(1e-3, step_tol=default_step_tol(1e-4))
+    alone = step.ramp(1e-3)  # default_step_tol(1e-3), as fuse_step has it
+    assert loose.achieved_infidelity == grouped.infidelity
+    assert loose.ramp_steps == grouped.steps
+    assert alone.infidelity != grouped.infidelity  # 4.398e-4 against 4.466e-4
+
+
+def test_compare_methods_capped_sweep_keeps_cells_it_met():
+    # T_cap = 4 still holds the hybrid's ramp of 2.5; with the loose
+    # step_tol it spares the adiabatic 1e-9 search its duration of 10240
+    cfg = FusionConfig(max_superiterations=1, T_cap=4.0, step_tol=1e-4)
+    rows = compare_methods(4, Fraction(1, 2), (1e-3, 1e-9), config=cfg)
+    by_cell = {(r.method, r.target_infidelity): r for r in rows}
+    met, missed = by_cell[("hybrid", 1e-3)], by_cell[("hybrid", 1e-9)]
+    assert met.status == "OK" and missed.status == "FAILED"
+    assert missed.achieved_infidelity == met.achieved_infidelity  # best seen
+    assert "1.000e-09 not reached within 1 superiterations" in missed.message
+    # the rodeo sweep meets neither target in one superiteration
+    assert by_cell[("rodeo", 1e-3)].status == by_cell[("rodeo", 1e-9)].status == "FAILED"
+
+
+def test_fusion_step_sweep_error_keeps_met_cells(monkeypatch):
+    step = FusionStep.exact_halves(4, Fraction(1, 2), FusionConfig())
+    sweep = FusionStep.sweep
+
+    def breaks_after_first(self, start):
+        for m, *rest in sweep(self, start):
+            if m == 2:
+                raise RodeoAnnihilationError("all weight projected away")
+            yield m, *rest
+
+    monkeypatch.setattr(FusionStep, "sweep", breaks_after_first)
+    (state, rec), err, again = step.cells("hybrid", [1e-3, 1e-6, 1e-9])
+    assert rec.superiterations == 1 and rec.target_infidelity == 1e-3
+    assert isinstance(err, RodeoAnnihilationError) and again is err
+    assert err.best_infidelity == rec.achieved_infidelity
 
 
 def test_compare_methods_argument_errors():

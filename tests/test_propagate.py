@@ -1,5 +1,6 @@
 """Time evolution and the adiabatic middle-bond ramp."""
 
+import dataclasses
 import functools
 import inspect
 import math
@@ -110,7 +111,7 @@ def test_expmv_zero_time_is_identity():
     assert np.allclose(out.amps, v.amps, atol=1e-14)
 
 
-def test_expmv_krylov_breakdown_on_eigenvector():
+def test_expmv_krylov_breakdown_on_eigenvector(monkeypatch):
     # one live bond pairs the configurations: equal amplitudes on each pair
     # span its E = +J eigenspace, opposite ones the E = -J eigenspace
     basis = enumerate_sector(12, 6)
@@ -131,15 +132,17 @@ def test_expmv_krylov_breakdown_on_eigenvector():
     v = StateVector(basis, (up + 1e-15 * down) / np.linalg.norm(up))
     t = 2.3
     # a one-vector budget at zero tolerance returns only through breakdown
-    out = expmv(H, t, v, tol=0.0, method="krylov", max_krylov=1)
+    monkeypatch.setattr(propagate, "MAX_KRYLOV", 1)
+    out = expmv(H, t, v, tol=0.0, method="krylov")
     assert np.linalg.norm(out.amps - np.exp(-0.7j * t) * v.amps) < 1e-12
 
 
-def test_expmv_krylov_stall_raises_with_residual():
+def test_expmv_krylov_stall_raises_with_residual(monkeypatch):
     basis, H = chain(10, 5)
     v = random_state(basis)
+    monkeypatch.setattr(propagate, "MAX_KRYLOV", 2)
     with pytest.raises(PropagationError, match="stalled") as info:
-        expmv(H, 5.0, v, tol=1e-14, method="krylov", max_krylov=2)
+        expmv(H, 5.0, v, tol=1e-14, method="krylov")
     assert math.isfinite(info.value.residual)
     assert info.value.residual > 1e-14
 
@@ -191,7 +194,8 @@ def test_expmv_krylov_escalation_matches_dense(monkeypatch):
     monkeypatch.setattr(propagate, "_lanczos_substep", counted)
     # four basis vectors are too few for one substep, so the substep
     # count is doubled until the error estimate passes
-    krylov = expmv(H, 0.1, v, tol=1e-6, method="krylov", max_krylov=4)
+    monkeypatch.setattr(propagate, "MAX_KRYLOV", 4)
+    krylov = expmv(H, 0.1, v, tol=1e-6, method="krylov")
     assert len(set(stalls)) >= 2  # stalled at two or more substep lengths
     dense = expmv(H, 0.1, v, method="dense")
     assert np.linalg.norm(krylov.amps - dense.amps) < 1e-6
@@ -604,45 +608,69 @@ def counted_ramps(monkeypatch):
     return ramps
 
 
+def fresh_context(L, n):
+    """``ramp_context(L, n)`` holding no ramps yet; the cached one may."""
+    return dataclasses.replace(ramp_context(L, n))
+
+
 def test_ramp_search_shares_probe_cache(monkeypatch):
-    ctx = ramp_context(4, 2)
+    ctx = fresh_context(4, 2)
     ramps = counted_ramps(monkeypatch)
-    cache = {}
-    first = ramp_time_for_infidelity(1e-2, ctx, probe_cache=cache, step_tol=1e-4)
-    n_first = len(cache)
+    first = ramp_time_for_infidelity(1e-2, ctx, step_tol=1e-4)
+    n_first = len(ctx._ramps)
     assert n_first >= 3 and ramps
     ramps.clear()
-    second = ramp_time_for_infidelity(1e-2, ctx, probe_cache=cache, step_tol=1e-4)
+    second = ramp_time_for_infidelity(1e-2, ctx, step_tol=1e-4)
     assert ramps == []  # second search reuses every probe
-    assert len(cache) == n_first
+    assert len(ctx._ramps) == n_first
     assert second is first
 
 
 def test_ramp_search_cache_order_does_not_matter():
     # the tight search leaves probes it stopped early; the loose one resumes them
-    ctx = ramp_context(4, 2)
-    cache = {}
-    ramp_time_for_infidelity(1e-3, ctx, probe_cache=cache)
-    shared = ramp_time_for_infidelity(1e-2, ctx, probe_cache=cache)
-    fresh = ramp_time_for_infidelity(1e-2, ctx)
+    ctx = fresh_context(4, 2)
+    ramp_time_for_infidelity(1e-3, ctx)
+    shared = ramp_time_for_infidelity(1e-2, ctx)
+    fresh = ramp_time_for_infidelity(1e-2, fresh_context(4, 2))
     assert (shared.T_A, shared.steps, shared.infidelity) == (
         fresh.T_A, fresh.steps, fresh.infidelity)
     assert shared.state.amps.tobytes() == fresh.state.amps.tobytes()
 
 
-def test_ramp_search_cap_failure_reports_best():
-    ctx = ramp_context(4, 2)
-    cache = {}
+def test_ramp_search_cap_failure_reports_best(monkeypatch):
+    ctx = fresh_context(4, 2)
     # a step_tol looser than default_step_tol(1e-9) = 1e-10 keeps both probes
     # short; they still stop early first, then converge in full on failure
     step_tol = 1e-5
     with pytest.raises(RampSearchError) as err:
-        ramp_time_for_infidelity(1e-9, ctx, T_cap=2.0, step_tol=step_tol, probe_cache=cache)
-    # the best of the fully converged probes, none stopped early; the cached
+        ramp_time_for_infidelity(1e-9, ctx, T_cap=2.0, step_tol=step_tol)
+    # the best of the fully converged probes, none stopped early; the kept
     # ramps spare integrating them again
-    best = min(converged_ramp(ctx, T, step_tol=step_tol, cache=cache).infidelity
-               for T in (1.0, 2.0))
+    ramps = counted_ramps(monkeypatch)
+    best = min(converged_ramp(ctx, T, step_tol=step_tol).infidelity for T in (1.0, 2.0))
+    assert ramps == []
     assert err.value.best_infidelity == best
+
+
+def test_ramps_are_kept_per_krylov_tolerance(monkeypatch):
+    ctx = fresh_context(4, 2)
+    ramps = counted_ramps(monkeypatch)
+    loose = converged_ramp(ctx, 2.0, step_tol=1e-4, tol=1e-8)
+    n_loose = len(ramps)
+    assert n_loose >= 2 and all(key[2] == 1e-8 for key in ctx._ramps)
+    converged_ramp(ctx, 2.0, step_tol=1e-4, tol=1e-10)
+    # the same (T_A, steps) ramps again, integrated anew at the tighter tol
+    assert ramps[n_loose:] == ramps[:n_loose]
+    assert len(ctx._ramps) == 2 * n_loose
+    assert converged_ramp(ctx, 2.0, step_tol=1e-4, tol=1e-8) is loose
+    assert len(ramps) == 2 * n_loose
+
+
+def test_ramp_context_keeps_its_ramps_out_of_equality():
+    ctx = fresh_context(4, 2)
+    converged_ramp(ctx, 1.0, step_tol=1e-4)
+    assert ctx._ramps and ctx == ramp_context(4, 2)
+    assert "_ramps" not in repr(ctx)
 
 
 def test_converged_ramp_stops_early_only_when_certain_to_miss():

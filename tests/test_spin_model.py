@@ -87,6 +87,38 @@ def test_enumerate_sector_capacity_guard():
         enumerate_sector(28, 14)
 
 
+def test_hamiltonian_beyond_memory_raises_before_allocating(monkeypatch):
+    import xxfusion.spin_model as spin_model
+
+    basis = enumerate_sector(12, 6)
+    dim, nnz = basis.dim, 2 * basis.dim * 6 * 6 // 12
+    need = 8 * dim + 12 * nnz + 4 * (dim + 1) + 8 * 23 * dim
+
+    def no_pattern(*args):
+        raise AssertionError("the Hamiltonian was assembled")
+
+    monkeypatch.setattr(spin_model, "_physical_memory", lambda: need - 1)
+    with monkeypatch.context() as m:
+        m.setattr(spin_model, "_hop_pattern", no_pattern)
+        with pytest.raises(CapacityError, match="physical memory"):
+            build_hamiltonian(basis, BondCouplings.uniform(12))
+    monkeypatch.setattr(spin_model, "_physical_memory", lambda: need)
+    assert build_hamiltonian(basis, BondCouplings.uniform(12)).matrix.nnz == nnz
+
+
+def test_hop_count_bound_holds_in_every_sector():
+    # the capacity check counts 2 dim n (L - n) / L hops: exact with every
+    # bond live, an upper bound with some bonds zero
+    for L in range(2, 13):
+        for n in range(L + 1):
+            basis = enumerate_sector(L, n)
+            bound = 2 * basis.dim * n * (L - n) // L
+            assert build_hamiltonian(basis, BondCouplings.uniform(L)).matrix.nnz == bound
+            J = np.ones(L - 1)
+            J[::2] = 0.0
+            assert build_hamiltonian(basis, BondCouplings(J)).matrix.nnz <= bound
+
+
 def test_enumerate_sector_site_cap():
     # configurations are int64 bit strings: 63 sites fit, 64 do not
     top = enumerate_sector(63, 1)
