@@ -16,7 +16,6 @@ from .errors import (
 )
 from .fusion import (
     METHODS,
-    CompareRow,
     CostLedger,
     FusionConfig,
     FusionPlan,
@@ -25,6 +24,7 @@ from .fusion import (
     compare_methods,
     expected_cost,
     fuse_step,
+    half_ground,
     run_fusion,
 )
 from .propagate import (
@@ -48,6 +48,7 @@ from .rodeo import (
 )
 from .spectral import (
     SpectralPair,
+    chain_pair,
     free_fermion_energies,
     infidelity,
     lowest_two,
@@ -65,21 +66,22 @@ from .spin_model import (
     embed_product,
     enumerate_sector,
     middle_bond,
+    sector_occupancy,
 )
 
 __all__ = [
     "__version__",
     "BondCouplings", "SectorBasis", "SparseHamiltonian", "StateVector",
     "apply_hamiltonian", "basis_state", "build_hamiltonian", "embed_product",
-    "enumerate_sector", "middle_bond",
-    "SpectralPair", "free_fermion_energies", "infidelity", "lowest_two",
+    "enumerate_sector", "middle_bond", "sector_occupancy",
+    "SpectralPair", "chain_pair", "free_fermion_energies", "infidelity", "lowest_two",
     "sector_ground_energy_oracle", "spectral_weight",
     "RampContext", "RampResult", "RampSchedule", "adiabatic_ramp",
     "converged_ramp", "default_step_tol", "expmv", "ramp_time_for_infidelity",
     "RodeoOutcome", "RodeoSchedule", "energy_scan", "make_schedule",
     "rodeo_cycle", "rodeo_cycles", "run_rodeo",
-    "METHODS", "CompareRow", "CostLedger", "FusionConfig", "FusionPlan",
-    "FusionStep", "StepRecord", "compare_methods", "expected_cost", "fuse_step",
+    "METHODS", "CostLedger", "FusionConfig", "FusionPlan", "FusionStep",
+    "StepRecord", "compare_methods", "expected_cost", "fuse_step", "half_ground",
     "run_fusion",
     "SimulationError", "CapacityError", "DegenerateGapError",
     "LanczosConvergenceError", "PropagationError",

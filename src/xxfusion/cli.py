@@ -29,18 +29,12 @@ from .fusion import (
     FusionPlan,
     FusionStep,
     compare_methods,
-    expected_cost,
+    half_ground,
     run_fusion,
 )
 from .rodeo import energy_scan, make_schedule
-from .spectral import lowest_two
-from .spin_model import (
-    BondCouplings,
-    basis_state,
-    build_hamiltonian,
-    embed_product,
-    enumerate_sector,
-)
+from .spectral import chain_pair
+from .spin_model import basis_state, embed_product, sector_occupancy
 
 
 class ConfigError(Exception):
@@ -236,18 +230,22 @@ def _write_csv(path: str, comments: list, header: str, rows: list) -> None:
             fh.write(text)
 
 
-def _sector_occupancy(L: int, filling: Fraction, n_up) -> int:
-    if n_up is not None:
-        if not 0 <= n_up <= L:
-            raise ConfigError(f"n_up={n_up} outside [0, {L}]")
-        return int(n_up)
-    n = filling * L
-    if n.denominator != 1:
-        raise ConfigError(f"filling {filling} is fractional on {L} sites")
-    n = int(n)
-    if not 0 <= n <= L:
-        raise ConfigError(f"filling {filling} gives occupancy outside [0, {L}]")
-    return n
+def _chain_pair(values: dict):
+    """(H, lowest pair) of the gap and scan sector; ``n_up`` overrides ``filling``."""
+    n_up = values["n_up"]
+    if n_up is None:
+        n_up = sector_occupancy(values["L"], values["filling"])
+    return chain_pair(values["L"], n_up, values["J"])
+
+
+#: CSV header of the columns :func:`_cost_columns` writes.
+_COST_HEADER = "target_infidelity,achieved_infidelity,t_A,t_R,p,J_kappa,status"
+
+
+def _cost_columns(r) -> list:
+    """CSV columns from the target on of one :class:`StepRecord`."""
+    costs = (r.target_infidelity, r.achieved_infidelity, r.t_A, r.t_R, r.p, r.J_kappa)
+    return [*map(_fmt, costs), r.status]
 
 
 def _fusion_config(v: dict, **per_command) -> FusionConfig:
@@ -268,14 +266,7 @@ def _fusion_config(v: dict, **per_command) -> FusionConfig:
 
 
 def cmd_gap(values: dict) -> int:
-    n_up = _sector_occupancy(values["L"], values["filling"], values["n_up"])
-    basis = enumerate_sector(values["L"], n_up)
-    if basis.dim < 2:
-        raise ConfigError(
-            f"sector (L={values['L']}, n_up={n_up}) has dimension {basis.dim}; no gap"
-        )
-    H = build_hamiltonian(basis, BondCouplings.uniform(values["L"], values["J"]))
-    pair = lowest_two(H)
+    _, pair = _chain_pair(values)
     t1 = float(np.pi) / pair.gap
     for name, value in (("E0", pair.E0), ("E1", pair.E1), ("gap", pair.gap), ("t1", t1)):
         print(f"{name} = {_fmt(value)}")
@@ -284,20 +275,16 @@ def cmd_gap(values: dict) -> int:
 
 def cmd_compare(values: dict) -> int:
     config = _fusion_config(values, max_superiterations=values["max_superiterations"])
-    rows = compare_methods(values["L"], values["filling"], values["targets"], config=config)
+    records = compare_methods(values["L"], values["filling"], values["targets"], config=config)
     out = []
     failed = False
-    for r in rows:
+    for r in records:
         if r.status == "FAILED":
             failed = True
             print(f"FAILED {r.method} target={_fmt(r.target_infidelity)}: {r.message}",
                   file=sys.stderr)
-        out.append(",".join([
-            r.method, str(r.L), _fmt(r.filling), _fmt(r.target_infidelity),
-            _fmt(r.achieved_infidelity), _fmt(r.t_A), _fmt(r.t_R), _fmt(r.p),
-            _fmt(r.J_kappa), r.status,
-        ]))
-    header = "method,L,filling,target_infidelity,achieved_infidelity,t_A,t_R,p,J_kappa,status"
+        out.append(",".join([r.method, str(r.L), _fmt(values["filling"]), *_cost_columns(r)]))
+    header = f"method,L,filling,{_COST_HEADER}"
     _write_csv(values["output"], [_provenance("compare", values)], header, out)
     return 1 if failed else 0
 
@@ -315,13 +302,7 @@ def _scan_initial(kind: str, basis, pair, J: float):
     if kind == "ground":
         return pair.ground
     if kind == "product":
-        if basis.L % 2 != 0 or basis.n_up % 2 != 0:
-            raise ConfigError("initial=product needs even L and even n_up")
-        half = enumerate_sector(basis.L // 2, basis.n_up // 2)
-        if half.dim < 2:
-            raise ConfigError("initial=product needs half sectors with a gap")
-        half_H = build_hamiltonian(half, BondCouplings.uniform(basis.L // 2, J))
-        g = lowest_two(half_H).ground
+        g = half_ground(basis.L, Fraction(basis.n_up, basis.L), J)
         return embed_product(g, g, basis=basis)
     if kind.startswith("config:"):
         bits = kind[len("config:"):]
@@ -337,21 +318,16 @@ def _scan_initial(kind: str, basis, pair, J: float):
 def cmd_scan(values: dict) -> int:
     if not values["expmv_tol"] > 0.0:
         raise ConfigError(f"expmv tolerance must be positive, got {values['expmv_tol']}")
-    n_up = _sector_occupancy(values["L"], values["filling"], values["n_up"])
-    basis = enumerate_sector(values["L"], n_up)
-    if basis.dim < 2:
-        raise ConfigError(f"sector (L={values['L']}, n_up={n_up}) has no gap to scan")
     if values["points"] < 2:
         raise ConfigError("need at least two grid points")
-    H = build_hamiltonian(basis, BondCouplings.uniform(values["L"], values["J"]))
-    pair = lowest_two(H)
+    H, pair = _chain_pair(values)
     schedule = make_schedule(
         pair.gap,
         depth=values["depth"],
         superiterations=values["superiterations"],
         ratio=values["ratio"],
     )
-    v0 = _scan_initial(values["initial"], basis, pair, values["J"])
+    v0 = _scan_initial(values["initial"], H.basis, pair, values["J"])
     grid = np.linspace(values["e_min"], values["e_max"], values["points"])
     results = energy_scan(v0, H, grid, schedule, tol=values["expmv_tol"])
     rows = [f"{_fmt(E)},{_fmt(p)},OK" for E, p in results]
@@ -367,21 +343,16 @@ def cmd_converge(values: dict) -> int:
     start, t_A, _ = step.start(values["method"])
     rows = []
     for m, _, fid, p_total, t_R in step.sweep(start):
-        kappa = expected_cost(values["method"], t_A, t_R, p_total)
-        rows.append(f"{m},{_fmt(fid)},{_fmt(p_total)},{_fmt(abs(config.J) * kappa)},OK")
-    _write_csv(
-        values["output"], [_provenance("converge", values)],
-        "M,infidelity,p_total,J_kappa,status", rows,
-    )
+        J_kappa = config.J_kappa(values["method"], t_A, t_R, p_total)
+        rows.append(f"{m},{_fmt(fid)},{_fmt(p_total)},{_fmt(J_kappa)},OK")
+    header = "M,infidelity,p_total,J_kappa,status"
+    _write_csv(values["output"], [_provenance("converge", values)], header, rows)
     return 0
 
 
 def cmd_fuse(values: dict) -> int:
-    config = _fusion_config(
-        values,
-        max_superiterations=values["max_superiterations"],
-        level_policy=values["level_policy"],
-    )
+    config = _fusion_config(values, max_superiterations=values["max_superiterations"],
+                            level_policy=values["level_policy"])
     plan = FusionPlan(
         L_final=values["L_final"],
         L_base=values["L_base"],
@@ -389,35 +360,22 @@ def cmd_fuse(values: dict) -> int:
         method=values["method"],
         target_infidelity=values["target"],
     )
-    header = ("step,L,method,target_infidelity,achieved_infidelity,"
-              "t_A,t_R,p,J_kappa,status")
+    header = f"step,L,method,{_COST_HEADER}"
     comments = [_provenance("fuse", values)]
-    rows = []
     failed = False
-    failed_row = None
     try:
         _, ledger = run_fusion(plan, config=config)
-        records = ledger.records
     except SimulationError as err:
         print(f"FAILED: {err}", file=sys.stderr)
-        partial = getattr(err, "partial_ledger", None)
-        records = partial.records if partial is not None else []
-        level = getattr(err, "failed_level", 2 * plan.L_base)
-        failed_row = (f"{len(records) + 1},{level},{plan.method},"
-                      f"{_fmt(plan.target_infidelity)},nan,nan,nan,nan,nan,FAILED")
+        records = [*err.partial_ledger.records, err.failed_record]
         failed = True
-    for i, r in enumerate(records, 1):
-        rows.append(",".join([
-            str(i), str(r.L), r.method, _fmt(r.target_infidelity),
-            _fmt(r.achieved_infidelity), _fmt(r.t_A), _fmt(r.t_R), _fmt(r.p),
-            _fmt(abs(config.J) * r.kappa), "OK",
-        ]))
-    if failed_row is not None:
-        rows.append(failed_row)
-    if not failed and records:
-        J_kappa = abs(config.J) * sum(r.kappa for r in records)
-        comments.append(f"cumulative_J_kappa = {_fmt(J_kappa)}")
-        comments.append(f"final_infidelity = {_fmt(records[-1].achieved_infidelity)}")
+    else:
+        records = ledger.records
+        if records:
+            comments.append(f"cumulative_J_kappa = {_fmt(ledger.cumulative_J_kappa)}")
+            comments.append(f"final_infidelity = {_fmt(records[-1].achieved_infidelity)}")
+    rows = [",".join([str(i), str(r.L), r.method, *_cost_columns(r)])
+            for i, r in enumerate(records, 1)]
     _write_csv(values["output"], comments, header, rows)
     return 1 if failed else 0
 

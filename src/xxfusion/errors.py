@@ -2,7 +2,15 @@
 
 
 class SimulationError(Exception):
-    """Base class for all domain-level failures raised by this package."""
+    """Base class for all domain-level failures raised by this package.
+
+    ``best_infidelity`` is the lowest infidelity the failed search or sweep
+    saw, nan where none applies.
+    """
+
+    def __init__(self, message: str, best_infidelity: float = float("nan")):
+        super().__init__(message)
+        self.best_infidelity = best_infidelity
 
 
 class CapacityError(SimulationError):
@@ -32,10 +40,6 @@ class StepRefinementError(SimulationError):
 class RampSearchError(SimulationError):
     """No ramp duration below the cap reached the requested infidelity."""
 
-    def __init__(self, message: str, best_infidelity: float = float("nan")):
-        super().__init__(message)
-        self.best_infidelity = best_infidelity
-
 
 class RodeoAnnihilationError(SimulationError):
     """All spectral weight was projected away (input orthogonal to target)."""
@@ -43,7 +47,3 @@ class RodeoAnnihilationError(SimulationError):
 
 class PurificationError(SimulationError):
     """The superiteration sweep hit its cap before reaching the target."""
-
-    def __init__(self, message: str, best_infidelity: float = float("nan")):
-        super().__init__(message)
-        self.best_infidelity = best_infidelity

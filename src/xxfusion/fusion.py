@@ -8,14 +8,16 @@ expected total evolution time per prepared copy,
 
     kappa_A = t_A,    kappa_R = t_R / p,    kappa_H = (t_A + t_R) / p,
 
-with p the cumulative rodeo success probability.
+with p the cumulative rodeo success probability.  Costs are reported as
+|J| kappa, formed in one place, :meth:`FusionConfig.J_kappa`, so a
+negative coupling costs what the positive one does.
 
 :class:`FusionStep` holds one step (the doubled chain's Hamiltonian,
 ground energy, gap and ramp problem) and owns its ramp search, the start
 of its rodeo sweep, the sweep itself, and the evaluation of a method at
 a list of targets that both ``fuse_step`` and ``compare_methods`` run
-on; ``run_fusion`` chains ``fuse_step``.  Costs are reported as |J|
-kappa, so a negative coupling costs what the positive one does.
+on; ``run_fusion`` chains ``fuse_step``.  Every costed cell, met or
+failed, is one :class:`StepRecord`.
 """
 
 from __future__ import annotations
@@ -34,15 +36,13 @@ from .propagate import (
     ramp_time_for_infidelity,
 )
 from .rodeo import _check_ladder, make_schedule, rodeo_cycles
-from .spectral import infidelity, lowest_two
+from .spectral import chain_pair, infidelity
 from .spin_model import (
-    BondCouplings,
     SparseHamiltonian,
     StateVector,
-    build_hamiltonian,
     embed_product,
-    enumerate_sector,
     middle_bond,
+    sector_occupancy,
 )
 
 METHODS = ("adiabatic", "rodeo", "hybrid")
@@ -91,10 +91,21 @@ class FusionConfig:
             )
         _check_search(self.T_start, self.T_cap, self.bisections, self.step_tol, self.expmv_tol)
 
+    def J_kappa(self, method: str, t_A: float, t_R: float, p: float) -> float:
+        """The reported cost of one step, |J| times :func:`expected_cost`."""
+        return abs(self.J) * expected_cost(method, t_A, t_R, p)
+
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Cost ledger entry for one fusion step ending at chain length L."""
+    """One costed cell: a fusion step ending at chain length L, by
+    ``method``, at one target infidelity.
+
+    ``J_kappa`` is |J| kappa from :meth:`FusionConfig.J_kappa`.  A FAILED
+    record (:meth:`failed`) holds the best infidelity seen as
+    ``achieved_infidelity``, nan times, probability and cost, zero counts,
+    and the reason as ``message``.
+    """
 
     L: int
     method: str
@@ -103,9 +114,18 @@ class StepRecord:
     t_A: float
     t_R: float
     p: float
-    kappa: float
+    J_kappa: float
     superiterations: int
     ramp_steps: int
+    status: str = "OK"
+    message: str = ""
+
+    @classmethod
+    def failed(cls, L: int, method: str, target: float, err: SimulationError) -> StepRecord:
+        """The FAILED record of a cell that ``err`` stopped."""
+        nan = float("nan")
+        return cls(L, method, target, err.best_infidelity, nan, nan, nan, nan, 0, 0,
+                   "FAILED", str(err))
 
 
 @dataclass
@@ -113,8 +133,8 @@ class CostLedger:
     records: list[StepRecord] = field(default_factory=list)
 
     @property
-    def cumulative_kappa(self) -> float:
-        return float(sum(r.kappa for r in self.records))
+    def cumulative_J_kappa(self) -> float:
+        return float(sum(r.J_kappa for r in self.records))
 
 
 @dataclass(frozen=True)
@@ -128,16 +148,12 @@ class FusionPlan:
     target_infidelity: float
 
 
-def _sector_ground(L: int, filling: Fraction, J: float, name: str) -> StateVector:
-    """Ground of the uniform L-site chain at ``filling``; ``name`` ("base",
-    "half") names the sector in the errors."""
-    n_up = filling * L
-    if n_up.denominator != 1:
-        raise ValueError(f"filling {filling} gives fractional occupation on {L} sites")
-    if not 0 < n_up < L:
-        raise ValueError(f"{name} sector (L={L}, n_up={n_up}) has no gap to anchor")
-    H = build_hamiltonian(enumerate_sector(L, int(n_up)), BondCouplings.uniform(L, J))
-    return lowest_two(H).ground
+def half_ground(L: int, filling, J: float = 1.0) -> StateVector:
+    """Exact ground of the uniform L/2-site chain at ``filling``, one half
+    of a fusion step to L sites."""
+    if L % 2 != 0:
+        raise ValueError(f"L={L} cannot be split into equal halves")
+    return chain_pair(L // 2, sector_occupancy(L // 2, filling), J)[1].ground
 
 
 @dataclass(frozen=True)
@@ -175,23 +191,17 @@ class FusionStep:
         if abs(ground_half.norm() - 1.0) > 1e-9:
             raise ValueError("half-chain state is not normalized")
         L = 2 * ground_half.basis.L
-        basis = enumerate_sector(L, 2 * ground_half.basis.n_up)
-        couplings = BondCouplings.uniform(L, config.J)
-        H = build_hamiltonian(basis, couplings)
-        pair = lowest_two(H)
-        product = embed_product(ground_half, ground_half, basis=basis).normalized()
+        H, pair = chain_pair(L, 2 * ground_half.basis.n_up, config.J)
+        product = embed_product(ground_half, ground_half, basis=H.basis).normalized()
         bond = middle_bond(L)
-        base = couplings.with_bond(bond, 0.0)
-        ctx = RampContext(basis, base, bond, config.J, product, pair.ground)
+        base = H.couplings.with_bond(bond, 0.0)
+        ctx = RampContext(H.basis, base, bond, config.J, product, pair.ground)
         return cls(config, H, pair.E0, pair.gap, ctx)
 
     @classmethod
     def exact_halves(cls, L: int, filling, config: FusionConfig) -> FusionStep:
-        """Fuse two exact sector grounds of the L/2 chain at ``filling``."""
-        if L % 2 != 0:
-            raise ValueError(f"L={L} cannot be split into equal halves")
-        half = _sector_ground(L // 2, Fraction(filling), config.J, "half")
-        return cls.from_half(half, config)
+        """Fuse two copies of :func:`half_ground` of L at ``filling``."""
+        return cls.from_half(half_ground(L, filling, config.J), config)
 
     def ramp(self, target: float, *, step_tol: float | None = None) -> RampResult:
         """Converged ramp from the product reaching ``target``, by the duration
@@ -256,7 +266,8 @@ class FusionStep:
         one sweep to the tightest target; each takes the first
         superiteration that meets its target.  A sweep that raises keeps
         the cells it already met.  A cell whose sweep fails carries the
-        best infidelity the sweep saw as ``best_infidelity``.
+        best infidelity the sweep saw as ``best_infidelity``.  Costs are
+        :meth:`FusionConfig.J_kappa`.
         """
         c = self.config
         L = self.ctx.basis.L
@@ -268,9 +279,9 @@ class FusionStep:
                 except SimulationError as err:
                     yield err
                     continue
-                kappa = expected_cost(method, res.T_A, 0.0, 1.0)
+                J_kappa = c.J_kappa(method, res.T_A, 0.0, 1.0)
                 record = StepRecord(
-                    L, method, target, res.infidelity, res.T_A, 0.0, 1.0, kappa, 0, res.steps
+                    L, method, target, res.infidelity, res.T_A, 0.0, 1.0, J_kappa, 0, res.steps
                 )
                 yield res.state.normalized(), record
             return
@@ -286,9 +297,9 @@ class FusionStep:
             for m, state, fid, p_total, t_R in self.sweep(start):
                 best = min(best, fid)
                 while pending and fid <= pending[0]:
-                    kappa = expected_cost(method, t_A, t_R, p_total)
+                    J_kappa = c.J_kappa(method, t_A, t_R, p_total)
                     yield state, StepRecord(
-                        L, method, pending.pop(0), fid, t_A, t_R, p_total, kappa, m, ramp_steps
+                        L, method, pending.pop(0), fid, t_A, t_R, p_total, J_kappa, m, ramp_steps
                     )
                 if not pending:
                     return
@@ -340,57 +351,36 @@ def run_fusion(
     compound exactly as two independently prepared copies would.  The
     per-level target is the plan target ("uniform" policy) or the plan
     target split evenly across levels ("budget").
+
+    A :class:`SimulationError` at any level, the base ground's included,
+    is raised with the completed levels as ``partial_ledger`` and the
+    failed level's FAILED :class:`StepRecord`, at that level's L and
+    target, as ``failed_record``.
     """
     config = config or FusionConfig()
-    filling = Fraction(plan.filling)
     if plan.L_base < 2:
         raise ValueError(f"base chains need at least 2 sites, got {plan.L_base}")
-    if not 0 <= filling <= 1:
-        raise ValueError(f"filling {filling} outside [0, 1]")
-    steps = 0
-    L = plan.L_base
-    while L < plan.L_final:
-        L *= 2
-        steps += 1
-    if L != plan.L_final:
+    steps = max(plan.L_final // plan.L_base, 1).bit_length() - 1
+    if plan.L_base << steps != plan.L_final:
         raise ValueError(
             f"L_final={plan.L_final} is not L_base={plan.L_base} times a power of two"
         )
-    state = _sector_ground(plan.L_base, filling, config.J, "base")
-    if steps == 0:
-        return state, CostLedger([])
-
     level_target = plan.target_infidelity
-    if config.level_policy == "budget":
-        level_target = plan.target_infidelity / steps
-    ledger = CostLedger([])
-    for _ in range(steps):
-        try:
+    if config.level_policy == "budget" and steps:
+        level_target /= steps
+    ledger = CostLedger()
+    L = 2 * plan.L_base
+    try:
+        state = half_ground(L, plan.filling, config.J)
+        for _ in range(steps):
             state, record = fuse_step(state, plan.method, level_target, config)
-        except SimulationError as err:
-            # let the driver report the completed levels alongside the failure
-            err.partial_ledger = ledger
-            err.failed_level = 2 * state.basis.L
-            raise
-        ledger.records.append(record)
+            ledger.records.append(record)
+            L *= 2
+    except SimulationError as err:
+        err.partial_ledger = ledger
+        err.failed_record = StepRecord.failed(L, plan.method, level_target, err)
+        raise
     return state, ledger
-
-
-@dataclass(frozen=True)
-class CompareRow:
-    """One cell of the method comparison table."""
-
-    method: str
-    L: int
-    filling: Fraction
-    target_infidelity: float
-    achieved_infidelity: float
-    t_A: float
-    t_R: float
-    p: float
-    J_kappa: float
-    status: str
-    message: str = ""
 
 
 def compare_methods(
@@ -399,15 +389,15 @@ def compare_methods(
     infidelity_targets,
     *,
     config: FusionConfig | None = None,
-) -> list[CompareRow]:
+) -> list[StepRecord]:
     """Cost of one fusion step (exact halves) per method and target.
 
     Halves are exact sector grounds of the L/2 chain, so every method
-    starts from the same product state.  Rows follow METHODS order, with
-    targets loosest first inside each method; each method's row group is
+    starts from the same product state.  Records follow METHODS order,
+    with targets loosest first inside each method; each method's group is
     :meth:`FusionStep.cells` at all the targets, and a failed cell gives
-    a FAILED row instead of aborting the table.  ``J_kappa`` is
-    |J| kappa.
+    a FAILED record (:meth:`StepRecord.failed`) instead of aborting the
+    table.
 
     Every adiabatic cell of one call is converged to one step tolerance,
     ``config.step_tol`` or else :func:`default_step_tol` of the tightest
@@ -416,7 +406,6 @@ def compare_methods(
     every search reuses the ramps the step's context already holds.
     """
     config = config or FusionConfig()
-    filling = Fraction(filling)
     targets = sorted(set(float(t) for t in infidelity_targets), reverse=True)
     for t in targets:
         if not 0.0 < t < 1.0:
@@ -424,19 +413,9 @@ def compare_methods(
     step = FusionStep.exact_halves(L, filling, config)
     if not targets:
         return []
-    nan = float("nan")
-    rows = []
+    records = []
     for method in METHODS:
         for target, cell in zip(targets, step.cells(method, targets)):
-            if isinstance(cell, SimulationError):
-                best = getattr(cell, "best_infidelity", nan)
-                rows.append(CompareRow(
-                    method, L, filling, target, best, nan, nan, nan, nan, "FAILED", str(cell)
-                ))
-                continue
-            r = cell[1]
-            rows.append(CompareRow(
-                method, L, filling, target, r.achieved_infidelity, r.t_A, r.t_R, r.p,
-                abs(config.J) * r.kappa, "OK",
-            ))
-    return rows
+            failed = isinstance(cell, SimulationError)
+            records.append(StepRecord.failed(L, method, target, cell) if failed else cell[1])
+    return records

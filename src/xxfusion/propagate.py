@@ -82,7 +82,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import CapacityError, PropagationError, RampSearchError, StepRefinementError
+from .errors import PropagationError, RampSearchError, StepRefinementError
 from .spectral import DENSE_CUTOFF, infidelity
 from .spin_model import (
     BondCouplings,
@@ -90,7 +90,8 @@ from .spin_model import (
     SparseHamiltonian,
     StateVector,
     _hop_pattern,
-    _physical_memory,
+    _norm_inf,
+    _require_memory,
     middle_bond,
 )
 
@@ -246,13 +247,12 @@ class _Propagator:
 
     def __init__(self, mat: sp.csr_matrix):
         n = mat.shape[0]
-        need = (MAX_KRYLOV + 1) * 2 * n * 8
-        have = _physical_memory()
-        if have is not None and need > have:
-            raise CapacityError(
-                f"Krylov workspace of {need / 2**30:.3g} GiB at dimension {n} "
-                f"exceeds the {have / 2**30:.3g} GiB of physical memory"
-            )
+        _require_memory(
+            (MAX_KRYLOV + 1) * 2 * n * 8,
+            "Krylov workspace of {need} GiB at dimension {n} "
+            "exceeds the {have} GiB of physical memory",
+            n=n,
+        )
         self.mat2 = _doubled(mat)
         self.V = np.empty((MAX_KRYLOV + 1, 2 * n))
         self.k_stop = 0
@@ -298,12 +298,6 @@ def expmv(
     return StateVector(v.basis, amps)
 
 
-def _norm_inf(data: np.ndarray, mat: sp.csr_matrix) -> float:
-    """Largest absolute row sum of ``data`` on the pattern of ``mat``."""
-    return float(abs(sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape))
-                 .sum(axis=1).max())
-
-
 class _RampOperator:
     """P^T (H_base + lambda H_bond) P of one ramp problem on one doubled CSR
     pattern, whose entries touched by the bond are refilled per step as
@@ -325,8 +319,8 @@ class _RampOperator:
             mat = (P.T @ mat @ P).tocsr()
             mat.sort_indices()
             mat.data, coef = mat.data.real.copy(), mat.data.imag.copy()
-        self.nb = _norm_inf(mat.data, mat)
-        self.nu = _norm_inf(coef, mat)
+        self.nb = _norm_inf(mat)
+        self.nu = _norm_inf(sp.csr_matrix((coef, mat.indices, mat.indptr), shape=mat.shape))
         self.prop = _Propagator(mat)
         self.ramp = np.flatnonzero(np.tile(coef != 0.0, 2))
         self.base = self.prop.mat2.data[self.ramp].copy()

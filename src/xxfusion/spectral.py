@@ -15,7 +15,13 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import DegenerateGapError, LanczosConvergenceError
-from .spin_model import SparseHamiltonian, StateVector
+from .spin_model import (
+    BondCouplings,
+    SparseHamiltonian,
+    StateVector,
+    build_hamiltonian,
+    enumerate_sector,
+)
 
 #: Sector dimension at which lowest_two switches from dense to Lanczos.
 DENSE_CUTOFF = 400
@@ -56,7 +62,7 @@ def _dense_lowest_two(H: SparseHamiltonian):
     return float(w[0]), float(w[1]), _phase_fixed(U[:, 0])
 
 
-def _lanczos_lowest_two(H: SparseHamiltonian, tol: float = LANCZOS_TOL):
+def _lanczos_lowest_two(H: SparseHamiltonian):
     """Two lowest eigenpairs by ARPACK's implicitly restarted Lanczos.
 
     ARPACK restarts within at most 20 vectors for two pairs, so memory does
@@ -66,7 +72,7 @@ def _lanczos_lowest_two(H: SparseHamiltonian, tol: float = LANCZOS_TOL):
     """
     v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(H.dim)
     try:
-        w, U = eigsh(H.matrix, k=2, which="SA", v0=v0, tol=tol)
+        w, U = eigsh(H.matrix, k=2, which="SA", v0=v0, tol=LANCZOS_TOL)
     except ArpackNoConvergence as err:
         raise LanczosConvergenceError(
             f"Lanczos did not converge two pairs (dim {H.dim}): {err}"
@@ -87,7 +93,9 @@ def lowest_two(H: SparseHamiltonian, *, force_method: str | None = None) -> Spec
     schedule downstream divides by the gap.
     """
     if H.dim < 2:
-        raise ValueError(f"sector dimension {H.dim} has no first excited state")
+        raise ValueError(
+            f"sector (L={H.basis.L}, n_up={H.basis.n_up}) has dimension {H.dim}; no gap"
+        )
     if force_method not in (None, "dense", "lanczos"):
         raise ValueError(f"unknown method {force_method!r}")
     method = force_method or ("dense" if H.dim < DENSE_CUTOFF else "lanczos")
@@ -104,6 +112,12 @@ def lowest_two(H: SparseHamiltonian, *, force_method: str | None = None) -> Spec
         )
     ground = StateVector(H.basis, vec.astype(np.complex128))
     return SpectralPair(E0, E1, ground)
+
+
+def chain_pair(L: int, n_up: int, J: float = 1.0) -> tuple[SparseHamiltonian, SpectralPair]:
+    """The uniform L-site chain's Hamiltonian in sector ``n_up``, and its lowest pair."""
+    H = build_hamiltonian(enumerate_sector(L, n_up), BondCouplings.uniform(L, J))
+    return H, lowest_two(H)
 
 
 def free_fermion_energies(L: int, J: float = 1.0) -> np.ndarray:

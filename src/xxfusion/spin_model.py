@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +45,22 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def _require_memory(need: int, message: str, **fields) -> None:
+    """Raise :class:`CapacityError`, before anything is allocated, when
+    ``need`` bytes exceed physical memory.  ``message`` is formatted with
+    ``need`` and ``have`` in GiB plus ``fields``."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise CapacityError(
+            message.format(need=f"{need / 2**30:.3g}", have=f"{have / 2**30:.3g}", **fields)
+        )
+
+
+def _norm_inf(mat: sp.csr_matrix) -> float:
+    """Largest absolute row sum of ``mat``; bounds its spectral radius."""
+    return float(abs(mat).sum(axis=1).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +123,7 @@ class SectorBasis:
         return self is other or (self.L == other.L and self.n_up == other.n_up)
 
 
-def enumerate_sector(L: int, n_up: int, *, max_dim: int = MAX_SECTOR_DIM) -> SectorBasis:
+def enumerate_sector(L: int, n_up: int) -> SectorBasis:
     """Enumerate the fixed-magnetization basis of an open L-site chain.
 
     Returns a :class:`SectorBasis` whose configurations are sorted
@@ -123,9 +140,9 @@ def enumerate_sector(L: int, n_up: int, *, max_dim: int = MAX_SECTOR_DIM) -> Sec
             f"L={L} exceeds {MAX_SITES} sites, the most a 64-bit configuration holds"
         )
     dim = math.comb(L, n_up)
-    if dim > max_dim:
+    if dim > MAX_SECTOR_DIM:
         raise CapacityError(
-            f"sector (L={L}, n_up={n_up}) has dimension {dim}, above the cap {max_dim}"
+            f"sector (L={L}, n_up={n_up}) has dimension {dim}, above the cap {MAX_SECTOR_DIM}"
         )
     empty = np.empty(0, dtype=np.int64)
     level = {0: np.zeros(1, dtype=np.int64)}
@@ -138,6 +155,17 @@ def enumerate_sector(L: int, n_up: int, *, max_dim: int = MAX_SECTOR_DIM) -> Sec
             for k in range(lowest, min(m + 1, n_up) + 1)
         }
     return SectorBasis(L, n_up, level[n_up])
+
+
+def sector_occupancy(L: int, filling) -> int:
+    """Up-spin count n_up = filling * L of the L-site sector at ``filling``;
+    ValueError unless that is an integer in [0, L]."""
+    n_up = Fraction(filling) * L
+    if n_up.denominator != 1:
+        raise ValueError(f"filling {filling} gives fractional occupation on {L} sites")
+    if not 0 <= n_up <= L:
+        raise ValueError(f"filling {filling} gives occupancy outside [0, {L}]")
+    return int(n_up)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +244,7 @@ class SparseHamiltonian:
     def norm_inf(self) -> float:
         """Cached max absolute row sum; bounds the spectral radius."""
         if self._norm_cache is None:
-            if self.matrix.nnz == 0:
-                nrm = 0.0
-            else:
-                nrm = float(np.abs(self.matrix).sum(axis=1).max())
-            object.__setattr__(self, "_norm_cache", nrm)
+            object.__setattr__(self, "_norm_cache", _norm_inf(self.matrix))
         return self._norm_cache
 
 
@@ -288,13 +312,12 @@ def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHam
         )
     L, n, dim = basis.L, basis.n_up, basis.dim
     need = 8 * dim + 12 * (2 * dim * n * (L - n) // L) + 4 * (dim + 1) + 8 * 23 * dim
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise CapacityError(
-            f"sector (L={L}, n_up={n}) needs {need / 2**30:.3g} GiB for its "
-            f"Hamiltonian and Lanczos vectors, more than the "
-            f"{have / 2**30:.3g} GiB of physical memory"
-        )
+    _require_memory(
+        need,
+        "sector (L={L}, n_up={n}) needs {need} GiB for its Hamiltonian and "
+        "Lanczos vectors, more than the {have} GiB of physical memory",
+        L=L, n=n,
+    )
     indptr, indices, bond = _hop_pattern(basis, np.flatnonzero(couplings.J))
     matrix = sp.csr_matrix(
         (couplings.J[bond], indices, indptr), shape=(basis.dim, basis.dim)

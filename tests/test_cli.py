@@ -204,12 +204,13 @@ def test_scan_ground_input_solves_the_sector_once(monkeypatch, capsys):
     assert run(argv) == 0
     expected = capsys.readouterr().out
     calls = []
+    lowest_two = spectral.lowest_two
 
     def counted(H):
         calls.append(H.dim)
-        return spectral.lowest_two(H)
+        return lowest_two(H)
 
-    monkeypatch.setattr(cli, "lowest_two", counted)
+    monkeypatch.setattr(spectral, "lowest_two", counted)
     assert run(argv) == 0
     assert calls == [20]
     assert capsys.readouterr().out == expected
@@ -313,6 +314,47 @@ def test_negative_coupling_reports_the_same_costs(argv, capsys):
         out[J] = [r.split(",")[col] for r in rows], cumulative
     assert out["-1"] == out["1"]
     assert all(float(k) >= 0.0 for k in out["1"][0])
+
+
+@pytest.mark.parametrize("J", ["2", "0.25"])
+@pytest.mark.parametrize("argv", [
+    ["compare", "--L", "4"],
+    ["fuse", "--L-final", "8"],
+    ["converge", "--L", "8", "--m-max", "3"],
+])
+def test_power_of_two_coupling_scales_only_the_times(argv, J, capsys):
+    # times run in units of 1/|J|, and a power of two scales them exactly:
+    # t_A and t_R shrink by |J|, every other column and comment is unchanged
+    out = {}
+    for value in ("1", J):
+        assert run([*argv, "--J", value]) == 0
+        _, header, rows, trailing = csv_body(capsys.readouterr().out)
+        out[value] = header.split(","), [r.split(",") for r in rows], trailing
+    names, unit, unit_trailing = out["1"]
+    _, scaled, scaled_trailing = out[J]
+    assert scaled_trailing == unit_trailing
+    assert len(scaled) == len(unit)
+    for a, b in zip(unit, scaled):
+        for name, x, y in zip(names, a, b, strict=True):
+            if name in ("t_A", "t_R"):
+                assert float(y) == pytest.approx(float(x) / float(J), rel=1e-11, abs=0)
+            else:
+                assert y == x, name
+
+
+def test_fuse_failed_level_row_carries_its_own_target(capsys):
+    # the budget policy splits 1e-3 over three levels; the L=8 level fails
+    rc = run(["fuse", "--L-final", "16", "--L-base", "2", "--method", "adiabatic",
+              "--target", "1e-3", "--level-policy", "budget", "--t-cap", "16"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    _, _, rows, trailing = csv_body(captured.out)
+    assert rows[0].startswith("1,4,adiabatic,0.000333333333333,") and rows[0].endswith(",OK")
+    assert rows[1].startswith("2,8,adiabatic,0.000333333333333,")
+    assert rows[1].endswith(",nan,nan,nan,nan,FAILED")
+    best = float(rows[1].split(",")[4])  # the best infidelity of the failed search
+    assert "infidelity 3.333e-04" in captured.err and f"best {best:.3e}" in captured.err
+    assert trailing == []
 
 
 def test_fuse_failure_writes_partial_rows(tmp_path, capsys):

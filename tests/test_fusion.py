@@ -9,6 +9,7 @@ import pytest
 import xxfusion.propagate as propagate
 from xxfusion import (
     BondCouplings,
+    CapacityError,
     CostLedger,
     FusionConfig,
     FusionPlan,
@@ -85,7 +86,7 @@ def test_fuse_step_adiabatic_golden():
     assert rec.L == 4 and rec.method == "adiabatic"
     assert rec.t_A == 9.0
     assert rec.t_R == 0.0 and rec.p == 1.0
-    assert rec.kappa == 9.0
+    assert rec.J_kappa == 9.0
     assert rec.superiterations == 0 and rec.ramp_steps > 0
     assert rec.achieved_infidelity == pytest.approx(3.714410696875614e-05, rel=1e-6)
     target = lowest_two(
@@ -99,7 +100,7 @@ def test_fuse_step_hybrid_golden():
     assert rec.t_A == 2.5
     assert rec.t_R == pytest.approx(5.063347427892156, rel=1e-12)
     assert rec.p == pytest.approx(0.9950787873195873, rel=1e-9)
-    assert rec.kappa == pytest.approx(7.600752346721518, rel=1e-9)
+    assert rec.J_kappa == pytest.approx(7.600752346721518, rel=1e-9)
     assert rec.superiterations == 1
     assert rec.achieved_infidelity == pytest.approx(4.929140188558723e-05, rel=1e-6)
 
@@ -117,7 +118,7 @@ def test_fuse_step_skips_purification_when_target_is_loose():
     # the raw product already has infidelity ~0.103 at L=4
     state, rec = fuse_step(half_ground(), "rodeo", 0.5)
     assert rec.superiterations == 0
-    assert rec.t_R == 0.0 and rec.p == 1.0 and rec.kappa == 0.0
+    assert rec.t_R == 0.0 and rec.p == 1.0 and rec.J_kappa == 0.0
     assert rec.achieved_infidelity == pytest.approx(0.1027864045000435, abs=1e-12)
 
 
@@ -179,7 +180,7 @@ def test_run_fusion_ladder_golden():
                       method="hybrid", target_infidelity=1e-3)
     state, ledger = run_fusion(plan)
     assert [r.L for r in ledger.records] == [4, 8]
-    assert ledger.cumulative_kappa == pytest.approx(20.729187813285577, rel=1e-9)
+    assert ledger.cumulative_J_kappa == pytest.approx(20.729187813285577, rel=1e-9)
     assert ledger.records[1].achieved_infidelity == pytest.approx(
         1.39914857759e-05, rel=1e-6
     )
@@ -197,7 +198,7 @@ def test_run_fusion_trivial_plan_returns_exact_ground():
                       method="rodeo", target_infidelity=1e-3)
     state, ledger = run_fusion(plan)
     assert ledger.records == []
-    assert ledger.cumulative_kappa == 0.0
+    assert ledger.cumulative_J_kappa == 0.0
     target = lowest_two(
         build_hamiltonian(enumerate_sector(4, 2), BondCouplings.uniform(4))
     ).ground
@@ -232,17 +233,33 @@ def test_run_fusion_failure_carries_partial_ledger():
                       method="adiabatic", target_infidelity=3e-3)
     with pytest.raises(RampSearchError) as err:
         run_fusion(plan, config=FusionConfig(T_cap=8.0))
-    assert err.value.failed_level == 8
+    assert err.value.failed_record.L == 8
     assert [r.L for r in err.value.partial_ledger.records] == [4]
+    failed = err.value.failed_record
+    assert failed.status == "FAILED" and failed.target_infidelity == 3e-3
+    assert failed.achieved_infidelity == err.value.best_infidelity
+    assert failed.message == str(err.value) and math.isnan(failed.J_kappa)
+
+
+def test_run_fusion_base_failure_carries_failed_record():
+    # the 64-site base sector is refused before anything is allocated
+    plan = FusionPlan(L_final=128, L_base=64, filling=Fraction(1, 2),
+                      method="hybrid", target_infidelity=1e-3)
+    with pytest.raises(CapacityError) as err:
+        run_fusion(plan, config=FusionConfig(level_policy="budget"))
+    assert err.value.partial_ledger.records == []
+    failed = err.value.failed_record
+    assert (failed.L, failed.method, failed.target_infidelity) == (128, "hybrid", 1e-3)
+    assert failed.status == "FAILED" and math.isnan(failed.achieved_infidelity)
 
 
 def test_cost_ledger_accumulates():
     ledger = CostLedger()
-    assert ledger.cumulative_kappa == 0.0
+    assert ledger.cumulative_J_kappa == 0.0
     rec = StepRecord(4, "rodeo", 1e-3, 1e-5, 0.0, 4.0, 0.5, 8.0, 2, 0)
     ledger.records.append(rec)
     ledger.records.append(rec)
-    assert ledger.cumulative_kappa == 16.0
+    assert ledger.cumulative_J_kappa == 16.0
 
 
 # ------------------------------------------------------- compare_methods
@@ -326,7 +343,7 @@ def test_fuse_step_records_equal_compare_rows(L):
     for row in rows:
         _, rec = fuse_step(half, row.method, 1e-3)
         assert row.status == "OK"
-        assert (rec.achieved_infidelity, rec.t_A, rec.t_R, rec.p, rec.kappa) == (
+        assert (rec.achieved_infidelity, rec.t_A, rec.t_R, rec.p, rec.J_kappa) == (
             row.achieved_infidelity, row.t_A, row.t_R, row.p, row.J_kappa)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 import xxfusion.propagate as propagate
+import xxfusion.spin_model as spin_model
 from xxfusion import (
     BondCouplings,
     CapacityError,
@@ -282,19 +283,19 @@ def test_krylov_workspace_beyond_memory_raises_before_allocating(method, monkeyp
     def no_workspace(*args, **kwargs):
         raise AssertionError("the workspace was allocated")
 
-    monkeypatch.setattr(propagate, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(spin_model, "_physical_memory", lambda: need - 1)
     with monkeypatch.context() as m:
         m.setattr(propagate, "_doubled", no_workspace)
         with pytest.raises(CapacityError, match="exceeds"):
             run()
-    monkeypatch.setattr(propagate, "_physical_memory", lambda: need)
+    monkeypatch.setattr(spin_model, "_physical_memory", lambda: need)
     assert abs(run().norm() - 1.0) < 1e-12
-    monkeypatch.setattr(propagate, "_physical_memory", lambda: None)  # unknown: no limit
+    monkeypatch.setattr(spin_model, "_physical_memory", lambda: None)  # unknown: no limit
     assert abs(run().norm() - 1.0) < 1e-12
 
 
 def test_physical_memory_is_read():
-    assert propagate._physical_memory() > 0
+    assert spin_model._physical_memory() > 0
 
 
 def test_substep_walks_back_to_the_first_passing_estimate():

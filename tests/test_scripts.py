@@ -7,10 +7,15 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, argv, monkeypatch):
+def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def run_script(name, argv, monkeypatch, module=None):
+    module = module or load_script(name)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
     return module.main()
 
@@ -41,3 +46,17 @@ def test_fusion_ladder_smallest_ladder(tmp_path, monkeypatch):
         "fuse_L4_adiabatic.csv", "fuse_L4_hybrid.csv", "fuse_L4_rodeo.csv",
     ]
     assert all(p.read_text().startswith("# xxfusion ") for p in outs)
+
+
+def test_golden_outputs_one_short_invocation(tmp_path, monkeypatch):
+    module = load_script("golden_outputs")
+    monkeypatch.setattr(module, "INVOCATIONS", ["gap --L 4", "gap --L 4 --n-up 0"])
+    assert run_script("golden_outputs", [str(tmp_path)], monkeypatch, module) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gap_L_4", "gap_L_4_n-up_0"]
+    ok, bad = tmp_path / "gap_L_4", tmp_path / "gap_L_4_n-up_0"
+    assert (ok / "stdout").read_text().startswith("E0 = -2.2360679775")
+    assert (ok / "stderr").read_text() == ""
+    assert (ok / "exit_code").read_text() == "0\n"
+    assert (bad / "stdout").read_text() == ""
+    assert (bad / "stderr").read_text().startswith("config error: ")
+    assert (bad / "exit_code").read_text() == "2\n"
