@@ -38,6 +38,8 @@ INVOCATIONS = [
     "scan --L 14 --n-up 6 --initial product --e-min -9 --e-max 9 --points 81 "
     "--depth 8 --superiterations 2",
     "scan --L 4 --initial product",
+    # a configuration state is not even under reflection: the full-sector Krylov scan
+    "scan --L 12 --n-up 6 --initial config:111111000000 --points 5",
     "gap --L 22 --filling 1/2",
     # FAILED cells and levels: exit 1
     "compare --L 4 --t-cap 1 --targets 1e-3",
@@ -45,6 +47,7 @@ INVOCATIONS = [
     "fuse --L-final 8 --method adiabatic --t-cap 2 --target 1e-6",
     "fuse --L-final 16 --L-base 2 --method adiabatic --target 1e-3 --level-policy budget "
     "--t-cap 16",
+    "fuse --L-final 64 --L-base 64",
     # configuration errors: exit 2
     "gap --L 4 --n-up 0",
     "scan --L 4 --n-up 1 --initial product",

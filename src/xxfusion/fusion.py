@@ -355,7 +355,8 @@ def run_fusion(
     A :class:`SimulationError` at any level, the base ground's included,
     is raised with the completed levels as ``partial_ledger`` and the
     failed level's FAILED :class:`StepRecord`, at that level's L and
-    target, as ``failed_record``.
+    target, as ``failed_record``; a base ground that fails is recorded at
+    the first level, or at L_final when the plan has no step.
     """
     config = config or FusionConfig()
     if plan.L_base < 2:
@@ -378,7 +379,7 @@ def run_fusion(
             L *= 2
     except SimulationError as err:
         err.partial_ledger = ledger
-        err.failed_record = StepRecord.failed(L, plan.method, level_target, err)
+        err.failed_record = StepRecord.failed(min(L, plan.L_final), plan.method, level_target, err)
         raise
     return state, ledger
 

@@ -3,7 +3,11 @@
 ``expmv`` applies exp(-i H t) of one fixed H, as in the rodeo cycles,
 either through its cached dense eigendecomposition (small sectors) or a
 Lanczos/Krylov approximation with internal substepping (large ones),
-whose propagator (doubled CSR, workspace, stop hint) is kept on H.
+whose propagators (doubled CSR, workspace, stop hint) are kept on H.
+The Krylov path runs in the chain's symmetric subspace under the same
+condition as the ramp below: palindromic couplings and v within
+``tol`` |v| of its even part, as the product of two identical halves
+and every rodeo survivor of it are.
 
 The Krylov substep runs a real Lanczos iteration on the state stored as
 a (2, n) block [Re; Im].  H is real symmetric, so every Lanczos vector
@@ -49,7 +53,11 @@ orbit: its indicator over sqrt(|orbit|)).  That subspace is about half
 the sector, a quarter at half filling (12,870 -> 3,299 at L=16), and a
 step costs in proportion to its dimension.  Otherwise P is the identity
 and the arithmetic is the full sector's, bit for bit.  Either operator
-is built once per sector and couplings and kept on the basis.
+is built once per sector and couplings and kept on the basis.  One gate,
+:func:`_symmetric_reduction`, decides the subspace for the ramp and for
+``expmv`` alike; the norm bound of a reduced propagation is that of the
+full H, since ||P^T H P||_2 <= ||H||_2 <= ||H||_inf, so its substeps are
+those of the full sector.
 
 The step count is doubled until the measured infidelity stabilizes.  A
 :class:`RampContext` keeps every ramp integrated for it, keyed by
@@ -217,6 +225,13 @@ def _krylov_propagate(mat2, norm_bound, x, t, tol, V, k_prev=0):
     )
 
 
+def _compressed(mat: sp.csr_matrix, P: sp.csr_matrix) -> sp.csr_matrix:
+    """P^T mat P in CSR with sorted indices."""
+    out = (P.T @ mat @ P).tocsr()
+    out.sort_indices()
+    return out
+
+
 def _doubled(mat: sp.csr_matrix) -> sp.csr_matrix:
     """block_diag(mat, mat) in CSR, built from mat's arrays."""
     n = mat.shape[0]
@@ -274,11 +289,15 @@ def expmv(
 
     ``method`` is "auto" (dense below the sector-size cutoff, Krylov
     above), "dense", or "krylov"; forcing a path is mostly useful for
-    cross-checking the two against each other.  The Krylov path keeps its
-    doubled CSR, workspace and stop hint on ``H`` across calls, so
-    repeated calls on one H rebuild nothing and start their error
-    estimates near the last stop; a workspace larger than physical memory
-    raises :class:`CapacityError` before it is allocated.
+    cross-checking the two against each other.  When H's couplings are
+    palindromic and v lies within ``tol`` |v| of its even part, the
+    Krylov path propagates P^T H P on P^T v in the symmetric subspace and
+    lifts the result back as P x (see the module notes); otherwise it
+    runs in the full sector.  Each path keeps its doubled CSR, workspace
+    and stop hint on ``H`` across calls, so repeated calls on one H
+    rebuild nothing and start their error estimates near the last stop; a
+    workspace larger than physical memory raises :class:`CapacityError`
+    before it is allocated.
     """
     if not H.basis.same_sector(v.basis) or H.dim != v.basis.dim:
         raise ValueError("state and Hamiltonian live in different sectors")
@@ -292,9 +311,13 @@ def expmv(
         w, U = H.dense_eig()
         amps = U @ (np.exp(-1j * w * t) * (U.T @ v.amps))
     else:
-        if H._propagator is None:
-            object.__setattr__(H, "_propagator", _Propagator(H.matrix))
-        amps = _join(H._propagator(_split(v.amps), t, tol, H.norm_inf()))
+        P, x = _symmetric_reduction(H.basis, H.couplings, v, tol) or (None, v.amps)
+        key = P is not None
+        if key not in H._propagators:
+            H._propagators[key] = _Propagator(H.matrix if P is None else _compressed(H.matrix, P))
+        amps = _join(H._propagators[key](_split(x), t, tol, H.norm_inf()))
+        if P is not None:
+            amps = P @ amps
     return StateVector(v.basis, amps)
 
 
@@ -316,8 +339,7 @@ class _RampOperator:
         coef = (hop_bond == bond).astype(np.float64)
         if P is not None:
             mat.data = mat.data + 1j * coef
-            mat = (P.T @ mat @ P).tocsr()
-            mat.sort_indices()
+            mat = _compressed(mat, P)
             mat.data, coef = mat.data.real.copy(), mat.data.imag.copy()
         self.nb = _norm_inf(mat)
         self.nu = _norm_inf(sp.csr_matrix((coef, mat.indices, mat.indptr), shape=mat.shape))
@@ -332,15 +354,16 @@ class _RampOperator:
         return self.nb + abs(lam) * self.nu
 
 
-def _symmetric_reduction(basis: SectorBasis, base: BondCouplings, v0: StateVector, tol: float):
-    """(P, P^T v0) when the ramp can run in the symmetric subspace, else None:
-    the base couplings are palindromic, so H(lambda) commutes with the chain's
-    symmetries, and v0 lies within ``tol`` of its even part P P^T v0."""
-    if not np.array_equal(base.J, base.J[::-1]):
+def _symmetric_reduction(basis: SectorBasis, couplings: BondCouplings, v: StateVector, tol: float):
+    """(P, P^T v) when v can be propagated in the symmetric subspace, else
+    None: the couplings are palindromic, so H commutes with the chain's
+    symmetries (for a ramp's base couplings, H(lambda) at every lambda), and
+    v lies within ``tol`` |v| of its even part P P^T v."""
+    if not np.array_equal(couplings.J, couplings.J[::-1]):
         return None
     P = basis.symmetric_isometry()
-    x = P.T @ v0.amps
-    if np.linalg.norm(v0.amps - P @ x) > tol:
+    x = P.T @ v.amps
+    if np.linalg.norm(v.amps - P @ x) > tol * np.linalg.norm(v.amps):
         return None
     return P, x
 

@@ -227,8 +227,9 @@ class SparseHamiltonian:
     matrix: sp.csr_matrix
     _eig_cache: tuple | None = field(default=None, init=False, repr=False)
     _norm_cache: float | None = field(default=None, init=False, repr=False)
-    #: Krylov propagator of ``propagate.expmv``, built on its first call
-    _propagator: object = field(default=None, init=False, repr=False)
+    #: Krylov propagators of ``propagate.expmv``, keyed by whether they run
+    #: in the symmetric subspace; each built on its first use
+    _propagators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:

@@ -369,6 +369,16 @@ def test_fuse_failure_writes_partial_rows(tmp_path, capsys):
     assert trailing == []  # no cumulative cost for a failed ladder
 
 
+def test_fuse_failed_base_ground_without_steps_is_recorded_at_L_final(capsys):
+    # L_final = L_base: no fusion step, and the 64-site chain is refused
+    assert run(["fuse", "--L-final", "64", "--L-base", "64"]) == 1
+    captured = capsys.readouterr()
+    _, _, rows, trailing = csv_body(captured.out)
+    assert rows == ["1,64,hybrid,0.001,nan,nan,nan,nan,nan,FAILED"]
+    assert captured.err == "FAILED: L=64 exceeds 63 sites, the most a 64-bit configuration holds\n"
+    assert trailing == []
+
+
 def test_fuse_plan_validation_exit_codes(capsys):
     assert run(["fuse", "--L-final", "12", "--L-base", "2"]) == 2
     assert run(["fuse", "--L-final", "8", "--filling", "1/3"]) == 2

@@ -253,6 +253,17 @@ def test_run_fusion_base_failure_carries_failed_record():
     assert failed.status == "FAILED" and math.isnan(failed.achieved_infidelity)
 
 
+def test_run_fusion_base_failure_without_steps_is_recorded_at_L_final():
+    # L_final = L_base: the base ground is the final chain, not half of a step
+    plan = FusionPlan(L_final=64, L_base=64, filling=Fraction(1, 2),
+                      method="hybrid", target_infidelity=1e-3)
+    with pytest.raises(CapacityError) as err:
+        run_fusion(plan)
+    assert err.value.partial_ledger.records == []
+    failed = err.value.failed_record
+    assert (failed.L, failed.method, failed.target_infidelity) == (64, "hybrid", 1e-3)
+
+
 def test_cost_ledger_accumulates():
     ledger = CostLedger()
     assert ledger.cumulative_J_kappa == 0.0

@@ -266,19 +266,96 @@ def test_expmv_keeps_one_propagator_per_hamiltonian(monkeypatch):
     assert len(eig) < n_fresh  # later calls start their estimates near the last stop
 
 
-@pytest.mark.parametrize("method", ["krylov", "ramp"])
+def even_state(basis, rng):
+    """A random normalized state in the range of the symmetric isometry."""
+    P = basis.symmetric_isometry()
+    x = rng.standard_normal(P.shape[1]) + 1j * rng.standard_normal(P.shape[1])
+    return StateVector(basis, P @ (x / np.linalg.norm(x)))
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 12])
+def test_expmv_krylov_on_even_states_matches_dense(L, monkeypatch):
+    rng = np.random.default_rng(L)
+    for n in range(L + 1):
+        basis, H = chain(L, n)
+        v = even_state(basis, rng)
+        taken = reductions(monkeypatch)
+        krylov = expmv(H, 3.0, v, method="krylov")
+        assert taken == [True]
+        dense = expmv(H, 3.0, v, method="dense")
+        assert np.linalg.norm(krylov.amps - dense.amps) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["random", "nearly-even", "small-nearly-even", "non-palindromic"])
+def test_expmv_off_symmetry_runs_in_full_sector_bit_identically(case, monkeypatch):
+    rng = np.random.default_rng(1012)
+    basis, H = chain(12, 6)
+    even = even_state(basis, rng)
+    if case == "random":
+        v = random_state(basis, rng)
+    elif case == "nearly-even":  # 1e-8 from its even part: above the 1e-10 tol
+        v = StateVector(basis, even.amps + 1e-8 * random_state(basis, rng).amps)
+    elif case == "small-nearly-even":  # the gate is relative: 1e-14 off is 1e-8 of |v|
+        v = StateVector(basis, 1e-6 * (even.amps + 1e-8 * random_state(basis, rng).amps))
+    else:  # an even state, but H does not commute with the reflection
+        H = build_hamiltonian(basis, BondCouplings(rng.uniform(0.5, 1.5, 11)))
+        v = even
+    taken = reductions(monkeypatch)
+    out = expmv(H, 2.7, v, method="krylov")
+    assert taken == [False]
+    ref = propagate._Propagator(H.matrix)(propagate._split(v.amps), 2.7, 1e-10, H.norm_inf())
+    assert np.array_equal(out.amps, propagate._join(ref))
+
+
+def test_expmv_gate_is_relative_to_the_norm(monkeypatch):
+    # an unnormalized nearly-even state, 1e-12 of |v| off: 1e-8 in absolute terms
+    rng = np.random.default_rng(1013)
+    basis, H = chain(12, 6)
+    v = StateVector(basis, 1e4 * (even_state(basis, rng).amps
+                                  + 1e-12 * random_state(basis, rng).amps))
+    taken = reductions(monkeypatch)
+    out = expmv(H, 2.7, v, method="krylov")
+    assert taken == [True]
+    dense = expmv(H, 2.7, v, method="dense")
+    assert np.linalg.norm(out.amps - dense.amps) < 1e-9 * v.norm()
+
+
+def test_expmv_keeps_one_reduced_propagator_per_hamiltonian(monkeypatch):
+    basis, H = chain(12, 6)
+    rng = np.random.default_rng(1014)
+    even, odd = even_state(basis, rng), random_state(basis, rng)
+    doubled = counted_calls(monkeypatch, "_doubled")
+    for t in (0.3, 0.2, 0.3):
+        expmv(H, t, even, method="krylov")
+    assert len(doubled) == 1  # P^T H P, built on the first call only
+    m = basis.symmetric_isometry().shape[1]
+    assert H._propagators[True].mat2.shape == (2 * m, 2 * m)
+    expmv(H, 0.3, odd, method="krylov")
+    assert len(doubled) == 2  # the full-sector propagator beside it
+    expmv(H, 0.3, even, method="krylov")
+    expmv(H, 0.3, odd, method="krylov")
+    assert len(doubled) == 2
+
+
+@pytest.mark.parametrize("method", ["krylov", "krylov-even", "ramp"])
 def test_krylov_workspace_beyond_memory_raises_before_allocating(method, monkeypatch):
+    # the even product runs in the symmetric subspace, a random state in
+    # the full sector; each workspace is checked at its own dimension
     ctx = ramp_context(12, 6)
     basis = enumerate_sector(12, 6)  # fresh: nothing cached yet
     H = build_hamiltonian(basis, BondCouplings.uniform(12))
-    dim = basis.dim if method == "krylov" else basis.symmetric_isometry().shape[1]
+    if method == "krylov":
+        v = random_state(basis, np.random.default_rng(12))
+        dim = basis.dim
+    else:
+        v = StateVector(basis, ctx.v0.amps)
+        dim = basis.symmetric_isometry().shape[1]
     need = (propagate.MAX_KRYLOV + 1) * 2 * dim * 8
 
     def run():
-        if method == "krylov":
-            return expmv(H, 1.0, StateVector(basis, ctx.v0.amps), method="krylov")
-        sched = RampSchedule(1.0, 4, ctx.bond, 1.0)
-        return adiabatic_ramp(StateVector(basis, ctx.v0.amps), basis, ctx.base, sched)
+        if method.startswith("krylov"):
+            return expmv(H, 1.0, v, method="krylov")
+        return adiabatic_ramp(v, basis, ctx.base, RampSchedule(1.0, 4, ctx.bond, 1.0))
 
     def no_workspace(*args, **kwargs):
         raise AssertionError("the workspace was allocated")

@@ -12,6 +12,7 @@ from xxfusion import (
     RodeoAnnihilationError,
     StateVector,
     build_hamiltonian,
+    embed_product,
     energy_scan,
     enumerate_sector,
     lowest_two,
@@ -247,3 +248,24 @@ def test_energy_scan_shares_first_propagation(monkeypatch):
             expected = 0.0
         assert p == expected
     assert results[1][1] == 0.0
+
+
+@pytest.mark.parametrize("L, n", [(12, 4), (12, 6)], ids=["d495", "d924"])
+def test_energy_scan_krylov_matches_closed_form_filter(L, n):
+    # above the dense cutoff every cycle is a Krylov propagation, here of
+    # the even product in the symmetric subspace; each point must be the
+    # filter sum_n |<n|v0>|^2 prod_j cos^2((E_n - E_t) t_j / 2)
+    basis, H = chain(L, n)
+    _, Hh = chain(L // 2, n // 2)
+    g = lowest_two(Hh).ground
+    v0 = embed_product(g, g, basis=basis)
+    sched = make_schedule(lowest_two(H).gap, depth=8, superiterations=2)
+    grid = np.linspace(-7.0, 7.0, 29)
+    results = energy_scan(v0, H, grid, sched)
+    assert set(H._propagators) == {True}  # every cycle ran in the symmetric subspace
+    w, U = np.linalg.eigh(H.matrix.toarray())
+    weights = np.abs(U.T @ v0.amps) ** 2
+    for E_t, p in results:
+        closed = weights @ np.prod(np.cos(np.outer(w - E_t, sched.times) / 2.0) ** 2, axis=1)
+        assert p == pytest.approx(closed, rel=1e-8)
+        assert p == run_rodeo(v0, H, E_t, sched).p_total
