@@ -41,6 +41,9 @@ INVOCATIONS = [
     # a configuration state is not even under reflection: the full-sector Krylov scan
     "scan --L 12 --n-up 6 --initial config:111111000000 --points 5",
     "gap --L 22 --filling 1/2",
+    # odd L: the two sublattice-parity blocks differ in size (848 and 868)
+    "gap --L 13 --n-up 6",
+    "gap --L 14 --J -0.5",
     # FAILED cells and levels: exit 1
     "compare --L 4 --t-cap 1 --targets 1e-3",
     "fuse --L-final 8 --method hybrid --max-superiterations 1 --target 1e-9",

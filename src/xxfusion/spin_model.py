@@ -302,17 +302,31 @@ def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHam
 
     Raises :class:`CapacityError`, before allocating, when the sector,
     the CSR and the Lanczos working set of ``spectral.lowest_two`` would
-    together exceed physical memory: 8 bytes per configuration, 12 per
-    stored hop (at most 2 dim n(L-n)/L of them: dim times the mean count
-    of antiparallel bonds), 4 per row pointer, and 20 + 3 float64
-    vectors of length dim in ARPACK.
+    together exceed physical memory.  In bytes: 8 per configuration; 12
+    per stored hop (at most 2 dim n(L-n)/L of them: dim times the mean
+    count of antiparallel bonds) and 4 per row pointer; half the hops
+    again, plus a row pointer per state of the smaller sublattice-parity
+    block, for the block B of ``spectral``; 6 per configuration for the
+    parity masks and the column ranks; 2 * 20 + 7 float64 vectors of the
+    larger block's length m for ARPACK (20 Lanczos vectors, as many Ritz
+    vectors while it extracts them, 3 of workspace, the residual, the
+    start vector and the two returned); and 24 per configuration for the
+    lifted ground, real and then complex.
     """
     if couplings.n_sites != basis.L:
         raise ValueError(
             f"couplings are for {couplings.n_sites} sites, basis has {basis.L}"
         )
     L, n, dim = basis.L, basis.n_up, basis.dim
-    need = 8 * dim + 12 * (2 * dim * n * (L - n) // L) + 4 * (dim + 1) + 8 * 23 * dim
+    evens = (L + 1) // 2
+    odd = sum(math.comb(evens, k) * math.comb(L - evens, n - k) for k in range(1, n + 1, 2))
+    m = max(odd, dim - odd)  # states in the larger sublattice-parity block
+    nnz = 2 * dim * n * (L - n) // L
+    need = (
+        8 * dim + 12 * nnz + 4 * (dim + 1)
+        + 6 * nnz + 4 * (dim - m + 1) + 6 * dim
+        + 8 * (2 * 20 + 7) * m + 24 * dim
+    )
     _require_memory(
         need,
         "sector (L={L}, n_up={n}) needs {need} GiB for its Hamiltonian and "

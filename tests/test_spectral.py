@@ -29,6 +29,10 @@ from xxfusion import (
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+#: Sectors of dim >= 3 whose larger sublattice-parity block has 2 states.
+SMALL_BLOCK_SECTORS = {(3, 1), (3, 2), (4, 1), (4, 3)}
+
+
 def uniform_chain(L, n, J=1.0):
     return build_hamiltonian(enumerate_sector(L, n), BondCouplings.uniform(L, J))
 
@@ -87,9 +91,10 @@ def test_lowest_two_L16_lanczos_golden():
 
 
 def test_lowest_two_routes_agree():
-    # every sector with L <= 12 that both routes can solve (dim >= 3);
-    # largest amplitudes often tie with opposite signs, and both routes
-    # must still return the same ground, sign included
+    # every sector with L <= 12 and dim >= 3; largest amplitudes often tie
+    # with opposite signs, and both routes must still return the same
+    # ground, sign included.  The Lanczos route runs ARPACK on the larger
+    # sublattice-parity block, which needs 3 states: four sectors have 2.
     sectors = [
         (L, n) for L in range(2, 13) for n in range(1, L) if math.comb(L, n) >= 3
     ]
@@ -97,11 +102,98 @@ def test_lowest_two_routes_agree():
     for L, n in sectors:
         H = uniform_chain(L, n)
         dense = lowest_two(H, force_method="dense")
+        if (L, n) in SMALL_BLOCK_SECTORS:
+            with pytest.raises(ValueError, match="blocks of 2 and"):
+                lowest_two(H, force_method="lanczos")
+            continue
         lanczos = lowest_two(H, force_method="lanczos")
         assert lanczos.E0 == pytest.approx(dense.E0, abs=1e-10)
         assert lanczos.E1 == pytest.approx(dense.E1, abs=1e-10)
         # elementwise 1e-8 at dim <= 924 also bounds 1 - overlap by 5e-14
         assert np.max(np.abs(dense.ground.amps - lanczos.ground.amps)) <= 1e-8, (L, n)
+
+
+def random_couplings(L, seed):
+    # magnitudes in [0.5, 1.5] with random signs; bond 1 and, from L = 8,
+    # bond 5 cut exactly, leaving segments of even length (2, 4) before
+    # the last, so no two zero modes make the ground degenerate
+    rng = np.random.default_rng(seed)
+    J = rng.uniform(0.5, 1.5, L - 1) * rng.choice([-1.0, 1.0], L - 1)
+    J[[b for b in (1, 5) if b < L - 2]] = 0.0
+    return BondCouplings(J)
+
+
+def test_lowest_two_routes_agree_on_random_couplings():
+    for L in range(4, 13):
+        couplings = random_couplings(L, 1000 + L)
+        for n in range(1, L):
+            if math.comb(L, n) < 3 or (L, n) in SMALL_BLOCK_SECTORS:
+                continue
+            H = build_hamiltonian(enumerate_sector(L, n), couplings)
+            dense = lowest_two(H, force_method="dense")
+            lanczos = lowest_two(H, force_method="lanczos")
+            assert lanczos.E0 == pytest.approx(dense.E0, abs=1e-10), (L, n)
+            assert lanczos.E1 == pytest.approx(dense.E1, abs=1e-10), (L, n)
+            assert np.max(np.abs(dense.ground.amps - lanczos.ground.amps)) <= 1e-8, (L, n)
+
+
+@pytest.mark.parametrize("L, n, bond", [(6, 1, 4), (10, 1, 4), (11, 10, 5), (12, 11, 6)])
+def test_lowest_two_zero_singular_value(L, n, bond):
+    # one live bond: E0 = -1 and E1 = 0, so B has rank one and sigma_2 = 0.
+    # The Krylov space closes after one step and ARPACK restarts from an
+    # unseeded random vector, so sigma_2^2 comes back as a roundoff of
+    # either sign (below zero in about 1 run in 2 at (6, 1), 1 in 20 at
+    # the others); the repeats meet the negative ones.
+    J = np.zeros(L - 1)
+    J[bond] = 1.0
+    H = build_hamiltonian(enumerate_sector(L, n), BondCouplings(J))
+    dense = lowest_two(H, force_method="dense")
+    assert (dense.E0, dense.E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
+    for _ in range(40):
+        lanczos = lowest_two(H, force_method="lanczos")
+        assert (lanczos.E0, lanczos.E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
+        assert np.max(np.abs(dense.ground.amps - lanczos.ground.amps)) <= 1e-12
+
+
+def free_fermion_pair(L, n):
+    # E0 fills the n lowest modes; E1 lifts the top one by a level
+    e = np.sort(free_fermion_energies(L))
+    E0 = float(e[:n].sum())
+    return E0, E0 + float(e[n] - e[n - 1])
+
+
+def test_lowest_two_odd_chain_unequal_blocks():
+    H = uniform_chain(13, 6)  # dim 1716, the Lanczos route
+    big, B = spectral._sublattice_blocks(H)
+    assert (np.count_nonzero(big), B.shape) == (868, (848, 868))
+    pair = lowest_two(H)
+    assert (pair.E0, pair.E1) == pytest.approx(free_fermion_pair(13, 6), abs=1e-10)
+    g = pair.ground.amps.real
+    assert np.linalg.norm(H.matrix @ g - pair.E0 * g) <= 1e-12
+
+
+def test_lowest_two_L18_matches_free_fermions():
+    H = uniform_chain(18, 9)  # dim 48620
+    pair = lowest_two(H)
+    assert (pair.E0, pair.E1) == pytest.approx(free_fermion_pair(18, 9), abs=1e-10)
+    g = pair.ground.amps.real
+    assert pair.ground.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(H.matrix @ g - pair.E0 * g) <= 1e-12
+
+
+def test_lowest_two_negated_coupling_is_a_sublattice_gauge():
+    # H(-J) = S H(J) S with S = (-1)^parity, so B changes sign and B^T B
+    # does not: the energies are the same floats, the ground is S g
+    H = uniform_chain(14, 7, 0.5)
+    pos = lowest_two(H)
+    neg = lowest_two(uniform_chain(14, 7, -0.5))
+    assert (neg.E0, neg.E1) == (pos.E0, pos.E1)
+    big, _ = spectral._sublattice_blocks(H)
+    S = np.where(big, 1.0, -1.0)
+    flipped = S * pos.ground.amps
+    assert np.array_equal(neg.ground.amps, flipped) or np.array_equal(
+        neg.ground.amps, -flipped
+    )
 
 
 def test_lowest_two_ground_properties():
@@ -139,13 +231,15 @@ def test_lowest_two_degenerate_and_trivial_errors():
     with pytest.raises(ValueError):
         lowest_two(uniform_chain(4, 2), force_method="qr")
     with pytest.raises(ValueError):
-        lowest_two(uniform_chain(2, 1), force_method="lanczos")  # ARPACK needs dim > 2
+        # ARPACK needs k = 2 < the larger parity block's size; here it is 1
+        lowest_two(uniform_chain(2, 1), force_method="lanczos")
 
 
 def test_lowest_two_lanczos_budget_failure_is_typed(monkeypatch):
     # a one-iteration ARPACK budget cannot converge two pairs at this size
+    # (at L = 12 and 14 one iteration on the parity block already does)
     monkeypatch.setattr(spectral, "eigsh", functools.partial(spectral.eigsh, maxiter=1))
-    H = uniform_chain(12, 6)  # dim 924, above the dense cutoff
+    H = uniform_chain(16, 8)  # dim 12870, above the dense cutoff
     with pytest.raises(LanczosConvergenceError, match="did not converge") as info:
         lowest_two(H)
     assert isinstance(info.value, SimulationError)

@@ -1,6 +1,7 @@
 """Basis enumeration, Hamiltonian assembly, and product embedding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from xxfusion import (
     build_hamiltonian,
     embed_product,
     enumerate_sector,
+    lowest_two,
     middle_bond,
 )
 
@@ -92,7 +94,12 @@ def test_hamiltonian_beyond_memory_raises_before_allocating(monkeypatch):
 
     basis = enumerate_sector(12, 6)
     dim, nnz = basis.dim, 2 * basis.dim * 6 * 6 // 12
-    need = 8 * dim + 12 * nnz + 4 * (dim + 1) + 8 * 23 * dim
+    m = larger_parity_block(basis)
+    need = (
+        8 * dim + 12 * nnz + 4 * (dim + 1)
+        + 6 * nnz + 4 * (dim - m + 1) + 6 * dim
+        + 8 * 47 * m + 24 * dim
+    )
 
     def no_pattern(*args):
         raise AssertionError("the Hamiltonian was assembled")
@@ -104,6 +111,31 @@ def test_hamiltonian_beyond_memory_raises_before_allocating(monkeypatch):
             build_hamiltonian(basis, BondCouplings.uniform(12))
     monkeypatch.setattr(spin_model, "_physical_memory", lambda: need)
     assert build_hamiltonian(basis, BondCouplings.uniform(12)).matrix.nnz == nnz
+
+
+def larger_parity_block(basis):
+    """States in the larger block by the parity of up spins on even sites."""
+    even_sites = sum(1 << i for i in range(0, basis.L, 2))
+    odd = sum(bin(int(c) & even_sites).count("1") % 2 for c in basis.configs)
+    return max(odd, basis.dim - odd)
+
+
+@pytest.mark.parametrize("L", [16, 18])
+def test_capacity_need_bounds_the_traced_peak(monkeypatch, L):
+    # the check's bytes cover what build_hamiltonian and lowest_two's
+    # Lanczos route allocate at half filling, the configurations included
+    import xxfusion.spin_model as spin_model
+
+    needs = []
+    monkeypatch.setattr(spin_model, "_require_memory", lambda need, *a, **k: needs.append(need))
+    basis = enumerate_sector(L, L // 2)
+    tracemalloc.start()
+    try:
+        lowest_two(build_hamiltonian(basis, BondCouplings.uniform(L)))
+        peak = tracemalloc.get_traced_memory()[1] + basis.configs.nbytes
+    finally:
+        tracemalloc.stop()
+    assert needs[0] >= peak
 
 
 def test_hop_count_bound_holds_in_every_sector():
