@@ -3,7 +3,9 @@
 
 Every invocation runs in this process through ``xxfusion.cli.main``; its
 stdout, stderr and exit code are written to ``OUTDIR/<name>/``, one file
-each.  Run it once on each of two checkouts and compare the trees:
+each.  ``OUTDIR/settings`` records the BLAS thread variables and the
+numpy and scipy versions, since the last digits of some outputs depend
+on them.  Run it once on each of two checkouts and compare the trees:
 
     PYTHONPATH=src python scripts/golden_outputs.py before
     ...change the code...
@@ -18,10 +20,17 @@ the OK path, FAILED cells and levels (exit 1), and configuration errors
 import argparse
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
+import numpy
+import scipy
+
 from xxfusion.cli import main as xxfusion_main
+
+#: Environment variables that set the BLAS thread count.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 INVOCATIONS = [
     # the OK path
@@ -72,6 +81,13 @@ def capture(argv):
     return out.getvalue(), err.getvalue(), code
 
 
+def settings():
+    """``key=value`` lines of the settings that can move an output's last digits."""
+    lines = [f"{v}={os.environ.get(v, 'unset')}" for v in THREAD_VARIABLES]
+    lines += [f"numpy={numpy.__version__}", f"scipy={scipy.__version__}"]
+    return "".join(f"{line}\n" for line in lines)
+
+
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("outdir", help="directory to write one subdirectory per invocation into")
@@ -80,6 +96,8 @@ def parse_args():
 
 def main():
     outdir = Path(parse_args().outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "settings").write_text(settings(), encoding="utf-8")
     for text in INVOCATIONS:
         argv = text.split()
         stdout, stderr, code = capture(argv)

@@ -16,9 +16,7 @@ from .errors import (
 )
 from .fusion import (
     METHODS,
-    CostLedger,
     FusionConfig,
-    FusionPlan,
     FusionStep,
     StepRecord,
     compare_methods,
@@ -80,9 +78,8 @@ __all__ = [
     "converged_ramp", "default_step_tol", "expmv", "ramp_time_for_infidelity",
     "RodeoOutcome", "RodeoSchedule", "energy_scan", "make_schedule",
     "rodeo_cycle", "rodeo_cycles", "run_rodeo",
-    "METHODS", "CostLedger", "FusionConfig", "FusionPlan", "FusionStep",
-    "StepRecord", "compare_methods", "expected_cost", "fuse_step", "half_ground",
-    "run_fusion",
+    "METHODS", "FusionConfig", "FusionStep", "StepRecord", "compare_methods",
+    "expected_cost", "fuse_step", "half_ground", "run_fusion",
     "SimulationError", "CapacityError", "DegenerateGapError",
     "LanczosConvergenceError", "PropagationError",
     "PurificationError", "RampSearchError", "RodeoAnnihilationError",

@@ -22,11 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import SimulationError
+from .errors import CapacityError, SimulationError
 from .fusion import (
     METHODS,
     FusionConfig,
-    FusionPlan,
     FusionStep,
     compare_methods,
     half_ground,
@@ -320,6 +319,9 @@ def cmd_scan(values: dict) -> int:
         raise ConfigError(f"expmv tolerance must be positive, got {values['expmv_tol']}")
     if values["points"] < 2:
         raise ConfigError("need at least two grid points")
+    if not np.isfinite([values["e_min"], values["e_max"]]).all():
+        raise ConfigError(f"energy bounds must be finite, got {values['e_min']} "
+                          f"and {values['e_max']}")
     H, pair = _chain_pair(values)
     schedule = make_schedule(
         pair.gap,
@@ -328,7 +330,11 @@ def cmd_scan(values: dict) -> int:
         ratio=values["ratio"],
     )
     v0 = _scan_initial(values["initial"], H.basis, pair, values["J"])
-    grid = np.linspace(values["e_min"], values["e_max"], values["points"])
+    try:
+        grid = np.linspace(values["e_min"], values["e_max"], values["points"])
+    except MemoryError as err:
+        raise CapacityError(f"an energy grid of {values['points']} points does not fit "
+                            f"in memory") from err
     results = energy_scan(v0, H, grid, schedule, tol=values["expmv_tol"])
     rows = [f"{_fmt(E)},{_fmt(p)},OK" for E, p in results]
     _write_csv(values["output"], [_provenance("scan", values)], "E_t,p_total,status", rows)
@@ -353,27 +359,16 @@ def cmd_converge(values: dict) -> int:
 def cmd_fuse(values: dict) -> int:
     config = _fusion_config(values, max_superiterations=values["max_superiterations"],
                             level_policy=values["level_policy"])
-    plan = FusionPlan(
-        L_final=values["L_final"],
-        L_base=values["L_base"],
-        filling=values["filling"],
-        method=values["method"],
-        target_infidelity=values["target"],
-    )
+    _, records = run_fusion(values["L_final"], values["L_base"], values["filling"],
+                            values["method"], values["target"], config=config)
     header = f"step,L,method,{_COST_HEADER}"
     comments = [_provenance("fuse", values)]
-    failed = False
-    try:
-        _, ledger = run_fusion(plan, config=config)
-    except SimulationError as err:
-        print(f"FAILED: {err}", file=sys.stderr)
-        records = [*err.partial_ledger.records, err.failed_record]
-        failed = True
-    else:
-        records = ledger.records
-        if records:
-            comments.append(f"cumulative_J_kappa = {_fmt(ledger.cumulative_J_kappa)}")
-            comments.append(f"final_infidelity = {_fmt(records[-1].achieved_infidelity)}")
+    failed = bool(records) and records[-1].status == "FAILED"
+    if failed:
+        print(f"FAILED: {records[-1].message}", file=sys.stderr)
+    elif records:
+        comments.append(f"cumulative_J_kappa = {_fmt(sum(r.J_kappa for r in records))}")
+        comments.append(f"final_infidelity = {_fmt(records[-1].achieved_infidelity)}")
     rows = [",".join([str(i), str(r.L), r.method, *_cost_columns(r)])
             for i, r in enumerate(records, 1)]
     _write_csv(values["output"], comments, header, rows)

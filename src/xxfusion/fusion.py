@@ -17,13 +17,14 @@ ground energy, gap and ramp problem) and owns its ramp search, the start
 of its rodeo sweep, the sweep itself, and the evaluation of a method at
 a list of targets that both ``fuse_step`` and ``compare_methods`` run
 on; ``run_fusion`` chains ``fuse_step``.  Every costed cell, met or
-failed, is one :class:`StepRecord`.
+failed, is one :class:`StepRecord`: a :class:`SimulationError` that stops
+a cell becomes its FAILED record where the cell is evaluated.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PurificationError, SimulationError
@@ -126,26 +127,6 @@ class StepRecord:
         nan = float("nan")
         return cls(L, method, target, err.best_infidelity, nan, nan, nan, nan, 0, 0,
                    "FAILED", str(err))
-
-
-@dataclass
-class CostLedger:
-    records: list[StepRecord] = field(default_factory=list)
-
-    @property
-    def cumulative_J_kappa(self) -> float:
-        return float(sum(r.J_kappa for r in self.records))
-
-
-@dataclass(frozen=True)
-class FusionPlan:
-    """Prepare the (L_final, filling * L_final) ground from L_base chains."""
-
-    L_final: int
-    L_base: int
-    filling: Fraction
-    method: str
-    target_infidelity: float
 
 
 def half_ground(L: int, filling, J: float = 1.0) -> StateVector:
@@ -255,18 +236,19 @@ class FusionStep:
 
     def cells(
         self, method: str, targets: list[float]
-    ) -> Iterator[tuple[StateVector, StepRecord] | SimulationError]:
+    ) -> Iterator[tuple[StateVector | None, StepRecord]]:
         """The step by ``method`` at each of ``targets`` (descending, so the
         loosest first): per target, the prepared normalized state and its
-        record, or the :class:`SimulationError` that stopped the cell.
+        record, or None and the FAILED record of the
+        :class:`SimulationError` that stopped the cell.
 
         Adiabatic cells each search a ramp, all at one step tolerance:
         ``config.step_tol``, or else :func:`default_step_tol` of the
         tightest target.  Rodeo and hybrid cells share one ``start`` and
         one sweep to the tightest target; each takes the first
         superiteration that meets its target.  A sweep that raises keeps
-        the cells it already met.  A cell whose sweep fails carries the
-        best infidelity the sweep saw as ``best_infidelity``.  Costs are
+        the cells it already met.  A cell whose sweep fails records the
+        best infidelity the sweep saw.  Costs are
         :meth:`FusionConfig.J_kappa`.
         """
         c = self.config
@@ -277,7 +259,7 @@ class FusionStep:
                 try:
                     res = self.ramp(target, step_tol=step_tol)
                 except SimulationError as err:
-                    yield err
+                    yield None, StepRecord.failed(L, method, target, err)
                     continue
                 J_kappa = c.J_kappa(method, res.T_A, 0.0, 1.0)
                 record = StepRecord(
@@ -285,17 +267,12 @@ class FusionStep:
                 )
                 yield res.state.normalized(), record
             return
+        pending = list(targets)
+        best = None  # lowest infidelity of the sweep; None until it starts
         try:
             start, t_A, ramp_steps = self.start(method)
-        except SimulationError as err:
-            for _ in targets:
-                yield err
-            return
-        pending = list(targets)
-        best = 1.0
-        try:
             for m, state, fid, p_total, t_R in self.sweep(start):
-                best = min(best, fid)
+                best = fid if best is None else min(best, fid)
                 while pending and fid <= pending[0]:
                     J_kappa = c.J_kappa(method, t_A, t_R, p_total)
                     yield state, StepRecord(
@@ -304,16 +281,18 @@ class FusionStep:
                 if not pending:
                     return
         except SimulationError as err:
-            err.best_infidelity = best
-            for _ in pending:
-                yield err
+            if best is not None:
+                err.best_infidelity = best
+            for target in pending:
+                yield None, StepRecord.failed(L, method, target, err)
             return
         for target in pending:
-            yield PurificationError(
+            err = PurificationError(
                 f"target infidelity {target:.3e} not reached within "
                 f"{c.max_superiterations} superiterations (best {best:.3e})",
                 best_infidelity=best,
             )
+            yield None, StepRecord.failed(L, method, target, err)
 
 
 def fuse_step(
@@ -321,67 +300,73 @@ def fuse_step(
     method: str,
     target_infidelity: float,
     config: FusionConfig | None = None,
-) -> tuple[StateVector, StepRecord]:
+) -> tuple[StateVector | None, StepRecord]:
     """One fusion step: two copies of ``ground_half`` to the doubled ground.
 
-    Returns the prepared (normalized) state and its ledger record, the
+    Returns the prepared (normalized) state and its record, the
     single-target cell of :meth:`FusionStep.cells`, so its ``step_tol``
-    rule is that of ``compare_methods``.  The adiabatic route is unitary,
-    so it cannot remove weight that the input product already holds
-    outside the reachable band; with impure halves its search may
-    exhaust the duration cap and raise.
+    rule is that of ``compare_methods``.  A :class:`SimulationError` of
+    the step, its Hamiltonian's included, gives None and the FAILED
+    record.  The adiabatic route is unitary, so it cannot remove weight
+    that the input product already holds outside the reachable band; with
+    impure halves its search may exhaust the duration cap and fail.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not 0.0 < target_infidelity < 1.0:
         raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
     config = config or FusionConfig()
-    cell = next(FusionStep.from_half(ground_half, config).cells(method, [target_infidelity]))
-    if isinstance(cell, SimulationError):
-        raise cell
-    return cell
+    try:
+        step = FusionStep.from_half(ground_half, config)
+    except SimulationError as err:
+        L = 2 * ground_half.basis.L
+        return None, StepRecord.failed(L, method, target_infidelity, err)
+    return next(step.cells(method, [target_infidelity]))
 
 
 def run_fusion(
-    plan: FusionPlan, *, config: FusionConfig | None = None
-) -> tuple[StateVector, CostLedger]:
-    """Compose fusion steps from exact L_base grounds up to L_final.
+    L_final: int,
+    L_base: int,
+    filling: Fraction,
+    method: str,
+    target_infidelity: float,
+    *,
+    config: FusionConfig | None = None,
+) -> tuple[StateVector | None, list[StepRecord]]:
+    """Compose fusion steps from exact L_base grounds up to the
+    (L_final, filling * L_final) ground.
 
     Each level reuses the prepared state for both halves, so errors
     compound exactly as two independently prepared copies would.  The
-    per-level target is the plan target ("uniform" policy) or the plan
+    per-level target is ``target_infidelity`` ("uniform" policy) or that
     target split evenly across levels ("budget").
 
-    A :class:`SimulationError` at any level, the base ground's included,
-    is raised with the completed levels as ``partial_ledger`` and the
-    failed level's FAILED :class:`StepRecord`, at that level's L and
-    target, as ``failed_record``; a base ground that fails is recorded at
-    the first level, or at L_final when the plan has no step.
+    Returns the prepared state and one record per level.  A
+    :class:`SimulationError` at any level, the base ground's included,
+    ends the ladder with None and that level's FAILED record, at its L
+    and target, as the last record; a base ground that fails is recorded
+    at the first level, or at L_final when there is no step.
     """
     config = config or FusionConfig()
-    if plan.L_base < 2:
-        raise ValueError(f"base chains need at least 2 sites, got {plan.L_base}")
-    steps = max(plan.L_final // plan.L_base, 1).bit_length() - 1
-    if plan.L_base << steps != plan.L_final:
-        raise ValueError(
-            f"L_final={plan.L_final} is not L_base={plan.L_base} times a power of two"
-        )
-    level_target = plan.target_infidelity
+    if L_base < 2:
+        raise ValueError(f"base chains need at least 2 sites, got {L_base}")
+    steps = max(L_final // L_base, 1).bit_length() - 1
+    if L_base << steps != L_final:
+        raise ValueError(f"L_final={L_final} is not L_base={L_base} times a power of two")
+    level_target = target_infidelity
     if config.level_policy == "budget" and steps:
         level_target /= steps
-    ledger = CostLedger()
-    L = 2 * plan.L_base
     try:
-        state = half_ground(L, plan.filling, config.J)
-        for _ in range(steps):
-            state, record = fuse_step(state, plan.method, level_target, config)
-            ledger.records.append(record)
-            L *= 2
+        state = half_ground(2 * L_base, filling, config.J)
     except SimulationError as err:
-        err.partial_ledger = ledger
-        err.failed_record = StepRecord.failed(min(L, plan.L_final), plan.method, level_target, err)
-        raise
-    return state, ledger
+        return None, [StepRecord.failed(min(2 * L_base, L_final), method, level_target, err)]
+    records = []
+    for _ in range(steps):
+        state, record = fuse_step(state, method, level_target, config)
+        records.append(record)
+        if state is None:
+            break
+    return state, records
 
 
 def compare_methods(
@@ -414,9 +399,4 @@ def compare_methods(
     step = FusionStep.exact_halves(L, filling, config)
     if not targets:
         return []
-    records = []
-    for method in METHODS:
-        for target, cell in zip(targets, step.cells(method, targets)):
-            failed = isinstance(cell, SimulationError)
-            records.append(StepRecord.failed(L, method, target, cell) if failed else cell[1])
-    return records
+    return [record for method in METHODS for _, record in step.cells(method, targets)]

@@ -89,6 +89,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import PropagationError, RampSearchError, StepRefinementError
 from .spectral import DENSE_CUTOFF, infidelity
@@ -98,7 +99,6 @@ from .spin_model import (
     SparseHamiltonian,
     StateVector,
     _hop_pattern,
-    _norm_inf,
     _require_memory,
     middle_bond,
 )
@@ -341,8 +341,8 @@ class _RampOperator:
             mat.data = mat.data + 1j * coef
             mat = _compressed(mat, P)
             mat.data, coef = mat.data.real.copy(), mat.data.imag.copy()
-        self.nb = _norm_inf(mat)
-        self.nu = _norm_inf(sp.csr_matrix((coef, mat.indices, mat.indptr), shape=mat.shape))
+        self.nb = spla.norm(mat, np.inf)
+        self.nu = spla.norm(sp.csr_matrix((coef, mat.indices, mat.indptr), mat.shape), np.inf)
         self.prop = _Propagator(mat)
         self.ramp = np.flatnonzero(np.tile(coef != 0.0, 2))
         self.base = self.prop.mat2.data[self.ramp].copy()

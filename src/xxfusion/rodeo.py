@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import RodeoAnnihilationError
 from .propagate import expmv
-from .spin_model import SparseHamiltonian, StateVector
+from .spin_model import SparseHamiltonian, StateVector, _require_memory
 
 #: Once the cumulative success probability falls below this, the input is
 #: treated as orthogonal to everything the schedule can keep.
@@ -55,10 +55,20 @@ def make_schedule(
     superiterations: int = 1,
     ratio: float = 0.5,
 ) -> RodeoSchedule:
-    """Geometric cycle-time ladder seeded by t1 = pi / gap."""
+    """Geometric cycle-time ladder seeded by t1 = pi / gap.
+
+    Refuses with :class:`CapacityError`, before allocating, a ladder and
+    its tiled times larger than physical memory.
+    """
     if gap <= 0.0:
         raise ValueError(f"gap must be positive, got {gap}")
     _check_ladder(depth, superiterations, ratio)
+    _require_memory(
+        8 * depth * (superiterations + 1),
+        "rodeo schedule of {need} GiB ({depth} cycle times, {superiterations} "
+        "superiterations) exceeds the {have} GiB of physical memory",
+        depth=depth, superiterations=superiterations,
+    )
     t1 = np.pi / gap
     ladder = t1 * ratio ** np.arange(depth)
     times = np.tile(ladder, superiterations)

@@ -114,9 +114,12 @@ def _lanczos_lowest_two(H: SparseHamiltonian):
     not grow with the iteration count.  Its default start vector is random;
     a fixed-seed one keeps repeated runs bit-identical, except where the
     Krylov space closes early (B of rank one) and ARPACK draws a fresh
-    random vector from an unseeded generator.
+    random vector from an unseeded generator.  With no hop stored (every
+    coupling zero) H = 0, and E0 = E1 = 0 with the first basis state.
     """
     big, B = _sublattice_blocks(H)
+    if B.nnz == 0:
+        return 0.0, 0.0, np.eye(1, H.dim).ravel()
     m = B.shape[1]
     gram = LinearOperator((m, m), matvec=lambda x: B.T @ (B @ x), dtype=np.float64)
     v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(m)

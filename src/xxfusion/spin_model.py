@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import CapacityError
 
@@ -56,11 +57,6 @@ def _require_memory(need: int, message: str, **fields) -> None:
         raise CapacityError(
             message.format(need=f"{need / 2**30:.3g}", have=f"{have / 2**30:.3g}", **fields)
         )
-
-
-def _norm_inf(mat: sp.csr_matrix) -> float:
-    """Largest absolute row sum of ``mat``; bounds its spectral radius."""
-    return float(abs(mat).sum(axis=1).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +241,7 @@ class SparseHamiltonian:
     def norm_inf(self) -> float:
         """Cached max absolute row sum; bounds the spectral radius."""
         if self._norm_cache is None:
-            object.__setattr__(self, "_norm_cache", _norm_inf(self.matrix))
+            object.__setattr__(self, "_norm_cache", float(spla.norm(self.matrix, np.inf)))
         return self._norm_cache
 
 

@@ -58,6 +58,17 @@ def test_gap_lanczos_failure_exits_1(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["gap"], ["scan", "--initial", "product"]])
+def test_zero_coupling_on_the_lanczos_route_is_a_degenerate_gap(argv, capsys):
+    # dim 924 takes the Lanczos route; the dense route (gap --L 2) says the same
+    assert run([*argv, "--L", "12", "--J", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: E1 - E0 = 0.000e+00 is degenerate at coupling scale 1.000e+00 (L=12, n_up=6)\n"
+    )
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -198,6 +209,31 @@ def test_scan_rejects_nonpositive_expmv_tol(sector, tol, capsys):
     captured = capsys.readouterr()
     assert "config error: expmv tolerance must be positive" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("bound", [["--e-min", "nan"], ["--e-max", "inf"], ["--e-min=-inf"]])
+def test_scan_rejects_nonfinite_energy_bounds(bound, capsys):
+    assert run(["scan", "--L", "4", "--points", "3", *bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: energy bounds must be finite")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--L", "4", "--max-superiterations", "100000000000"], "rodeo schedule of"),
+    (["converge", "--L", "4", "--m-max", "100000000000"], "rodeo schedule of"),
+    (["scan", "--L", "4", "--superiterations", "100000000000"], "rodeo schedule of"),
+    (["scan", "--L", "4", "--points", "100000000000"], "energy grid of 100000000000 points"),
+])
+def test_oversized_sizes_fail_typed_before_allocating(argv, message, capsys):
+    # terabytes of cycle times or grid points: refused, not a MemoryError
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    if argv[0] == "compare":  # the adiabatic cells still run; the swept cells fail
+        assert err.count("FAILED") == 4
+    else:
+        assert err.startswith("error: ")
 
 
 def test_scan_ground_input_solves_the_sector_once(monkeypatch, capsys):

@@ -9,15 +9,9 @@ import pytest
 import xxfusion.propagate as propagate
 from xxfusion import (
     BondCouplings,
-    CapacityError,
-    CostLedger,
     FusionConfig,
-    FusionPlan,
     FusionStep,
-    PurificationError,
-    RampSearchError,
     RodeoAnnihilationError,
-    StepRecord,
     build_hamiltonian,
     compare_methods,
     converged_ramp,
@@ -139,9 +133,24 @@ def test_fuse_step_argument_errors():
 
 def test_fuse_step_purification_cap():
     cfg = FusionConfig(max_superiterations=1)
-    with pytest.raises(PurificationError) as err:
-        fuse_step(half_ground(), "hybrid", 1e-9, cfg)
-    assert err.value.best_infidelity == pytest.approx(4.929140188558723e-05, rel=1e-4)
+    state, rec = fuse_step(half_ground(), "hybrid", 1e-9, cfg)
+    assert state is None
+    assert (rec.L, rec.method, rec.target_infidelity, rec.status) == (4, "hybrid", 1e-9, "FAILED")
+    assert rec.achieved_infidelity == pytest.approx(4.929140188558723e-05, rel=1e-4)
+    assert rec.message == (
+        "target infidelity 1.000e-09 not reached within 1 superiterations "
+        f"(best {rec.achieved_infidelity:.3e})"
+    )
+    assert math.isnan(rec.J_kappa) and rec.superiterations == 0
+
+
+def test_fuse_step_hamiltonian_failure_gives_failed_record():
+    # the 32-site half is small, but the doubled 64-site chain is refused
+    state, rec = fuse_step(half_ground(32, 1), "rodeo", 1e-3)
+    assert state is None
+    assert (rec.L, rec.method, rec.target_infidelity, rec.status) == (64, "rodeo", 1e-3, "FAILED")
+    assert rec.message == "L=64 exceeds 63 sites, the most a 64-bit configuration holds"
+    assert math.isnan(rec.achieved_infidelity)
 
 
 # ------------------------------------------------------------ FusionStep
@@ -176,29 +185,20 @@ def test_fusion_step_start_has_no_adiabatic_sweep():
 
 
 def test_run_fusion_ladder_golden():
-    plan = FusionPlan(L_final=8, L_base=2, filling=Fraction(1, 2),
-                      method="hybrid", target_infidelity=1e-3)
-    state, ledger = run_fusion(plan)
-    assert [r.L for r in ledger.records] == [4, 8]
-    assert ledger.cumulative_J_kappa == pytest.approx(20.729187813285577, rel=1e-9)
-    assert ledger.records[1].achieved_infidelity == pytest.approx(
-        1.39914857759e-05, rel=1e-6
-    )
+    state, records = run_fusion(8, 2, Fraction(1, 2), "hybrid", 1e-3)
+    assert [r.L for r in records] == [4, 8]
+    assert sum(r.J_kappa for r in records) == pytest.approx(20.729187813285577, rel=1e-9)
+    assert records[1].achieved_infidelity == pytest.approx(1.39914857759e-05, rel=1e-6)
     # achieved infidelity of the record matches the returned state
     target = lowest_two(
         build_hamiltonian(enumerate_sector(8, 4), BondCouplings.uniform(8))
     ).ground
-    assert infidelity(state, target) == pytest.approx(
-        ledger.records[1].achieved_infidelity, rel=1e-9
-    )
+    assert infidelity(state, target) == pytest.approx(records[1].achieved_infidelity, rel=1e-9)
 
 
 def test_run_fusion_trivial_plan_returns_exact_ground():
-    plan = FusionPlan(L_final=4, L_base=4, filling=Fraction(1, 2),
-                      method="rodeo", target_infidelity=1e-3)
-    state, ledger = run_fusion(plan)
-    assert ledger.records == []
-    assert ledger.cumulative_J_kappa == 0.0
+    state, records = run_fusion(4, 4, Fraction(1, 2), "rodeo", 1e-3)
+    assert records == []
     target = lowest_two(
         build_hamiltonian(enumerate_sector(4, 2), BondCouplings.uniform(4))
     ).ground
@@ -206,71 +206,57 @@ def test_run_fusion_trivial_plan_returns_exact_ground():
 
 
 def test_run_fusion_budget_policy_splits_target():
-    plan = FusionPlan(L_final=8, L_base=2, filling=Fraction(1, 2),
-                      method="hybrid", target_infidelity=1e-3)
-    _, ledger = run_fusion(plan, config=FusionConfig(level_policy="budget"))
-    assert [r.target_infidelity for r in ledger.records] == [5e-4, 5e-4]
+    _, records = run_fusion(8, 2, Fraction(1, 2), "hybrid", 1e-3,
+                            config=FusionConfig(level_policy="budget"))
+    assert [r.target_infidelity for r in records] == [5e-4, 5e-4]
 
 
 def test_run_fusion_plan_validation():
     half = Fraction(1, 2)
     with pytest.raises(ValueError):
-        run_fusion(FusionPlan(12, 2, half, "rodeo", 1e-3))  # 6 is not a power of two
+        run_fusion(12, 2, half, "rodeo", 1e-3)  # 6 is not a power of two
     with pytest.raises(ValueError):
-        run_fusion(FusionPlan(8, 2, Fraction(1, 4), "rodeo", 1e-3))  # n_base = 1/2
+        run_fusion(8, 2, Fraction(1, 4), "rodeo", 1e-3)  # n_base = 1/2
     with pytest.raises(ValueError):
-        run_fusion(FusionPlan(8, 2, Fraction(0), "rodeo", 1e-3))  # empty sector
+        run_fusion(8, 2, Fraction(0), "rodeo", 1e-3)  # empty sector
     with pytest.raises(ValueError):
-        run_fusion(FusionPlan(8, 1, half, "rodeo", 1e-3))  # single-site base
+        run_fusion(8, 1, half, "rodeo", 1e-3)  # single-site base
     with pytest.raises(ValueError):
-        run_fusion(FusionPlan(8, 2, Fraction(3, 2), "rodeo", 1e-3))  # filling > 1
+        run_fusion(8, 2, Fraction(3, 2), "rodeo", 1e-3)  # filling > 1
 
 
-def test_run_fusion_failure_carries_partial_ledger():
+def test_run_fusion_failure_keeps_completed_levels():
     # capping the duration grid at 8 lets the L=4 ramp reach 3e-3 (its
     # T=8 probe passes) while the L=8 level needs the T=16 probe
-    plan = FusionPlan(L_final=8, L_base=2, filling=Fraction(1, 2),
-                      method="adiabatic", target_infidelity=3e-3)
-    with pytest.raises(RampSearchError) as err:
-        run_fusion(plan, config=FusionConfig(T_cap=8.0))
-    assert err.value.failed_record.L == 8
-    assert [r.L for r in err.value.partial_ledger.records] == [4]
-    failed = err.value.failed_record
-    assert failed.status == "FAILED" and failed.target_infidelity == 3e-3
-    assert failed.achieved_infidelity == err.value.best_infidelity
-    assert failed.message == str(err.value) and math.isnan(failed.J_kappa)
+    state, records = run_fusion(8, 2, Fraction(1, 2), "adiabatic", 3e-3,
+                                config=FusionConfig(T_cap=8.0))
+    assert state is None
+    assert [(r.L, r.status) for r in records] == [(4, "OK"), (8, "FAILED")]
+    failed = records[-1]
+    assert failed.target_infidelity == 3e-3 and math.isnan(failed.J_kappa)
+    assert 3e-3 < failed.achieved_infidelity < 1.0  # the best probe of the search
+    assert failed.message.startswith("no ramp duration up to 8 reached infidelity 3.000e-03")
+    assert f"best {failed.achieved_infidelity:.3e}" in failed.message
 
 
 def test_run_fusion_base_failure_carries_failed_record():
     # the 64-site base sector is refused before anything is allocated
-    plan = FusionPlan(L_final=128, L_base=64, filling=Fraction(1, 2),
-                      method="hybrid", target_infidelity=1e-3)
-    with pytest.raises(CapacityError) as err:
-        run_fusion(plan, config=FusionConfig(level_policy="budget"))
-    assert err.value.partial_ledger.records == []
-    failed = err.value.failed_record
+    state, records = run_fusion(128, 64, Fraction(1, 2), "hybrid", 1e-3,
+                                config=FusionConfig(level_policy="budget"))
+    assert state is None
+    (failed,) = records
     assert (failed.L, failed.method, failed.target_infidelity) == (128, "hybrid", 1e-3)
     assert failed.status == "FAILED" and math.isnan(failed.achieved_infidelity)
+    assert failed.message == "L=64 exceeds 63 sites, the most a 64-bit configuration holds"
 
 
 def test_run_fusion_base_failure_without_steps_is_recorded_at_L_final():
     # L_final = L_base: the base ground is the final chain, not half of a step
-    plan = FusionPlan(L_final=64, L_base=64, filling=Fraction(1, 2),
-                      method="hybrid", target_infidelity=1e-3)
-    with pytest.raises(CapacityError) as err:
-        run_fusion(plan)
-    assert err.value.partial_ledger.records == []
-    failed = err.value.failed_record
+    state, records = run_fusion(64, 64, Fraction(1, 2), "hybrid", 1e-3)
+    assert state is None
+    (failed,) = records
     assert (failed.L, failed.method, failed.target_infidelity) == (64, "hybrid", 1e-3)
-
-
-def test_cost_ledger_accumulates():
-    ledger = CostLedger()
-    assert ledger.cumulative_J_kappa == 0.0
-    rec = StepRecord(4, "rodeo", 1e-3, 1e-5, 0.0, 4.0, 0.5, 8.0, 2, 0)
-    ledger.records.append(rec)
-    ledger.records.append(rec)
-    assert ledger.cumulative_J_kappa == 16.0
+    assert failed.status == "FAILED" and math.isnan(failed.achieved_infidelity)
 
 
 # ------------------------------------------------------- compare_methods
@@ -393,10 +379,28 @@ def test_fusion_step_sweep_error_keeps_met_cells(monkeypatch):
             yield m, *rest
 
     monkeypatch.setattr(FusionStep, "sweep", breaks_after_first)
-    (state, rec), err, again = step.cells("hybrid", [1e-3, 1e-6, 1e-9])
+    (state, rec), *failed = step.cells("hybrid", [1e-3, 1e-6, 1e-9])
+    assert state is not None
     assert rec.superiterations == 1 and rec.target_infidelity == 1e-3
-    assert isinstance(err, RodeoAnnihilationError) and again is err
-    assert err.best_infidelity == rec.achieved_infidelity
+    assert [(s, r.L, r.target_infidelity, r.status) for s, r in failed] == [
+        (None, 4, 1e-6, "FAILED"), (None, 4, 1e-9, "FAILED")]
+    for _, r in failed:
+        assert r.achieved_infidelity == rec.achieved_infidelity  # best the sweep saw
+        assert r.message == "all weight projected away"
+
+
+def test_fusion_step_failed_start_fails_every_cell():
+    # T_cap = 1 holds no hybrid preconditioning ramp
+    step = FusionStep.exact_halves(4, Fraction(1, 2), FusionConfig(T_cap=1.0))
+    cells = list(step.cells("hybrid", [1e-3, 1e-4]))
+    assert [(s, r.target_infidelity, r.status) for s, r in cells] == [
+        (None, 1e-3, "FAILED"), (None, 1e-4, "FAILED")]
+    ctx = FusionStep.exact_halves(4, Fraction(1, 2), FusionConfig()).ctx
+    probe = converged_ramp(ctx, 1.0, step_tol=default_step_tol(1e-2))
+    for _, r in cells:
+        # the best probe of the preconditioning search, not of a sweep
+        assert r.achieved_infidelity == probe.infidelity
+        assert r.message.startswith("no ramp duration up to 1 reached infidelity 1.000e-02")
 
 
 def test_compare_methods_argument_errors():

@@ -4,6 +4,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import scipy
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -51,8 +54,15 @@ def test_fusion_ladder_smallest_ladder(tmp_path, monkeypatch):
 def test_golden_outputs_one_short_invocation(tmp_path, monkeypatch):
     module = load_script("golden_outputs")
     monkeypatch.setattr(module, "INVOCATIONS", ["gap --L 4", "gap --L 4 --n-up 0"])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     assert run_script("golden_outputs", [str(tmp_path)], monkeypatch, module) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["gap_L_4", "gap_L_4_n-up_0"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gap_L_4", "gap_L_4_n-up_0", "settings"]
+    settings = dict(line.split("=") for line in (tmp_path / "settings").read_text().splitlines())
+    assert settings["OPENBLAS_NUM_THREADS"] == "1" and settings["OMP_NUM_THREADS"] == "unset"
+    assert set(settings) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                             "numpy", "scipy"}
+    assert settings["numpy"] == np.__version__ and settings["scipy"] == scipy.__version__
     ok, bad = tmp_path / "gap_L_4", tmp_path / "gap_L_4_n-up_0"
     assert (ok / "stdout").read_text().startswith("E0 = -2.2360679775")
     assert (ok / "stderr").read_text() == ""
