@@ -14,7 +14,9 @@ on them.  Run it once on each of two checkouts and compare the trees:
 
 The list covers every command, both signs and several magnitudes of J,
 the OK path, FAILED cells and levels (exit 1), and configuration errors
-(exit 2).  The whole list took about 30 s on a 2-core machine.
+(exit 2); the script exits 1 if any invocation ends with another code
+than the one it is listed under.  The whole list took about 30 s on a
+2-core machine.
 """
 
 import argparse
@@ -32,40 +34,52 @@ from xxfusion.cli import main as xxfusion_main
 #: Environment variables that set the BLAS thread count.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-INVOCATIONS = [
+#: The invocations, by the exit code each is expected to end with.
+INVOCATIONS = {
     # the OK path
-    "compare --L 8 --filling 1/2 --targets 1e-3,1e-4",
-    "compare --L 16 --filling 1/4 --targets 1e-3,1e-4",
-    "fuse --L-final 16 --L-base 2 --filling 1/2 --method hybrid --target 1e-3",
-    "compare --L 4",
-    "converge --L 8 --m-max 3",
-    "fuse --L-final 8 --method adiabatic",
-    "compare --L 8 --filling 1/4 --targets 1e-2,1e-3,1e-5 --step-tol 1e-5",
-    "compare --L 4 --J -0.5",
-    "fuse --L-final 8 --J -0.5",
-    "converge --L 8 --method rodeo --m-max 3 --J 0.3",
-    "scan --L 14 --n-up 6 --initial product --e-min -9 --e-max 9 --points 81 "
-    "--depth 8 --superiterations 2",
-    "scan --L 4 --initial product",
-    # a configuration state is not even under reflection: the full-sector Krylov scan
-    "scan --L 12 --n-up 6 --initial config:111111000000 --points 5",
-    "gap --L 22 --filling 1/2",
-    # odd L: the two sublattice-parity blocks differ in size (848 and 868)
-    "gap --L 13 --n-up 6",
-    "gap --L 14 --J -0.5",
-    # FAILED cells and levels: exit 1
-    "compare --L 4 --t-cap 1 --targets 1e-3",
-    "fuse --L-final 8 --method hybrid --max-superiterations 1 --target 1e-9",
-    "fuse --L-final 8 --method adiabatic --t-cap 2 --target 1e-6",
-    "fuse --L-final 16 --L-base 2 --method adiabatic --target 1e-3 --level-policy budget "
-    "--t-cap 16",
-    "fuse --L-final 64 --L-base 64",
-    # configuration errors: exit 2
-    "gap --L 4 --n-up 0",
-    "scan --L 4 --n-up 1 --initial product",
-    "converge --L 4 --filling 1/4",
-    "fuse --L-final 8 --filling 1/3",
-]
+    0: [
+        "compare --L 8 --filling 1/2 --targets 1e-3,1e-4",
+        "compare --L 16 --filling 1/4 --targets 1e-3,1e-4",
+        "fuse --L-final 16 --L-base 2 --filling 1/2 --method hybrid --target 1e-3",
+        "compare --L 4",
+        "converge --L 8 --m-max 3",
+        "fuse --L-final 8 --method adiabatic",
+        "compare --L 8 --filling 1/4 --targets 1e-2,1e-3,1e-5 --step-tol 1e-5",
+        "compare --L 4 --step-tol auto",
+        "compare --L 4 --J -0.5",
+        "fuse --L-final 8 --J -0.5",
+        "converge --L 8 --method rodeo --m-max 3 --J 0.3",
+        "scan --L 14 --n-up 6 --initial product --e-min -9 --e-max 9 --points 81 "
+        "--depth 8 --superiterations 2",
+        "scan --L 4 --initial product",
+        # a configuration state is not even under reflection: the full-sector Krylov scan
+        "scan --L 12 --n-up 6 --initial config:111111000000 --points 5",
+        "gap --L 22 --filling 1/2",
+        # odd L: the two sublattice-parity blocks differ in size (848 and 868)
+        "gap --L 13 --n-up 6",
+        "gap --L 14 --J -0.5",
+    ],
+    # FAILED cells and levels
+    1: [
+        "compare --L 4 --t-cap 1 --targets 1e-3",
+        "fuse --L-final 8 --method hybrid --max-superiterations 1 --target 1e-9",
+        "fuse --L-final 8 --method adiabatic --t-cap 2 --target 1e-6",
+        "fuse --L-final 16 --L-base 2 --method adiabatic --target 1e-3 --level-policy budget "
+        "--t-cap 16",
+        "fuse --L-final 64 --L-base 64",
+    ],
+    # configuration errors
+    2: [
+        "gap --L 4 --n-up 0",
+        "scan --L 4 --n-up 1 --initial product",
+        "converge --L 4 --filling 1/4",
+        "fuse --L-final 8 --filling 1/3",
+        "compare --L 4 --targets ,",
+        "fuse --L-final 4 --method ramp",
+        "converge --L 4 --method adiabatic",
+        "scan --L 4 --initial config:1110",
+    ],
+}
 
 
 def name_of(argv):
@@ -98,16 +112,22 @@ def main():
     outdir = Path(parse_args().outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "settings").write_text(settings(), encoding="utf-8")
-    for text in INVOCATIONS:
-        argv = text.split()
-        stdout, stderr, code = capture(argv)
-        run_dir = outdir / name_of(argv)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "stdout").write_text(stdout, encoding="utf-8")
-        (run_dir / "stderr").write_text(stderr, encoding="utf-8")
-        (run_dir / "exit_code").write_text(f"{code}\n", encoding="utf-8")
-        print(f"[golden_outputs] {text} (exit {code})", flush=True)
-    return 0
+    unexpected = 0
+    for expected, texts in INVOCATIONS.items():
+        for text in texts:
+            argv = text.split()
+            stdout, stderr, code = capture(argv)
+            run_dir = outdir / name_of(argv)
+            run_dir.mkdir(parents=True, exist_ok=True)
+            (run_dir / "stdout").write_text(stdout, encoding="utf-8")
+            (run_dir / "stderr").write_text(stderr, encoding="utf-8")
+            (run_dir / "exit_code").write_text(f"{code}\n", encoding="utf-8")
+            note = ""
+            if code != expected:
+                unexpected += 1
+                note = f", expected {expected}"
+            print(f"[golden_outputs] {text} (exit {code}{note})", flush=True)
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":

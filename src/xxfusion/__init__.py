@@ -58,7 +58,6 @@ from .spin_model import (
     SectorBasis,
     SparseHamiltonian,
     StateVector,
-    apply_hamiltonian,
     basis_state,
     build_hamiltonian,
     embed_product,
@@ -70,7 +69,7 @@ from .spin_model import (
 __all__ = [
     "__version__",
     "BondCouplings", "SectorBasis", "SparseHamiltonian", "StateVector",
-    "apply_hamiltonian", "basis_state", "build_hamiltonian", "embed_product",
+    "basis_state", "build_hamiltonian", "embed_product",
     "enumerate_sector", "middle_bond", "sector_occupancy",
     "SpectralPair", "chain_pair", "free_fermion_energies", "infidelity", "lowest_two",
     "sector_ground_energy_oracle", "spectral_weight",

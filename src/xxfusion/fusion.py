@@ -229,7 +229,7 @@ class FusionStep:
         block_time = float(times[: c.depth].sum())
         t_R = 0.0
         cycles = rodeo_cycles(start, self.H, self.E0, times, tol=c.expmv_tol)
-        for j, (state, _, p_total) in enumerate(cycles, 1):
+        for j, (state, p_total) in enumerate(cycles, 1):
             if j % c.depth == 0:
                 t_R += block_time
                 yield j // c.depth, state, infidelity(state, self.ground), p_total, t_R

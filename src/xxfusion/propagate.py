@@ -84,7 +84,7 @@ converged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -154,13 +154,11 @@ def _tridiag_eig(alphas, betas):
 
 
 def _lanczos_substep(mat2, x, t, tol_abs, V, check_from=0):
-    """One Krylov substep of mat2 = block_diag(H, H) on the (2, n) block
-    x = [Re; Im], built in place in the workspace V, (m_max + 1, 2n);
+    """One Krylov substep of mat2 = block_diag(H, H) on the nonzero (2, n)
+    block x = [Re; Im], built in place in the workspace V, (m_max + 1, 2n);
     returns the block and its stop, or stalls.  Estimates start at
     iteration ``check_from``; breakdown is tested on every iteration."""
     beta0 = float(np.linalg.norm(x))
-    if beta0 == 0.0:
-        return x.copy(), 0
     m_max = V.shape[0] - 1
     np.divide(x.ravel(), beta0, out=V[0])
     alphas, betas = np.empty((2, m_max))
@@ -443,8 +441,6 @@ class RampResult:
     infidelity: float
     state: StateVector
     steps: int
-    #: False on a probe whose doubling stopped early, certain to miss its target
-    converged: bool = True
 
 
 def _initial_steps(ctx: RampContext, T_A: float) -> int:
@@ -466,12 +462,12 @@ def converged_ramp(
     than ``step_tol``; raises :class:`StepRefinementError` at the step
     cap.  With a ``target`` infidelity, a doubling that moves it by
     Delta >= ``step_tol`` while the finer value still exceeds the target
-    by more than Delta ends the refinement early: the result is marked
-    ``converged=False`` and is certain to miss the target.  Ramps the
-    context already holds for ``(T_A, steps, tol)`` are looked up instead
-    of run again, so a repeated call returns the same result without
-    integrating, and one with a looser target or none resumes where an
-    early stop left off.
+    by more than Delta ends the refinement early: that result is returned
+    as it is, certain to miss the target.  Ramps the context already
+    holds for ``(T_A, steps, tol)`` are looked up instead of run again,
+    so a repeated call returns the same result without integrating, and
+    one with a looser target or none resumes where an early stop left
+    off.
     """
     if not tol > 0.0:
         raise ValueError(f"Krylov tolerance must be positive, got {tol}")
@@ -487,10 +483,8 @@ def converged_ramp(
         res = ctx._ramps[key]
         if prev is not None:
             delta = abs(res.infidelity - prev.infidelity)
-            if delta < step_tol:
+            if delta < step_tol or (target is not None and res.infidelity - delta > target):
                 return res
-            if target is not None and res.infidelity - delta > target:
-                return replace(res, converged=False)
         prev = res
         steps *= 2
     raise StepRefinementError(

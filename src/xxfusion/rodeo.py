@@ -109,14 +109,13 @@ def rodeo_cycles(
     *,
     tol: float = 1e-10,
     evolved: StateVector | None = None,
-) -> Iterator[tuple[StateVector, float, float]]:
+) -> Iterator[tuple[StateVector, float]]:
     """Run one cycle per entry of ``times`` on v0, renormalizing after each.
 
-    Yields ``(state, p, p_total)`` after every cycle: the normalized
-    survivor, that cycle's probability, and the running product of the
-    probabilities in cycle order, equal to the squared norm the
-    unnormalized cycle product would have.  Raises
-    :class:`RodeoAnnihilationError` once the running product falls below
+    Yields ``(state, p_total)`` after every cycle: the normalized survivor
+    and the running product of the cycle probabilities in cycle order,
+    equal to the squared norm the unnormalized cycle product would have.
+    Raises :class:`RodeoAnnihilationError` once the running product falls below
     the annihilation floor.  ``evolved``, if given, is e^{-i H t_1} v0 for
     the first cycle time t_1, computed once and shared by the caller.
     """
@@ -132,14 +131,13 @@ def rodeo_cycles(
                 f"{ANNIHILATION_FLOOR:.0e} after cycle {j + 1} of "
                 f"{len(times)} (E_t={E_t:.12g})"
             )
-        yield state, p, p_total
+        yield state, p_total
 
 
 @dataclass(frozen=True)
 class RodeoOutcome:
     state: StateVector
     p_total: float
-    cycle_probs: np.ndarray
     t_R: float
 
 
@@ -152,18 +150,16 @@ def run_rodeo(
     tol: float = 1e-10,
     evolved: StateVector | None = None,
 ) -> RodeoOutcome:
-    """Run every cycle of ``schedule`` on v0 and collect the outcome.
+    """Run every cycle of ``schedule`` on v0: the last survivor, the total
+    success probability and the schedule's total time.
 
     Renormalization, ``p_total``, the annihilation error and ``evolved``
     are those of :func:`rodeo_cycles`.
     """
-    state = v0
-    p_total = 1.0
-    probs = []
-    cycles = rodeo_cycles(v0, H, E_t, schedule.times, tol=tol, evolved=evolved)
-    for state, p, p_total in cycles:
-        probs.append(p)
-    return RodeoOutcome(state, p_total, np.array(probs), schedule.total_time)
+    state, p_total = v0, 1.0
+    for state, p_total in rodeo_cycles(v0, H, E_t, schedule.times, tol=tol, evolved=evolved):
+        pass
+    return RodeoOutcome(state, p_total, schedule.total_time)
 
 
 def energy_scan(

@@ -6,7 +6,7 @@ spins on even sites, so in the basis split by that parity
 H = [[0, B], [B^T, 0]] and the lowest pair of H is -sigma_1, -sigma_2 of
 B.  ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
 finds the top two eigenpairs of B^T B on the larger parity block from a
-fixed-seed start vector, and the ground is lifted back to the whole
+fixed-seed generator, and the ground is lifted back to the whole
 sector.  The free-fermion single-particle energies give an independent
 check on every sector ground energy of the uniform chain.
 """
@@ -82,11 +82,6 @@ def _sublattice_blocks(H: SparseHamiltonian):
         odd ^= ((configs >> site) & 1).astype(bool)
     big = odd if 2 * np.count_nonzero(odd) > H.dim else ~odd
     m = int(np.count_nonzero(big))
-    if m < 3:
-        raise ValueError(
-            f"the Lanczos route needs a sublattice-parity block of 3 or more states; "
-            f"sector (L={H.basis.L}, n_up={H.basis.n_up}) has blocks of {m} and {H.dim - m}"
-        )
     rank = np.cumsum(big, dtype=np.int32) - 1
     rows = H.matrix[np.flatnonzero(~big)]
     B = sp.csr_matrix((rows.data, rank[rows.indices], rows.indptr), shape=(H.dim - m, m))
@@ -111,20 +106,21 @@ def _lanczos_lowest_two(H: SparseHamiltonian):
     -B x / sigma_1 on the smaller one, over sqrt(2).
 
     ARPACK restarts within at most 20 vectors for two pairs, so memory does
-    not grow with the iteration count.  Its default start vector is random;
-    a fixed-seed one keeps repeated runs bit-identical, except where the
-    Krylov space closes early (B of rank one) and ARPACK draws a fresh
-    random vector from an unseeded generator.  With no hop stored (every
-    coupling zero) H = 0, and E0 = E1 = 0 with the first basis state.
+    not grow with the iteration count.  Its start vector, and the fresh
+    vector it draws where the Krylov space closes early (B of rank one),
+    come from one generator seeded with ``_LANCZOS_SEED``, so repeated runs
+    are bit-identical.  With no hop stored (every coupling zero) H = 0, and
+    E0 = E1 = 0 with the first basis state.
     """
     big, B = _sublattice_blocks(H)
     if B.nnz == 0:
         return 0.0, 0.0, np.eye(1, H.dim).ravel()
     m = B.shape[1]
     gram = LinearOperator((m, m), matvec=lambda x: B.T @ (B @ x), dtype=np.float64)
-    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(m)
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    v0 = rng.standard_normal(m)
     try:
-        w, U = eigsh(gram, k=2, which="LA", v0=v0, tol=LANCZOS_TOL)
+        w, U = eigsh(gram, k=2, which="LA", v0=v0, tol=LANCZOS_TOL, rng=rng)
     except ArpackNoConvergence as err:
         raise LanczosConvergenceError(
             f"Lanczos did not converge two pairs (dim {H.dim}): {err}"
@@ -138,13 +134,15 @@ def _lanczos_lowest_two(H: SparseHamiltonian):
     return float(-sigma1), float(-sigma2), _phase_fixed(vec / np.sqrt(2.0))
 
 
-def lowest_two(H: SparseHamiltonian, *, force_method: str | None = None) -> SpectralPair:
+def lowest_two(H: SparseHamiltonian) -> SpectralPair:
     """Ground and first excited energies plus the ground vector.
 
-    The ground vector's first amplitude of largest magnitude (to a relative
-    1e-8, so that ties of opposite sign are resolved by position, not by
-    roundoff) is fixed real positive, which pins the sign of the otherwise
-    arbitrary real phase; both routes therefore return the same vector.
+    The sector size alone picks the route: a dense ``eigh`` below
+    ``DENSE_CUTOFF`` states, ARPACK on B^T B from there on.  The ground
+    vector's first amplitude of largest magnitude (to a relative 1e-8, so
+    that ties of opposite sign are resolved by position, not by roundoff)
+    is fixed real positive, which pins the sign of the otherwise arbitrary
+    real phase; both routes therefore return the same vector.
     Raises :class:`DegenerateGapError` when E1 - E0 is below
     ``DEGENERATE_GAP_FACTOR`` times the coupling scale, since every
     schedule downstream divides by the gap.
@@ -153,13 +151,8 @@ def lowest_two(H: SparseHamiltonian, *, force_method: str | None = None) -> Spec
         raise ValueError(
             f"sector (L={H.basis.L}, n_up={H.basis.n_up}) has dimension {H.dim}; no gap"
         )
-    if force_method not in (None, "dense", "lanczos"):
-        raise ValueError(f"unknown method {force_method!r}")
-    method = force_method or ("dense" if H.dim < DENSE_CUTOFF else "lanczos")
-    if method == "dense":
-        E0, E1, vec = _dense_lowest_two(H)
-    else:
-        E0, E1, vec = _lanczos_lowest_two(H)
+    solve = _dense_lowest_two if H.dim < DENSE_CUTOFF else _lanczos_lowest_two
+    E0, E1, vec = solve(H)
     if E1 - E0 < DEGENERATE_GAP_FACTOR * H.couplings.scale:
         raise DegenerateGapError(
             f"E1 - E0 = {E1 - E0:.3e} is degenerate at coupling scale "

@@ -368,15 +368,9 @@ def basis_state(basis: SectorBasis, config: int) -> StateVector:
     return StateVector(basis, amps)
 
 
-def apply_hamiltonian(H: SparseHamiltonian, v: StateVector) -> StateVector:
-    """H @ v without exponentiation (mostly for residual checks)."""
-    if not H.basis.same_sector(v.basis) or H.dim != v.basis.dim:
-        raise ValueError("state and Hamiltonian live in different sectors")
-    return StateVector(v.basis, H.matrix @ v.amps)
-
-
-def embed_product(a: StateVector, b: StateVector, *, basis: SectorBasis | None = None) -> StateVector:
-    """Tensor product of two half-chain states inside the doubled sector.
+def embed_product(a: StateVector, b: StateVector, *, basis: SectorBasis) -> StateVector:
+    """Tensor product of two half-chain states inside ``basis``, the
+    doubled chain's sector.
 
     The first factor occupies sites half..L-1 (the left half of the ket
     string), the second sites 0..half-1, so |01> (x) |10> lands on the
@@ -390,9 +384,7 @@ def embed_product(a: StateVector, b: StateVector, *, basis: SectorBasis | None =
     half = a.basis.L
     L = 2 * half
     n_up = a.basis.n_up + b.basis.n_up
-    if basis is None:
-        basis = enumerate_sector(L, n_up)
-    elif basis.L != L or basis.n_up != n_up:
+    if basis.L != L or basis.n_up != n_up:
         raise ValueError(
             f"target basis (L={basis.L}, n_up={basis.n_up}) does not match "
             f"the product sector (L={L}, n_up={n_up})"

@@ -1,12 +1,16 @@
 """Command-line driver: config resolution, CSV output, exit codes."""
 
 import ast
+import contextlib
 import functools
+import io
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xxfusion.propagate as propagate
 import xxfusion.spectral as spectral
@@ -87,6 +91,19 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("L = 4\nbogus = 1\n")
     assert run(["gap", "--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("L 4", "run.cfg:2: expected key = value"),
+    ("L = four", "bad value for 'L'"),
+])
+def test_config_file_malformed_line(line, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment\n{line}\n")
+    assert run(["gap", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert captured.out == ""
 
 
 def test_config_file_missing(capsys):
@@ -433,6 +450,93 @@ def test_bad_rodeo_settings_exit_2_before_any_ramp(argv, monkeypatch, capsys):
     monkeypatch.setattr(propagate, "converged_ramp", no_ramp)
     assert run(argv) == 2
     assert "depth must be at least 1" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- fuzz gate
+
+#: Values every flag is also drawn from: zero, negative, nan, infinities,
+#: huge, empty and malformed.
+EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", "100000000000", "", "x", "1/0"]
+
+#: Edge values left out because their runs go on for minutes or more: a
+#: huge bisection count keeps bisecting long after the bracket has shrunk
+#: to one float, and with a Krylov tolerance that loose the ramp searches
+#: run on.  Targets and step tolerances are drawn only from ranges whose
+#: step doubling converges in time (see CHANGES.md).
+SLOW_EDGES = {"bisections": {"100000000000"}, "expmv_tol": {"inf", "1e300", "100000000000"}}
+
+#: In-range values of each option, at chain lengths up to 8.  ``fuse``
+#: always gets ``--L-final`` and goes to 4 sites at most: on a longer
+#: adiabatic ladder, a level that barely meets its target leaves the next
+#: level's ramps a floor above that target, and the search then runs to
+#: the duration cap (minutes; see CHANGES.md).
+SANE_VALUES = {
+    "L": ["2", "3", "4", "6", "8"],
+    "L_final": ["2", "4"],
+    "L_base": ["1", "2", "4"],
+    "filling": ["1/2", "1/4", "half", "quarter", "1/3"],
+    "n_up": ["1", "2", "3"],
+    "J": ["1", "-0.5", "2"],
+    "targets": ["1e-2", "1e-3,1e-4", "0.5,1e-2", ","],
+    "target": ["1e-2", "1e-3"],
+    "method": ["adiabatic", "rodeo", "hybrid"],
+    "level_policy": ["uniform", "budget"],
+    "depth": ["1", "3", "8"],
+    "ratio": ["0.25", "0.5", "1"],
+    "precondition": ["0.1", "1e-2"],
+    "max_superiterations": ["1", "4"],
+    "m_max": ["0", "2"],
+    "superiterations": ["0", "1", "2"],
+    "t_start": ["0.5", "2"],
+    "t_cap": ["1", "16", "1024"],
+    "bisections": ["0", "2"],
+    "expmv_tol": ["1e-8", "1e-10"],
+    "step_tol": ["auto", "1e-3", "1e-4"],
+    "e_min": ["-3", "0"],
+    "e_max": ["0", "3"],
+    "points": ["2", "5"],
+    "initial": ["neel", "ground", "product", "config:0101", "config:1110", "config:01"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """argv of one command with up to three of its flags set, each to an
+    in-range value or an edge value with equal chance."""
+    command = draw(st.sampled_from(sorted(cli.OPTIONS)))
+    keys = [o.key for o in cli.OPTIONS[command] if o.key != "output"]
+    argv = [command]
+    flags = draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
+    if command == "fuse" and "L_final" not in flags:
+        flags.append("L_final")
+    for key in flags:
+        edges = [v for v in EDGE_VALUES if v not in SLOW_EDGES.get(key, ())]
+        value = draw(st.sampled_from(SANE_VALUES[key]) | st.sampled_from(edges))
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv
+
+
+def captured_run(argv):
+    """(exit code, stdout, stderr) of one in-process run; argparse's own
+    exit is returned as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cli_argv())
+def test_every_outcome_is_a_documented_exit(argv):
+    code, out, err = captured_run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code != 0:
+        last = (err.splitlines() or [""])[-1]
+        assert last.startswith(("config error:", "error:", "FAILED")), (argv, err)
+    assert captured_run(argv)[1] == out, argv
 
 
 # ------------------------------------------------------------- structure

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from xxfusion.cli import OPTIONS
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -53,7 +55,7 @@ def test_fusion_ladder_smallest_ladder(tmp_path, monkeypatch):
 
 def test_golden_outputs_one_short_invocation(tmp_path, monkeypatch):
     module = load_script("golden_outputs")
-    monkeypatch.setattr(module, "INVOCATIONS", ["gap --L 4", "gap --L 4 --n-up 0"])
+    monkeypatch.setattr(module, "INVOCATIONS", {0: ["gap --L 4"], 2: ["gap --L 4 --n-up 0"]})
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     assert run_script("golden_outputs", [str(tmp_path)], monkeypatch, module) == 0
@@ -70,3 +72,17 @@ def test_golden_outputs_one_short_invocation(tmp_path, monkeypatch):
     assert (bad / "stdout").read_text() == ""
     assert (bad / "stderr").read_text().startswith("config error: ")
     assert (bad / "exit_code").read_text() == "2\n"
+
+
+def test_golden_outputs_cover_every_command_and_exit_code():
+    invocations = load_script("golden_outputs").INVOCATIONS
+    assert set(invocations) == {0, 1, 2}
+    assert {text.split()[0] for texts in invocations.values() for text in texts} == set(OPTIONS)
+
+
+def test_golden_outputs_flag_an_unexpected_exit_code(tmp_path, monkeypatch, capsys):
+    module = load_script("golden_outputs")
+    monkeypatch.setattr(module, "INVOCATIONS", {0: ["gap --L 4 --n-up 0"]})
+    assert run_script("golden_outputs", [str(tmp_path)], monkeypatch, module) == 1
+    assert "(exit 2, expected 0)" in capsys.readouterr().out
+    assert (tmp_path / "gap_L_4_n-up_0" / "exit_code").read_text() == "2\n"

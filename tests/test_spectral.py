@@ -16,8 +16,9 @@ from xxfusion import (
     LanczosConvergenceError,
     SimulationError,
     StateVector,
-    apply_hamiltonian,
+    basis_state,
     build_hamiltonian,
+    embed_product,
     enumerate_sector,
     free_fermion_energies,
     infidelity,
@@ -29,12 +30,24 @@ from xxfusion import (
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-#: Sectors of dim >= 3 whose larger sublattice-parity block has 2 states.
+#: Sectors of dim >= 3 whose larger sublattice-parity block has 2 states,
+#: too few for ARPACK's two pairs; lowest_two sends them to the dense route.
 SMALL_BLOCK_SECTORS = {(3, 1), (3, 2), (4, 1), (4, 3)}
+
+#: lowest_two's two routes, each returning (E0, E1, real ground vector).
+dense_route = spectral._dense_lowest_two
+lanczos_route = spectral._lanczos_lowest_two
 
 
 def uniform_chain(L, n, J=1.0):
     return build_hamiltonian(enumerate_sector(L, n), BondCouplings.uniform(L, J))
+
+
+def live_bond_chain(L, n, bond):
+    # one live bond: E0 = -1 and E1 = 0, so B has rank one and sigma_2 = 0
+    J = np.zeros(L - 1)
+    J[bond] = 1.0
+    return build_hamiltonian(enumerate_sector(L, n), BondCouplings(J))
 
 
 # -------------------------------------------------------- free fermions
@@ -91,26 +104,22 @@ def test_lowest_two_L16_lanczos_golden():
 
 
 def test_lowest_two_routes_agree():
-    # every sector with L <= 12 and dim >= 3; largest amplitudes often tie
-    # with opposite signs, and both routes must still return the same
-    # ground, sign included.  The Lanczos route runs ARPACK on the larger
-    # sublattice-parity block, which needs 3 states: four sectors have 2.
+    # every sector with L <= 12 and dim >= 3 whose larger sublattice-parity
+    # block holds 3 or more states; largest amplitudes often tie with
+    # opposite signs, and both routes must still return the same ground,
+    # sign included
     sectors = [
-        (L, n) for L in range(2, 13) for n in range(1, L) if math.comb(L, n) >= 3
+        (L, n) for L in range(2, 13) for n in range(1, L)
+        if math.comb(L, n) >= 3 and (L, n) not in SMALL_BLOCK_SECTORS
     ]
-    assert len(sectors) == 65
+    assert len(sectors) == 61
     for L, n in sectors:
         H = uniform_chain(L, n)
-        dense = lowest_two(H, force_method="dense")
-        if (L, n) in SMALL_BLOCK_SECTORS:
-            with pytest.raises(ValueError, match="blocks of 2 and"):
-                lowest_two(H, force_method="lanczos")
-            continue
-        lanczos = lowest_two(H, force_method="lanczos")
-        assert lanczos.E0 == pytest.approx(dense.E0, abs=1e-10)
-        assert lanczos.E1 == pytest.approx(dense.E1, abs=1e-10)
+        E0, E1, dense = dense_route(H)
+        lanczos = lanczos_route(H)
+        assert lanczos[:2] == pytest.approx((E0, E1), abs=1e-10)
         # elementwise 1e-8 at dim <= 924 also bounds 1 - overlap by 5e-14
-        assert np.max(np.abs(dense.ground.amps - lanczos.ground.amps)) <= 1e-8, (L, n)
+        assert np.max(np.abs(dense - lanczos[2])) <= 1e-8, (L, n)
 
 
 def random_couplings(L, seed):
@@ -130,29 +139,52 @@ def test_lowest_two_routes_agree_on_random_couplings():
             if math.comb(L, n) < 3 or (L, n) in SMALL_BLOCK_SECTORS:
                 continue
             H = build_hamiltonian(enumerate_sector(L, n), couplings)
-            dense = lowest_two(H, force_method="dense")
-            lanczos = lowest_two(H, force_method="lanczos")
-            assert lanczos.E0 == pytest.approx(dense.E0, abs=1e-10), (L, n)
-            assert lanczos.E1 == pytest.approx(dense.E1, abs=1e-10), (L, n)
-            assert np.max(np.abs(dense.ground.amps - lanczos.ground.amps)) <= 1e-8, (L, n)
+            E0, E1, dense = dense_route(H)
+            lanczos = lanczos_route(H)
+            assert lanczos[:2] == pytest.approx((E0, E1), abs=1e-10), (L, n)
+            assert np.max(np.abs(dense - lanczos[2])) <= 1e-8, (L, n)
 
 
-@pytest.mark.parametrize("L, n, bond", [(6, 1, 4), (10, 1, 4), (11, 10, 5), (12, 11, 6)])
+RANK_ONE_CASES = [(6, 1, 4), (10, 1, 4), (11, 10, 5), (12, 11, 6)]
+
+
+@pytest.mark.parametrize("L, n, bond", RANK_ONE_CASES)
 def test_lowest_two_zero_singular_value(L, n, bond):
-    # one live bond: E0 = -1 and E1 = 0, so B has rank one and sigma_2 = 0.
-    # The Krylov space closes after one step and ARPACK restarts from an
-    # unseeded random vector, so sigma_2^2 comes back as a roundoff of
-    # either sign (below zero in about 1 run in 2 at (6, 1), 1 in 20 at
-    # the others); the repeats meet the negative ones.
-    J = np.zeros(L - 1)
-    J[bond] = 1.0
-    H = build_hamiltonian(enumerate_sector(L, n), BondCouplings(J))
-    dense = lowest_two(H, force_method="dense")
-    assert (dense.E0, dense.E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
-    for _ in range(40):
-        lanczos = lowest_two(H, force_method="lanczos")
-        assert (lanczos.E0, lanczos.E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
-        assert np.max(np.abs(dense.ground.amps - lanczos.ground.amps)) <= 1e-12
+    H = live_bond_chain(L, n, bond)
+    E0, E1, dense = dense_route(H)
+    assert (E0, E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
+    lanczos = lanczos_route(H)
+    assert lanczos[:2] == pytest.approx((-1.0, 0.0), abs=1e-12)
+    assert np.max(np.abs(dense - lanczos[2])) <= 1e-12
+
+
+@pytest.mark.parametrize("L, n, bond", RANK_ONE_CASES)
+def test_lanczos_route_repeats_bit_for_bit(L, n, bond):
+    # B has rank one, so the Krylov space closes after one step and ARPACK
+    # restarts from a fresh random vector; drawn from the seeded generator,
+    # it is the same vector on every run
+    H = live_bond_chain(L, n, bond)
+    E0, E1, vec = lanczos_route(H)
+    for _ in range(20):
+        again = lanczos_route(H)
+        assert again[:2] == (E0, E1)
+        assert np.array_equal(again[2], vec)
+
+
+def test_lanczos_route_clips_negative_sigma_squared(monkeypatch):
+    # a zero singular value may come back as a roundoff below 0; the
+    # route takes it as 0 instead of a nan root
+    eigsh = spectral.eigsh
+
+    def eigsh_below_zero(*args, **kwargs):
+        w, U = eigsh(*args, **kwargs)
+        w[np.argmin(w)] = -1e-17
+        return w, U
+
+    monkeypatch.setattr(spectral, "eigsh", eigsh_below_zero)
+    E0, E1, _ = lanczos_route(live_bond_chain(6, 1, 4))
+    assert (E0, E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
+    assert E1 == 0.0
 
 
 def free_fermion_pair(L, n):
@@ -197,17 +229,16 @@ def test_lowest_two_negated_coupling_is_a_sublattice_gauge():
 
 
 def test_lowest_two_ground_properties():
-    for force in ("dense", "lanczos"):
-        pair = lowest_two(uniform_chain(8, 4), force_method=force)
-        g = pair.ground
-        assert g.norm() == pytest.approx(1.0, abs=1e-12)
-        residual = apply_hamiltonian(
-            build_hamiltonian(g.basis, BondCouplings.uniform(8)), g
-        ).amps - pair.E0 * g.amps
-        assert np.linalg.norm(residual) <= 1e-9 * 2.0 * math.sqrt(g.basis.dim)
-        # phase convention: the largest amplitude is real positive
-        k = int(np.argmax(np.abs(g.amps)))
-        assert g.amps[k].real > 0 and abs(g.amps[k].imag) < 1e-14
+    H = uniform_chain(8, 4)
+    for route in (dense_route, lanczos_route):
+        E0, _, g = route(H)
+        assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
+        residual = H.matrix @ g - E0 * g
+        assert np.linalg.norm(residual) <= 1e-9 * 2.0 * math.sqrt(H.dim)
+        # phase convention: the largest amplitude is positive
+        assert g[int(np.argmax(np.abs(g)))] > 0
+    # dim 70 takes the dense route
+    assert np.array_equal(lowest_two(H).ground.amps, dense_route(H)[2].astype(complex))
 
 
 def test_lowest_two_gap_for_every_small_sector():
@@ -228,11 +259,6 @@ def test_lowest_two_degenerate_and_trivial_errors():
         lowest_two(build_hamiltonian(enumerate_sector(2, 1), BondCouplings(np.zeros(1))))
     with pytest.raises(ValueError):
         lowest_two(uniform_chain(2, 0))  # dim 1, no excited state
-    with pytest.raises(ValueError):
-        lowest_two(uniform_chain(4, 2), force_method="qr")
-    with pytest.raises(ValueError):
-        # ARPACK needs k = 2 < the larger parity block's size; here it is 1
-        lowest_two(uniform_chain(2, 1), force_method="lanczos")
 
 
 def test_lowest_two_lanczos_budget_failure_is_typed(monkeypatch):
@@ -264,6 +290,8 @@ def test_infidelity_requires_normalized_states():
     g = lowest_two(uniform_chain(4, 2)).ground
     with pytest.raises(ValueError):
         infidelity(v, g)
+    with pytest.raises(ValueError, match="different sectors"):
+        infidelity(basis_state(enumerate_sector(4, 1), 0b0001), g)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 2.0 * math.pi))
@@ -299,10 +327,8 @@ def test_spectral_weight_scales_linearly(seed, c):
 
 
 def test_embedded_product_overlap_goldens():
-    from xxfusion import embed_product
-
     g2 = lowest_two(uniform_chain(2, 1)).ground
-    prod = embed_product(g2, g2)
+    prod = embed_product(g2, g2, basis=enumerate_sector(4, 2))
     g4 = lowest_two(uniform_chain(4, 2)).ground
     assert infidelity(prod, g4) == pytest.approx(0.1027864045000435, abs=1e-13)
     assert spectral_weight(prod, g4) == pytest.approx(0.9472135954999572, abs=1e-13)
