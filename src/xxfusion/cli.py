@@ -31,6 +31,7 @@ from .fusion import (
     half_ground,
     run_fusion,
 )
+from .propagate import check_expmv_tol
 from .rodeo import energy_scan, make_schedule
 from .spectral import chain_pair
 from .spin_model import basis_state, embed_product, sector_occupancy
@@ -315,8 +316,7 @@ def _scan_initial(kind: str, basis, pair, J: float):
 
 
 def cmd_scan(values: dict) -> int:
-    if not values["expmv_tol"] > 0.0:
-        raise ConfigError(f"expmv tolerance must be positive, got {values['expmv_tol']}")
+    check_expmv_tol(values["expmv_tol"])
     if values["points"] < 2:
         raise ConfigError("need at least two grid points")
     if not np.isfinite([values["e_min"], values["e_max"]]).all():

@@ -499,6 +499,13 @@ def default_step_tol(target_infidelity: float) -> float:
     return min(1e-4, target_infidelity / 10.0)
 
 
+def check_expmv_tol(tol: float) -> None:
+    """Raise ValueError unless the relative Krylov tolerance ``tol`` lies in
+    (0, 1); at 1 or above the zero vector would meet it."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"expmv tolerance must be positive and below 1, got {tol}")
+
+
 def _check_search(T_start, T_cap, bisections, step_tol, tol) -> None:
     if not T_start > 0.0:
         raise ValueError(f"first ramp duration must be positive, got {T_start}")
@@ -508,8 +515,7 @@ def _check_search(T_start, T_cap, bisections, step_tol, tol) -> None:
         raise ValueError(f"bisections must be nonnegative, got {bisections}")
     if step_tol is not None and not step_tol > 0.0:
         raise ValueError(f"step tolerance must be positive, got {step_tol}")
-    if not tol > 0.0:
-        raise ValueError(f"Krylov tolerance must be positive, got {tol}")
+    check_expmv_tol(tol)
 
 
 def ramp_time_for_infidelity(
@@ -526,10 +532,11 @@ def ramp_time_for_infidelity(
     refined by bisection.
 
     Durations T_start * 2^k are probed until one achieves the target
-    infidelity; ``refine_bisections`` optional bisection rounds then
-    shrink the bracket between it and the last miss.  The infidelity is
-    not monotone in T_A, so a shorter duration off this grid may also
-    meet the target (see the module notes).  Each probe is evaluated
+    infidelity; up to ``refine_bisections`` bisection rounds then shrink
+    the bracket between it and the last miss, stopping once its midpoint
+    rounds to one of its ends.  The infidelity is not monotone in T_A, so
+    a shorter duration off this grid may also meet the target (see the
+    module notes).  Each probe is evaluated
     with step doubling until its infidelity is converged to ``step_tol``
     (default: :func:`default_step_tol` of the target), or until it is
     certain to miss the target (see :func:`converged_ramp`).  The
@@ -567,6 +574,8 @@ def ramp_time_for_infidelity(
         lo = missed[-1]
         for _ in range(refine_bisections):
             mid = 0.5 * (lo + hi.T_A)
+            if mid in (lo, hi.T_A):
+                break  # the bracket cannot shrink; further rounds repeat a probe
             res = converged_ramp(ctx, mid, step_tol=step_tol, tol=tol, target=target_infidelity)
             if res.infidelity <= target_infidelity:
                 hi = res

@@ -4,11 +4,13 @@ Below ``DENSE_CUTOFF`` the solver simply diagonalizes.  Above it the
 chain's bipartite structure is used: every hop flips the parity of the up
 spins on even sites, so in the basis split by that parity
 H = [[0, B], [B^T, 0]] and the lowest pair of H is -sigma_1, -sigma_2 of
-B.  ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
-finds the top two eigenpairs of B^T B on the larger parity block from a
-fixed-seed generator, and the ground is lifted back to the whole
-sector.  The free-fermion single-particle energies give an independent
-check on every sector ground energy of the uniform chain.
+B.  B is built straight from the hop pattern of the smaller parity
+block's rows, so this route never forms the CSR of H.  ARPACK's
+implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``) finds the
+top two eigenpairs of B^T B on the larger parity block from a fixed-seed
+generator, and the ground is lifted back to the whole sector.  The
+free-fermion single-particle energies give an independent check on every
+sector ground energy of the uniform chain.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .spin_model import (
     BondCouplings,
     SparseHamiltonian,
     StateVector,
+    _hop_pattern,
     build_hamiltonian,
     enumerate_sector,
 )
@@ -72,8 +75,9 @@ def _sublattice_blocks(H: SparseHamiltonian):
 
     Returns ``(big, B)``: ``big`` masks the configurations of the larger
     block (ties go to the even-parity one), and B (smaller x larger, CSR)
-    holds every hop of H, since each hop leaves its block.  B's rows are
-    gathered from H and its columns ranked by ``cumsum(big)``, which is
+    holds every hop of H, since each hop leaves its block.  B is built
+    from the hop pattern of the smaller block's rows alone, so the CSR of
+    H is never formed; its columns are ranked by ``cumsum(big)``, which is
     monotone, so they stay ascending.
     """
     configs = H.basis.configs
@@ -83,8 +87,9 @@ def _sublattice_blocks(H: SparseHamiltonian):
     big = odd if 2 * np.count_nonzero(odd) > H.dim else ~odd
     m = int(np.count_nonzero(big))
     rank = np.cumsum(big, dtype=np.int32) - 1
-    rows = H.matrix[np.flatnonzero(~big)]
-    B = sp.csr_matrix((rows.data, rank[rows.indices], rows.indptr), shape=(H.dim - m, m))
+    J = H.couplings.J
+    indptr, indices, bond = _hop_pattern(H.basis, np.flatnonzero(J), np.flatnonzero(~big))
+    B = sp.csr_matrix((J[bond], rank[indices], indptr), shape=(H.dim - m, m))
     return big, B
 
 

@@ -212,15 +212,18 @@ def middle_bond(L: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SparseHamiltonian:
-    """XX Hamiltonian restricted to one sector, stored as real CSR.
+    """XX Hamiltonian restricted to one sector; its real CSR ``matrix`` is
+    assembled on first access.
 
     H = sum_b J[b] (S+_b S-_{b+1} + S-_b S+_{b+1}); diagonal is zero and
     every matrix element is real, so the eigenbasis can be chosen real.
+    The Lanczos route of ``spectral.lowest_two`` never reads ``matrix``:
+    it builds its hop block B from the pattern of :func:`_hop_pattern`.
     """
 
     basis: SectorBasis
     couplings: BondCouplings
-    matrix: sp.csr_matrix
+    _matrix: sp.csr_matrix | None = field(default=None, init=False, repr=False)
     _eig_cache: tuple | None = field(default=None, init=False, repr=False)
     _norm_cache: float | None = field(default=None, init=False, repr=False)
     #: Krylov propagators of ``propagate.expmv``, keyed by whether they run
@@ -230,6 +233,17 @@ class SparseHamiltonian:
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """Cached CSR of H on the canonical hop pattern; zero bonds store nothing."""
+        if self._matrix is None:
+            indptr, indices, bond = _hop_pattern(self.basis, np.flatnonzero(self.couplings.J))
+            matrix = sp.csr_matrix(
+                (self.couplings.J[bond], indices, indptr), shape=(self.dim, self.dim)
+            )
+            object.__setattr__(self, "_matrix", matrix)
+        return self._matrix
 
     def dense_eig(self):
         """Cached full eigendecomposition (w, U); intended for small dims."""
@@ -245,7 +259,7 @@ class SparseHamiltonian:
         return self._norm_cache
 
 
-def _hop_pattern(basis: SectorBasis, bonds) -> tuple:
+def _hop_pattern(basis: SectorBasis, bonds, rows=None) -> tuple:
     """Canonical CSR pattern (indptr, indices, bond) of the hops across ``bonds``.
 
     ``bond`` holds the bond of every stored entry, so any per-bond
@@ -253,22 +267,25 @@ def _hop_pattern(basis: SectorBasis, bonds) -> tuple:
     Moving the up spin across bond b changes the ordinal by +-C(b, k),
     where k counts the up spins below site b.  Rows are filled in the
     order of the module notes: down-hops from the row start, up-hops from
-    the row end, both by decreasing b.
+    the row end, both by decreasing b.  ``rows`` (ascending ordinals; all
+    of them by default) picks the rows to fill.  Each comes out exactly
+    as in the full pattern, its columns still ordinals of the whole sector.
     """
-    configs = basis.configs
+    rows = np.arange(basis.dim) if rows is None else np.asarray(rows)
+    configs = basis.configs[rows]
     n_up = basis.n_up
     wanted = set(int(b) for b in bonds)
     antiparallel = configs ^ (configs >> 1)
-    counts = np.zeros(basis.dim, dtype=np.int64)
+    counts = np.zeros(rows.size, dtype=np.int64)
     for b in wanted:
         counts += (antiparallel >> b) & 1
-    indptr = np.zeros(basis.dim + 1, dtype=np.int32)
+    indptr = np.zeros(rows.size + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     indices = np.empty(int(indptr[-1]), dtype=np.int32)
     bond = np.empty(indices.size, dtype=np.uint8)
     down_pos = indptr[:-1].astype(np.int64)  # filled forward from the row start
     up_pos = indptr[1:].astype(np.int64)  # filled backward from the row end
-    above = np.zeros(basis.dim, dtype=np.int64)  # up spins on sites > b + 1
+    above = np.zeros(rows.size, dtype=np.int64)  # up spins on sites > b + 1
     lo = (configs >> (basis.L - 1)) & 1
     for b in reversed(range(basis.L - 1)):
         hi, lo = lo, (configs >> b) & 1
@@ -277,19 +294,20 @@ def _hop_pattern(basis: SectorBasis, bonds) -> tuple:
             down = np.flatnonzero(hi > lo)
             pos = down_pos[down]
             down_pos[down] += 1
-            indices[pos] = down - shift[n_up - 1 - above[down]]
+            indices[pos] = rows[down] - shift[n_up - 1 - above[down]]
             bond[pos] = b
             up = np.flatnonzero(lo > hi)
             up_pos[up] -= 1
             pos = up_pos[up]
-            indices[pos] = up + shift[n_up - 1 - above[up]]
+            indices[pos] = rows[up] + shift[n_up - 1 - above[up]]
             bond[pos] = b
         above += hi
     return indptr, indices, bond
 
 
 def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHamiltonian:
-    """Assemble the sector-restricted hop matrix.
+    """The sector-restricted hop Hamiltonian; its CSR is assembled on
+    first access to ``matrix``.
 
     A bond b contributes J[b] between configurations that differ by one
     exchange of antiparallel neighbors across that bond; magnetization is
@@ -298,7 +316,9 @@ def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHam
 
     Raises :class:`CapacityError`, before allocating, when the sector,
     the CSR and the Lanczos working set of ``spectral.lowest_two`` would
-    together exceed physical memory.  In bytes: 8 per configuration; 12
+    together exceed physical memory.  The Lanczos route builds B, not the
+    CSR of H, so for a run that only solves the lowest pair this is an
+    upper bound.  In bytes: 8 per configuration; 12
     per stored hop (at most 2 dim n(L-n)/L of them: dim times the mean
     count of antiparallel bonds) and 4 per row pointer; half the hops
     again, plus a row pointer per state of the smaller sublattice-parity
@@ -329,11 +349,7 @@ def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHam
         "Lanczos vectors, more than the {have} GiB of physical memory",
         L=L, n=n,
     )
-    indptr, indices, bond = _hop_pattern(basis, np.flatnonzero(couplings.J))
-    matrix = sp.csr_matrix(
-        (couplings.J[bond], indices, indptr), shape=(basis.dim, basis.dim)
-    )
-    return SparseHamiltonian(basis, couplings, matrix)
+    return SparseHamiltonian(basis, couplings)
 
 
 @dataclass(frozen=True, eq=False)

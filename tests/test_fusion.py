@@ -62,7 +62,8 @@ def test_fusion_config_validation():
                 dict(max_superiterations=-1), dict(precondition_infidelity=0.0),
                 dict(precondition_infidelity=1.0), dict(T_start=0.0),
                 dict(T_start=4.0, T_cap=2.0), dict(bisections=-1), dict(expmv_tol=0.0),
-                dict(step_tol=0.0), dict(step_tol=-1e-4)):
+                dict(expmv_tol=1.0), dict(expmv_tol=float("inf")),
+                dict(expmv_tol=float("nan")), dict(step_tol=0.0), dict(step_tol=-1e-4)):
         with pytest.raises(ValueError):
             FusionConfig(**bad)
     FusionConfig(ratio=1.0, max_superiterations=0, T_cap=1.0, bisections=0)

@@ -708,6 +708,15 @@ def test_ramp_search_shares_probe_cache(monkeypatch):
     assert second is first
 
 
+def test_ramp_search_stops_bisecting_once_the_bracket_cannot_shrink():
+    # about fifty halvings leave a bracket one float wide; any later round
+    # would repeat a probe, so a huge count returns what 60 rounds return
+    many, sixty = (ramp_time_for_infidelity(1e-3, fresh_context(4, 2), refine_bisections=k)
+                   for k in (10**11, 60))
+    assert (many.T_A, many.steps, many.infidelity) == (sixty.T_A, sixty.steps, sixty.infidelity)
+    assert many.state.amps.tobytes() == sixty.state.amps.tobytes()
+
+
 def test_ramp_search_cache_order_does_not_matter():
     # the tight search leaves probes it stopped early; the loose one resumes them
     ctx = fresh_context(4, 2)
@@ -792,7 +801,8 @@ def test_ramp_search_argument_errors(monkeypatch):
                         (1e-2, dict(T_start=4.0, T_cap=2.0)),
                         (1e-2, dict(T_cap=math.inf)), (1e-2, dict(refine_bisections=-1)),
                         (1e-2, dict(step_tol=0.0)), (1e-2, dict(tol=0.0)),
-                        (1e-2, dict(tol=math.nan))):
+                        (1e-2, dict(tol=math.nan)), (1e-2, dict(tol=1.0)),
+                        (1e-2, dict(tol=math.inf))):
         with pytest.raises(ValueError):
             ramp_time_for_infidelity(target, ctx, **bad)
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -259,6 +260,43 @@ def test_lowest_two_degenerate_and_trivial_errors():
         lowest_two(build_hamiltonian(enumerate_sector(2, 1), BondCouplings(np.zeros(1))))
     with pytest.raises(ValueError):
         lowest_two(uniform_chain(2, 0))  # dim 1, no excited state
+
+
+def gathered_block(H, big):
+    """B as the rows of H's assembled CSR on the smaller parity block, with
+    columns ranked within the larger one."""
+    rank = np.cumsum(big, dtype=np.int32) - 1
+    rows = H.matrix[np.flatnonzero(~big)]
+    return sp.csr_matrix((rows.data, rank[rows.indices], rows.indptr),
+                         shape=(rows.shape[0], int(np.count_nonzero(big))))
+
+
+def test_hop_block_from_pattern_equals_block_gathered_from_H():
+    cases = [(L, n, BondCouplings.uniform(L)) for L in range(2, 15) for n in range(L + 1)
+             if math.comb(L, n) >= spectral.DENSE_CUTOFF]
+    cases += [(L, n, random_couplings(L, 2000 + L)) for L in (10, 12, 14) for n in (3, L // 2)]
+    for L, n, couplings in cases:
+        H = build_hamiltonian(enumerate_sector(L, n), couplings)
+        big, B = spectral._sublattice_blocks(H)
+        ref = gathered_block(H, big)
+        assert B.shape == ref.shape, (L, n)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(B, part), getattr(ref, part)), (L, n, part)
+
+
+def test_lanczos_route_never_assembles_H(monkeypatch):
+    import xxfusion.spin_model as spin_model
+
+    pattern = spin_model._hop_pattern
+
+    def rows_only(basis, bonds, rows=None):
+        if rows is None:
+            raise AssertionError("the CSR of H was assembled")
+        return pattern(basis, bonds, rows)
+
+    monkeypatch.setattr(spin_model, "_hop_pattern", rows_only)
+    pair = lowest_two(build_hamiltonian(enumerate_sector(16, 8), BondCouplings.uniform(16)))
+    assert pair.E0 == pytest.approx(sector_ground_energy_oracle(16, 8), abs=1e-9)
 
 
 def test_lowest_two_lanczos_budget_failure_is_typed(monkeypatch):

@@ -21,6 +21,7 @@ from xxfusion import (
     lowest_two,
     middle_bond,
 )
+from xxfusion.spin_model import _hop_pattern
 
 # ---------------------------------------------------------------- bases
 
@@ -209,6 +210,24 @@ def test_hamiltonian_matches_dense_oracle(L, data):
     _, ref = oracles.dense_hamiltonian(L, n, J)
     assert np.array_equal(H.matrix.toarray(), ref)
     assert H.matrix.nnz == np.count_nonzero(ref)
+
+
+@given(st.integers(2, 12), st.data())
+@settings(deadline=None, max_examples=60)
+def test_hop_pattern_of_chosen_rows_matches_full_pattern(L, data):
+    n = data.draw(st.integers(0, L))
+    basis = enumerate_sector(L, n)
+    bonds = data.draw(st.lists(st.integers(0, L - 2), unique=True))
+    rows = np.array(sorted(data.draw(
+        st.sets(st.integers(0, basis.dim - 1), max_size=basis.dim))), dtype=np.int64)
+    indptr, indices, bond = _hop_pattern(basis, bonds)
+    sub_indptr, sub_indices, sub_bond = _hop_pattern(basis, bonds, rows)
+    assert sub_indptr.size == rows.size + 1
+    assert sub_indptr[0] == 0 and sub_indptr[-1] == sub_indices.size == sub_bond.size
+    for i, r in enumerate(rows):
+        sub, full = slice(*sub_indptr[i:i + 2]), slice(*indptr[r:r + 2])
+        assert np.array_equal(sub_indices[sub], indices[full])
+        assert np.array_equal(sub_bond[sub], bond[full])
 
 
 def test_hamiltonian_is_canonical_csr():
