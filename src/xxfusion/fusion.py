@@ -174,9 +174,8 @@ class FusionStep:
         L = 2 * ground_half.basis.L
         H, pair = chain_pair(L, 2 * ground_half.basis.n_up, config.J)
         product = embed_product(ground_half, ground_half, basis=H.basis).normalized()
-        bond = middle_bond(L)
-        base = H.couplings.with_bond(bond, 0.0)
-        ctx = RampContext(H.basis, base, bond, config.J, product, pair.ground)
+        base = H.couplings.with_bond(middle_bond(L), 0.0)
+        ctx = RampContext(H.basis, base, config.J, product, pair.ground)
         return cls(config, H, pair.E0, pair.gap, ctx)
 
     @classmethod
@@ -295,6 +294,13 @@ class FusionStep:
             yield None, StepRecord.failed(L, method, target, err)
 
 
+def _check_method_target(method: str, target_infidelity: float) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if not 0.0 < target_infidelity < 1.0:
+        raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
+
+
 def fuse_step(
     ground_half: StateVector,
     method: str,
@@ -311,10 +317,7 @@ def fuse_step(
     that the input product already holds outside the reachable band; with
     impure halves its search may exhaust the duration cap and fail.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if not 0.0 < target_infidelity < 1.0:
-        raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
+    _check_method_target(method, target_infidelity)
     config = config or FusionConfig()
     try:
         step = FusionStep.from_half(ground_half, config)
@@ -345,8 +348,11 @@ def run_fusion(
     :class:`SimulationError` at any level, the base ground's included,
     ends the ladder with None and that level's FAILED record, at its L
     and target, as the last record; a base ground that fails is recorded
-    at the first level, or at L_final when there is no step.
+    at the first level, or at L_final when there is no step.  An unknown
+    method or a target outside (0, 1) raises ValueError before any level
+    runs, as in :func:`fuse_step`, even when the ladder has no step.
     """
+    _check_method_target(method, target_infidelity)
     config = config or FusionConfig()
     if L_base < 2:
         raise ValueError(f"base chains need at least 2 sites, got {L_base}")

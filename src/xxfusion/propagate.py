@@ -1,13 +1,16 @@
 """Exact-propagator application and the linear middle-bond ramp.
 
 ``expmv`` applies exp(-i H t) of one fixed H, as in the rodeo cycles,
-either through its cached dense eigendecomposition (small sectors) or a
-Lanczos/Krylov approximation with internal substepping (large ones),
-whose propagators (doubled CSR, workspace, stop hint) are kept on H.
-The Krylov path runs in the chain's symmetric subspace under the same
-condition as the ramp below: palindromic couplings and v within
-``tol`` |v| of its even part, as the product of two identical halves
-and every rodeo survivor of it are.
+and the ramp applies the midpoint steps of H(lambda).  Both run on one
+Krylov operator, :class:`_Operator`: the doubled CSR of H on the hop
+pattern of its couplings, the entries of the ramped bond that each step
+refills, a workspace and a stop hint.  It is built once per sector,
+couplings, ramped bond (none for ``expmv``) and subspace, and kept on the
+sector.  ``expmv`` takes it from ``DENSE_CUTOFF`` states on; below, it
+applies H's cached dense eigendecomposition.  Each runs in the chain's
+symmetric subspace under the same condition: palindromic couplings and
+an input within ``tol`` of its even part, as the product of two
+identical halves and every ramp and rodeo survivor of it are.
 
 The Krylov substep runs a real Lanczos iteration on the state stored as
 a (2, n) block [Re; Im].  H is real symmetric, so every Lanczos vector
@@ -30,34 +33,43 @@ Comput. 19, 38 (1998)); the a posteriori estimate beta0 * b * |t| *
 |u_m| still decides when a substep is done; u itself is formed only then.
 Each estimate costs a dstevd of T, so estimates start one iteration
 before the previous substep's stop (carried through a propagation, a
-ramp, and the ``expmv`` calls on one H); if the first passes, the stored
+ramp, and the ``expmv`` calls on one operator); if the first passes, the stored
 iterations are walked back until one fails, giving the every-iteration
 stop when estimates fall monotonically.  A workspace larger than physical
 memory is refused with CapacityError before it is allocated.
 
 The adiabatic ramp integrates a piecewise-constant midpoint Hamiltonian
 that changes every step, so in every sector each step is one Krylov
-propagation on a doubled CSR whose ramped entries are rewritten in
-place, all steps sharing one basis workspace.
+propagation on the operator's doubled CSR with its ramped entries
+rewritten in place, all steps sharing one basis workspace.
 
-The ramp runs in the chain's symmetric subspace whenever its inputs
-allow (Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  With palindromic
+Both evolutions run in the chain's symmetric subspace whenever their
+inputs allow (Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  With palindromic
 base couplings, H(lambda) = H_base + lambda H_bond commutes at every
 lambda with reflection of the chain, i <-> L-1-i (the middle bond maps
 to itself), and at half filling also with the global spin flip; the
 product of two identical halves is even under both.  When v0 lies
 within the ramp's ``tol`` of its even part, the ramp integrates
 P^T H(lambda) P on P^T v0 and lifts the result back as P x, with P the
-isometry of :meth:`SectorBasis.symmetric_isometry` (one column per
-orbit: its indicator over sqrt(|orbit|)).  That subspace is about half
-the sector, a quarter at half filling (12,870 -> 3,299 at L=16), and a
-step costs in proportion to its dimension.  Otherwise P is the identity
-and the arithmetic is the full sector's, bit for bit.  Either operator
-is built once per sector and couplings and kept on the basis.  One gate,
+isometry :attr:`SectorBasis.symmetric_isometry` (one column per orbit:
+its indicator over sqrt(|orbit|)).  That subspace is about half the
+sector, a quarter at half filling (12,870 -> 3,299 at L=16), and a step
+costs in proportion to its dimension.  Otherwise P is the identity and
+the arithmetic is the full sector's, bit for bit.  One gate,
 :func:`_symmetric_reduction`, decides the subspace for the ramp and for
-``expmv`` alike; the norm bound of a reduced propagation is that of the
-full H, since ||P^T H P||_2 <= ||H||_2 <= ||H||_inf, so its substeps are
-those of the full sector.
+``expmv`` alike.
+
+The norm bound sets the substep count, so each caller keeps its own:
+swapping either one moves output bytes.  ``expmv`` passes the full H's
+||H||_inf, which bounds a reduced propagation too, since
+||P^T H P||_2 <= ||H||_2 <= ||H||_inf, so a reduced ``expmv`` takes the
+substeps of the full sector; the reduced matrix's own bound would differ
+(12.83 against 12 at (L, n) = (14, 6), the sector of the benchmark's
+energy scan).  The ramp has no full H at its lambda, so each step passes
+what :meth:`_Operator.set` returns, ||P^T H_base P||_inf + |lambda|
+||P^T H_bond P||_inf of the matrix the step runs on; at lambda = 1 that
+is 7.657 for the reduced ramp against 7.0 in the full sector at (8, 4),
+and 9.828 against 9.0 at (16, 4).
 
 The step count is doubled until the measured infidelity stabilizes.  A
 :class:`RampContext` keeps every ramp integrated for it, keyed by
@@ -120,11 +132,10 @@ MAX_RAMP_STEPS = 1 << 22
 
 @dataclass(frozen=True)
 class RampSchedule:
-    """Linear ramp of one bond from 0 to J_target over duration T_A."""
+    """Linear ramp of the middle bond from 0 to J_target over duration T_A."""
 
     T_A: float
     steps: int
-    bond: int
     J_target: float
 
     def __post_init__(self):
@@ -248,17 +259,39 @@ def _join(x: np.ndarray) -> np.ndarray:
     return x[0] + 1j * x[1]
 
 
-class _Propagator:
-    """exp(-i H t) on (2, n) blocks for one real symmetric CSR H: the doubled
-    CSR, its Krylov workspace and the stop hint carried from call to call.
+class _Operator:
+    """exp(-i t P^T H(lambda) P) on (2, m) blocks for one sector, couplings,
+    ramped bond and subspace, with H(lambda) = H(couplings) + lambda
+    H(bond) and P the symmetric isometry (None: the full sector).
 
-    Refuses with :class:`CapacityError`, before allocating, a workspace
-    larger than physical memory.  ``mat2.data`` may be rewritten between
-    calls (the ramp does, per step); the hint only decides where error
+    H is kept as the doubled CSR block_diag(H, H) on the hop pattern of
+    the nonzero couplings and ``bond``; :meth:`set` refills the entries
+    the bond touches as base + lambda * coef.  ``expmv`` passes
+    ``bond=None``, so none are refilled.  With P = None a refill writes
+    0 + lambda * 1 = lambda.  With an isometry P both terms come from one
+    complex product, real part the couplings and imaginary part the
+    bond's coefficient, so they share its pattern.
+
+    Refuses with :class:`CapacityError`, before allocating, a Krylov
+    workspace larger than physical memory.  ``k_stop`` is the stop of the
+    last substep, carried from call to call; it only decides where error
     estimates start, and the walk-back keeps the stop where it would be.
     """
 
-    def __init__(self, mat: sp.csr_matrix):
+    def __init__(self, basis: SectorBasis, couplings: BondCouplings, bond: int | None, P):
+        bonds = list(np.flatnonzero(couplings.J))
+        if bond is not None:
+            bonds.append(bond)
+        indptr, indices, hop_bond = _hop_pattern(basis, bonds)
+        mat = sp.csr_matrix((couplings.J[hop_bond], indices, indptr), shape=(basis.dim, basis.dim))
+        coef = (hop_bond == bond).astype(np.float64)  # all zero when bond is None
+        if P is not None:
+            mat.data = mat.data + 1j * coef
+            mat = _compressed(mat, P)
+            mat.data, coef = mat.data.real.copy(), mat.data.imag.copy()
+        self.P = P
+        self.nb = spla.norm(mat, np.inf)
+        self.nu = spla.norm(sp.csr_matrix((coef, mat.indices, mat.indptr), mat.shape), np.inf)
         n = mat.shape[0]
         _require_memory(
             (MAX_KRYLOV + 1) * 2 * n * 8,
@@ -269,87 +302,23 @@ class _Propagator:
         self.mat2 = _doubled(mat)
         self.V = np.empty((MAX_KRYLOV + 1, 2 * n))
         self.k_stop = 0
+        self.ramp = np.flatnonzero(np.tile(coef != 0.0, 2))
+        self.base = self.mat2.data[self.ramp].copy()
+        self.coef = np.tile(coef, 2)[self.ramp]
+
+    def set(self, lam: float) -> float:
+        """Write H(lambda) into the pattern; returns its norm bound."""
+        self.mat2.data[self.ramp] = self.base + lam * self.coef
+        return self.nb + abs(lam) * self.nu
 
     def __call__(self, x, t, tol, norm_bound):
         y, self.k_stop = _krylov_propagate(self.mat2, norm_bound, x, t, tol, self.V, self.k_stop)
         return y
 
-
-def expmv(
-    H: SparseHamiltonian,
-    t: float,
-    v: StateVector,
-    tol: float = 1e-10,
-    *,
-    method: str = "auto",
-) -> StateVector:
-    """Apply exp(-i H t) to v.
-
-    ``method`` is "auto" (dense below the sector-size cutoff, Krylov
-    above), "dense", or "krylov"; forcing a path is mostly useful for
-    cross-checking the two against each other.  When H's couplings are
-    palindromic and v lies within ``tol`` |v| of its even part, the
-    Krylov path propagates P^T H P on P^T v in the symmetric subspace and
-    lifts the result back as P x (see the module notes); otherwise it
-    runs in the full sector.  Each path keeps its doubled CSR, workspace
-    and stop hint on ``H`` across calls, so repeated calls on one H
-    rebuild nothing and start their error estimates near the last stop; a
-    workspace larger than physical memory raises :class:`CapacityError`
-    before it is allocated.
-    """
-    if not H.basis.same_sector(v.basis) or H.dim != v.basis.dim:
-        raise ValueError("state and Hamiltonian live in different sectors")
-    if method not in ("auto", "dense", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
-    if not tol >= 0.0:
-        raise ValueError(f"expmv tolerance must be nonnegative, got {tol}")
-    if method == "auto":
-        method = "dense" if H.dim < DENSE_CUTOFF else "krylov"
-    if method == "dense":
-        w, U = H.dense_eig()
-        amps = U @ (np.exp(-1j * w * t) * (U.T @ v.amps))
-    else:
-        P, x = _symmetric_reduction(H.basis, H.couplings, v, tol) or (None, v.amps)
-        key = P is not None
-        if key not in H._propagators:
-            H._propagators[key] = _Propagator(H.matrix if P is None else _compressed(H.matrix, P))
-        amps = _join(H._propagators[key](_split(x), t, tol, H.norm_inf()))
-        if P is not None:
-            amps = P @ amps
-    return StateVector(v.basis, amps)
-
-
-class _RampOperator:
-    """P^T (H_base + lambda H_bond) P of one ramp problem on one doubled CSR
-    pattern, whose entries touched by the bond are refilled per step as
-    base + lambda * coef, and its propagator.
-
-    With P = None (the identity) the pattern is the hop pattern of the
-    nonzero base bonds and the bond, and a refill writes 0 + lambda * 1 =
-    lambda.  With an isometry P both terms come from one complex product,
-    real part the base couplings and imaginary part the bond's
-    coefficient, so they share its pattern.
-    """
-
-    def __init__(self, basis: SectorBasis, base: BondCouplings, bond: int, P=None):
-        indptr, indices, hop_bond = _hop_pattern(basis, [*np.flatnonzero(base.J), bond])
-        mat = sp.csr_matrix((base.J[hop_bond], indices, indptr), shape=(basis.dim, basis.dim))
-        coef = (hop_bond == bond).astype(np.float64)
-        if P is not None:
-            mat.data = mat.data + 1j * coef
-            mat = _compressed(mat, P)
-            mat.data, coef = mat.data.real.copy(), mat.data.imag.copy()
-        self.nb = spla.norm(mat, np.inf)
-        self.nu = spla.norm(sp.csr_matrix((coef, mat.indices, mat.indptr), mat.shape), np.inf)
-        self.prop = _Propagator(mat)
-        self.ramp = np.flatnonzero(np.tile(coef != 0.0, 2))
-        self.base = self.prop.mat2.data[self.ramp].copy()
-        self.coef = np.tile(coef, 2)[self.ramp]
-
-    def set(self, lam: float) -> float:
-        """Write H(lambda) into the pattern; returns its norm bound."""
-        self.prop.mat2.data[self.ramp] = self.base + lam * self.coef
-        return self.nb + abs(lam) * self.nu
+    def lift(self, x) -> np.ndarray:
+        """Sector amplitudes of the (2, m) block x."""
+        amps = _join(x)
+        return amps if self.P is None else self.P @ amps
 
 
 def _symmetric_reduction(basis: SectorBasis, couplings: BondCouplings, v: StateVector, tol: float):
@@ -359,11 +328,50 @@ def _symmetric_reduction(basis: SectorBasis, couplings: BondCouplings, v: StateV
     v lies within ``tol`` |v| of its even part P P^T v."""
     if not np.array_equal(couplings.J, couplings.J[::-1]):
         return None
-    P = basis.symmetric_isometry()
+    P = basis.symmetric_isometry
     x = P.T @ v.amps
     if np.linalg.norm(v.amps - P @ x) > tol * np.linalg.norm(v.amps):
         return None
     return P, x
+
+
+def _operator(basis: SectorBasis, couplings: BondCouplings, bond: int | None,
+              v: StateVector, tol: float) -> tuple[_Operator, np.ndarray]:
+    """The operator that propagates v under ``couplings`` with ``bond``
+    ramped (None: no bond), in the subspace :func:`_symmetric_reduction`
+    picks, and v's (2, m) block there.  Each operator is built on first
+    use and kept on ``basis``."""
+    P, amps = _symmetric_reduction(basis, couplings, v, tol) or (None, v.amps)
+    key = (couplings.J.tobytes(), bond, P is not None)
+    if key not in basis._operators:
+        basis._operators[key] = _Operator(basis, couplings, bond, P)
+    return basis._operators[key], _split(amps)
+
+
+def expmv(H: SparseHamiltonian, t: float, v: StateVector, tol: float = 1e-10) -> StateVector:
+    """Apply exp(-i H t) to v.
+
+    The sector size alone picks the route: below ``DENSE_CUTOFF`` states
+    the cached dense eigendecomposition of H, from there on the Krylov
+    operator of H's sector and couplings (see the module notes).  When
+    H's couplings are palindromic and v lies within ``tol`` |v| of its
+    even part, the Krylov route propagates P^T H P on P^T v in the
+    symmetric subspace and lifts the result back as P x; otherwise it
+    runs in the full sector.  Its norm bound is ``H.norm_inf`` either
+    way.  The operator is kept on the sector across calls, so repeated
+    calls rebuild nothing and start their error estimates near the last
+    stop; a workspace larger than physical memory raises
+    :class:`CapacityError` before it is allocated.
+    """
+    if not H.basis.same_sector(v.basis) or H.dim != v.basis.dim:
+        raise ValueError("state and Hamiltonian live in different sectors")
+    if not tol >= 0.0:
+        raise ValueError(f"expmv tolerance must be nonnegative, got {tol}")
+    if H.dim < DENSE_CUTOFF:
+        w, U = H.dense_eig
+        return StateVector(v.basis, U @ (np.exp(-1j * w * t) * (U.T @ v.amps)))
+    op, x = _operator(H.basis, H.couplings, None, v, tol)
+    return StateVector(v.basis, op.lift(op(x, t, tol, H.norm_inf)))
 
 
 def adiabatic_ramp(
@@ -374,9 +382,9 @@ def adiabatic_ramp(
     *,
     tol: float = 1e-10,
 ) -> StateVector:
-    """Integrate the linear bond ramp with midpoint piecewise-constant steps.
+    """Integrate the linear middle-bond ramp with midpoint piecewise-constant steps.
 
-    ``base`` must hold the ramped bond at zero; step k evolves for
+    ``base`` must hold the middle bond at zero; step k evolves for
     T_A/steps under H(base) + lambda(s_mid) H(bond) with lambda evaluated
     at the step midpoint.  Every step, in every sector, is a Krylov
     propagation to ``tol / steps`` (``tol`` > 0) on one doubled CSR with
@@ -384,18 +392,16 @@ def adiabatic_ramp(
     palindromic and v0 is within ``tol`` of its even part, the ramp runs
     on P^T v0 in the symmetric subspace (see the module notes) and the
     state is lifted back as P x; otherwise it runs in the full sector.
-    The operator is built once per sector, couplings and path, and kept
+    Each step's norm bound is that of the matrix it runs on.  The
+    operator is built once per sector, couplings and subspace, and kept
     on ``basis``.  Norm is preserved to integrator precision.
     """
     if not tol > 0.0:
         raise ValueError(f"Krylov tolerance must be positive, got {tol}")
     if base.n_sites != basis.L:
         raise ValueError("couplings do not match the sector length")
-    if schedule.bond != middle_bond(basis.L):
-        raise ValueError(
-            f"ramp bond {schedule.bond} is not the middle bond of L={basis.L}"
-        )
-    if base.J[schedule.bond] != 0.0:
+    bond = middle_bond(basis.L)
+    if base.J[bond] != 0.0:
         raise ValueError("base couplings must hold the ramped bond at zero")
     if abs(v0.norm() - 1.0) > 1e-9:
         raise ValueError(f"v0 is not normalized (norm {v0.norm():.12g})")
@@ -404,31 +410,25 @@ def adiabatic_ramp(
     if schedule.T_A == 0.0:
         return StateVector(basis, v0.amps.copy())
 
-    P, amps = _symmetric_reduction(basis, base, v0, tol) or (None, v0.amps)
-    key = (base.J.tobytes(), P is not None)
-    if key not in basis._ramp_operators:
-        basis._ramp_operators[key] = _RampOperator(basis, base, schedule.bond, P)
-    op = basis._ramp_operators[key]
+    op, x = _operator(basis, base, bond, v0, tol)
     ds = schedule.T_A / schedule.steps
     step_tol = tol / schedule.steps
-    x = _split(amps)
-    op.prop.k_stop = 0  # every ramp starts its estimate schedule afresh
+    op.k_stop = 0  # every ramp starts its estimate schedule afresh
     for k in range(schedule.steps):
         lam = schedule.coupling_at((k + 0.5) * ds)
-        x = op.prop(x, ds, step_tol, op.set(lam))
-    amps = _join(x)
-    return StateVector(basis, amps if P is None else P @ amps)
+        x = op(x, ds, step_tol, op.set(lam))
+    return StateVector(basis, op.lift(x))
 
 
 @dataclass(frozen=True)
 class RampContext:
-    """Fixed data of one ramp problem: sector, couplings, input, target;
-    and the ramps integrated for it, which :func:`converged_ramp` keeps
+    """Fixed data of one ramp problem: sector, base couplings (the middle
+    bond at zero), final middle-bond coupling, input, target; and the
+    ramps integrated for it, which :func:`converged_ramp` keeps
     by ``(T_A, steps, tol)``."""
 
     basis: SectorBasis
     base: BondCouplings
-    bond: int
     J_target: float
     v0: StateVector
     target: StateVector
@@ -476,7 +476,7 @@ def converged_ramp(
     while steps <= MAX_RAMP_STEPS:
         key = (T_A, steps, tol)
         if key not in ctx._ramps:
-            sched = RampSchedule(T_A, steps, ctx.bond, ctx.J_target)
+            sched = RampSchedule(T_A, steps, ctx.J_target)
             state = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched, tol=tol)
             fid = infidelity(state.normalized(), ctx.target)
             ctx._ramps[key] = RampResult(T_A, fid, state, steps)

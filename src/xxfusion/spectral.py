@@ -66,7 +66,7 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
 
 
 def _dense_lowest_two(H: SparseHamiltonian):
-    w, U = H.dense_eig()
+    w, U = H.dense_eig
     return float(w[0]), float(w[1]), _phase_fixed(U[:, 0])
 
 

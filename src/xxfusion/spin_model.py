@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,46 +66,46 @@ class SectorBasis:
 
     ``configs`` is sorted ascending, so a configuration's ordinal is its
     combinatorial rank (see the module notes), ``index_of`` recovers it
-    by binary search, and ``dim == binomial(L, n_up)``.
+    by binary search, and ``dim == binomial(L, n_up)``.  The sector also
+    keeps its symmetric isometry, built on first access, and the Krylov
+    operators that ``propagate`` builds on it.
     """
 
     L: int
     n_up: int
     configs: np.ndarray
-    _isometry: sp.csr_matrix | None = field(default=None, init=False, repr=False)
-    #: ramp operators built on this sector, kept by ``propagate.adiabatic_ramp``
-    _ramp_operators: dict = field(default_factory=dict, init=False, repr=False)
+    #: Krylov operators of ``propagate`` on this sector, keyed by couplings,
+    #: ramped bond and subspace; each built on its first use
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return int(self.configs.size)
 
+    @cached_property
     def symmetric_isometry(self) -> sp.csr_matrix:
-        """Cached isometry P (dim x m) onto the states even under the chain's
+        """Isometry P (dim x m) onto the states even under the chain's
         symmetry group: reflection i <-> L-1-i, and at half filling also the
-        global spin flip.
+        global spin flip; built on first access.
 
         Column j is the indicator of the j-th orbit, in ascending order of
         its least configuration, scaled by 1/sqrt(|orbit|); so P^T P = 1 and
         P P^T projects onto the even states.
         """
-        if self._isometry is None:
-            c = self.configs
-            mirrored = np.zeros_like(c)
-            for i in range(self.L):
-                mirrored |= ((c >> i) & 1) << (self.L - 1 - i)
-            least = np.minimum(c, mirrored)
-            if 2 * self.n_up == self.L:
-                ones = np.int64((1 << self.L) - 1)
-                least = np.minimum(least, np.minimum(c ^ ones, mirrored ^ ones))
-            orbit = (np.cumsum(least == c) - 1)[np.searchsorted(c, least)]
-            weight = 1.0 / np.sqrt(np.bincount(orbit))
-            P = sp.csr_matrix(
-                (weight[orbit], orbit, np.arange(self.dim + 1)),
-                shape=(self.dim, weight.size),
-            )
-            object.__setattr__(self, "_isometry", P)
-        return self._isometry
+        c = self.configs
+        mirrored = np.zeros_like(c)
+        for i in range(self.L):
+            mirrored |= ((c >> i) & 1) << (self.L - 1 - i)
+        least = np.minimum(c, mirrored)
+        if 2 * self.n_up == self.L:
+            ones = np.int64((1 << self.L) - 1)
+            least = np.minimum(least, np.minimum(c ^ ones, mirrored ^ ones))
+        orbit = (np.cumsum(least == c) - 1)[np.searchsorted(c, least)]
+        weight = 1.0 / np.sqrt(np.bincount(orbit))
+        return sp.csr_matrix(
+            (weight[orbit], orbit, np.arange(self.dim + 1)),
+            shape=(self.dim, weight.size),
+        )
 
     def index_of(self, config: int) -> int:
         """Ordinal of ``config`` within the sector."""
@@ -212,51 +213,39 @@ def middle_bond(L: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SparseHamiltonian:
-    """XX Hamiltonian restricted to one sector; its real CSR ``matrix`` is
-    assembled on first access.
+    """XX Hamiltonian restricted to one sector; its real CSR ``matrix``,
+    dense eigendecomposition and norm bound are each computed on first
+    access and kept.
 
     H = sum_b J[b] (S+_b S-_{b+1} + S-_b S+_{b+1}); diagonal is zero and
     every matrix element is real, so the eigenbasis can be chosen real.
     The Lanczos route of ``spectral.lowest_two`` never reads ``matrix``:
     it builds its hop block B from the pattern of :func:`_hop_pattern`.
+    The Krylov operators of ``propagate.expmv`` are kept on the sector.
     """
 
     basis: SectorBasis
     couplings: BondCouplings
-    _matrix: sp.csr_matrix | None = field(default=None, init=False, repr=False)
-    _eig_cache: tuple | None = field(default=None, init=False, repr=False)
-    _norm_cache: float | None = field(default=None, init=False, repr=False)
-    #: Krylov propagators of ``propagate.expmv``, keyed by whether they run
-    #: in the symmetric subspace; each built on its first use
-    _propagators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
-    @property
+    @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """Cached CSR of H on the canonical hop pattern; zero bonds store nothing."""
-        if self._matrix is None:
-            indptr, indices, bond = _hop_pattern(self.basis, np.flatnonzero(self.couplings.J))
-            matrix = sp.csr_matrix(
-                (self.couplings.J[bond], indices, indptr), shape=(self.dim, self.dim)
-            )
-            object.__setattr__(self, "_matrix", matrix)
-        return self._matrix
+        """CSR of H on the canonical hop pattern; zero bonds store nothing."""
+        indptr, indices, bond = _hop_pattern(self.basis, np.flatnonzero(self.couplings.J))
+        return sp.csr_matrix((self.couplings.J[bond], indices, indptr), shape=(self.dim, self.dim))
 
-    def dense_eig(self):
-        """Cached full eigendecomposition (w, U); intended for small dims."""
-        if self._eig_cache is None:
-            w, U = np.linalg.eigh(self.matrix.toarray())
-            object.__setattr__(self, "_eig_cache", (w, U))
-        return self._eig_cache
+    @cached_property
+    def dense_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Full eigendecomposition (w, U); intended for small dims."""
+        return np.linalg.eigh(self.matrix.toarray())
 
+    @cached_property
     def norm_inf(self) -> float:
-        """Cached max absolute row sum; bounds the spectral radius."""
-        if self._norm_cache is None:
-            object.__setattr__(self, "_norm_cache", float(spla.norm(self.matrix, np.inf)))
-        return self._norm_cache
+        """Max absolute row sum; bounds the spectral radius."""
+        return float(spla.norm(self.matrix, np.inf))
 
 
 def _hop_pattern(basis: SectorBasis, bonds, rows=None) -> tuple:

@@ -83,6 +83,12 @@ def embed_amplitudes(a_amps, a_configs, b_amps, b_configs, half: int) -> dict:
     return out
 
 
+def dense_expmv(H, t: float, v) -> np.ndarray:
+    """exp(-i H t) v from a dense eigendecomposition of H's matrix."""
+    w, U = np.linalg.eigh(H.matrix.toarray())
+    return U @ (np.exp(-1j * w * t) * (U.T @ v.amps))
+
+
 def rodeo_cycle_dense(amps, H_dense, E_t: float, t: float) -> tuple:
     """One conditioned rodeo cycle via the dense matrix exponential."""
     evolved = scipy.linalg.expm(-1j * t * H_dense) @ amps
@@ -137,7 +143,7 @@ def converged_probe(ctx, T_A: float, step_tol: float):
     steps = max(8, math.ceil(2.0 * T_A * scale))
     prev = None
     while True:
-        sched = RampSchedule(T_A, steps, ctx.bond, ctx.J_target)
+        sched = RampSchedule(T_A, steps, ctx.J_target)
         state = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched)
         fid = infidelity(state.normalized(), ctx.target)
         if prev is not None and abs(fid - prev) < step_tol:

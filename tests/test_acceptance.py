@@ -15,6 +15,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+import xxfusion.propagate as propagate
 from xxfusion import (
     BondCouplings,
     RampContext,
@@ -127,7 +128,7 @@ def test_04_single_cycle_annihilates_first_excited():
     for L in (4, 8):
         basis, H = uniform_chain(L, L // 2)
         pair = lowest_two(H)
-        w, U = H.dense_eig()
+        w, U = H.dense_eig
         e1 = StateVector(basis, U[:, 1].astype(np.complex128))
         _, p = rodeo_cycle(e1, H, pair.E0, math.pi / pair.gap)
         worst = max(worst, p)
@@ -201,7 +202,7 @@ def test_07_raw_product_fidelity_is_modest():
             "(>= 0.1)".format(worst))
 
 
-def test_08_propagator_matches_dense_exponential():
+def test_08_propagator_matches_dense_exponential(monkeypatch):
     """100 random sectors/couplings/times against scipy's expm."""
     rng = np.random.default_rng(0xE59)
     shapes = [(5, 2), (6, 3), (7, 3), (8, 2), (10, 2)]
@@ -216,8 +217,11 @@ def test_08_propagator_matches_dense_exponential():
         v = StateVector(basis, amps / np.linalg.norm(amps))
         t = rng.uniform(-8.0, 8.0)
         ref = scipy.linalg.expm(-1j * t * H.matrix.toarray()) @ v.amps
-        for method in ("dense", "krylov"):
-            out = expmv(H, t, v, tol=1e-10, method=method)
+        # every sector here is below the dense cutoff; a cutoff of 0 forces Krylov
+        for cutoff in (propagate.DENSE_CUTOFF, 0):
+            with monkeypatch.context() as m:
+                m.setattr(propagate, "DENSE_CUTOFF", cutoff)
+                out = expmv(H, t, v, tol=1e-10)
             worst = max(worst, float(np.linalg.norm(out.amps - ref)))
             worst_unitary = max(worst_unitary, abs(out.norm() - 1.0))
         half = expmv(H, t / 2.0, expmv(H, t / 2.0, v, tol=1e-10), tol=1e-10)
@@ -233,10 +237,9 @@ def test_09_adiabatic_cost_spike():
     """T_A for 1e-3 must exceed four times the T_A for 1e-2 (L=8, half)."""
     t0 = time.monotonic()
     basis, H = uniform_chain(8, 4)
-    bond = middle_bond(8)
-    base = BondCouplings.uniform(8).with_bond(bond, 0.0)
+    base = BondCouplings.uniform(8).with_bond(middle_bond(8), 0.0)
     prod, _ = fused_product(8, 4)
-    ctx = RampContext(basis, base, bond, 1.0, prod.normalized(), lowest_two(H).ground)
+    ctx = RampContext(basis, base, 1.0, prod.normalized(), lowest_two(H).ground)
     found = {}
     for target in (1e-2, 1e-3):
         for bisections in (3, 0):

@@ -438,6 +438,17 @@ def test_fuse_plan_validation_exit_codes(capsys):
     assert run(["fuse", "--L-final", "8", "--filling", "1/3"]) == 2
 
 
+@pytest.mark.parametrize("target", ["nan", "5", "-1"])
+@pytest.mark.parametrize("L_final", ["4", "8"], ids=["no-step", "one-step"])
+def test_fuse_target_outside_unit_interval_is_a_config_error(L_final, target, capsys):
+    # checked before the ladder, so also when it has no fusion step
+    assert run(["fuse", "--L-final", L_final, "--L-base", "4", "--target", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: target infidelity")
+    assert "outside (0, 1)" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [["fuse", "--L-final", "4", "--method", "adiabatic", "--depth", "0", "--ratio", "7"],

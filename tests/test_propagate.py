@@ -1,5 +1,6 @@
 """Time evolution and the adiabatic middle-bond ramp."""
 
+import contextlib
 import dataclasses
 import functools
 import inspect
@@ -58,10 +59,23 @@ def ramp_context(L, n):
     _, Hh = chain(L // 2, n // 2)
     g = lowest_two(Hh).ground
     v0 = embed_product(g, g, basis=basis).normalized()
-    return RampContext(basis, base, bond, 1.0, v0, lowest_two(H).ground)
+    return RampContext(basis, base, 1.0, v0, lowest_two(H).ground)
 
 
 # ----------------------------------------------------------------- expmv
+
+
+@contextlib.contextmanager
+def krylov_route():
+    """Send every ``expmv`` inside the block down the Krylov route, whatever
+    the sector size; outside it, sectors below the cutoff go dense."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(propagate, "DENSE_CUTOFF", 0)
+        yield
+
+
+#: The dense route (below the cutoff) and the forced Krylov route.
+ROUTES = (contextlib.nullcontext, krylov_route)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
@@ -72,8 +86,9 @@ def test_expmv_matches_dense_exponential(seed, t):
     H = build_hamiltonian(basis, BondCouplings(rng.uniform(-2.0, 2.0, 4)))
     v = random_state(basis, rng)
     ref = scipy.linalg.expm(-1j * t * H.matrix.toarray()) @ v.amps
-    for method in ("dense", "krylov"):
-        out = expmv(H, t, v, method=method)
+    for route in ROUTES:  # dim 10: the dense route unless forced
+        with route():
+            out = expmv(H, t, v)
         assert np.linalg.norm(out.amps - ref) < 1e-10
 
 
@@ -81,8 +96,9 @@ def test_expmv_paths_agree_with_substepping():
     # t * ||H|| far beyond one Krylov step, so the substep loop engages
     basis, H = chain(8, 4)
     v = random_state(basis)
-    a = expmv(H, 25.0, v, method="dense")
-    b = expmv(H, 25.0, v, method="krylov")
+    a = expmv(H, 25.0, v)  # dim 70: the dense route
+    with krylov_route():
+        b = expmv(H, 25.0, v)
     assert np.linalg.norm(a.amps - b.amps) < 1e-9
 
 
@@ -135,7 +151,7 @@ def test_expmv_krylov_breakdown_on_eigenvector(monkeypatch):
     t = 2.3
     # a one-vector budget at zero tolerance returns only through breakdown
     monkeypatch.setattr(propagate, "MAX_KRYLOV", 1)
-    out = expmv(H, t, v, tol=0.0, method="krylov")
+    out = expmv(H, t, v, tol=0.0)  # dim 924: the Krylov route
     assert np.linalg.norm(out.amps - np.exp(-0.7j * t) * v.amps) < 1e-12
 
 
@@ -143,23 +159,25 @@ def test_expmv_krylov_stall_raises_with_residual(monkeypatch):
     basis, H = chain(10, 5)
     v = random_state(basis)
     monkeypatch.setattr(propagate, "MAX_KRYLOV", 2)
-    with pytest.raises(PropagationError, match="stalled") as info:
-        expmv(H, 5.0, v, tol=1e-14, method="krylov")
+    with pytest.raises(PropagationError, match="stalled") as info, krylov_route():
+        expmv(H, 5.0, v, tol=1e-14)
     assert math.isfinite(info.value.residual)
     assert info.value.residual > 1e-14
 
 
 @pytest.mark.parametrize("kind", ["complex", "real", "imaginary"])
-def test_expmv_auto_krylov_matches_dense_above_cutoff(kind):
-    basis, H = chain(12, 6)  # dim 924: "auto" takes the Krylov route
+def test_expmv_auto_krylov_matches_dense_above_cutoff(kind, monkeypatch):
+    basis, H = chain(12, 6)  # dim 924: the sector size picks the Krylov route
     assert basis.dim >= propagate.DENSE_CUTOFF
     rng = np.random.default_rng(924)
     re, im = rng.standard_normal((2, basis.dim))
     amps = {"complex": re + 1j * im, "real": re + 0j, "imaginary": 1j * im}[kind]
     v = StateVector(basis, amps / np.linalg.norm(amps))
+    taken = reductions(monkeypatch)
     auto = expmv(H, 3.0, v)
-    dense = expmv(H, 3.0, v, method="dense")
-    assert np.linalg.norm(auto.amps - dense.amps) < 1e-9
+    assert len(taken) == 1  # the Krylov route ran the symmetry gate
+    dense = oracles.dense_expmv(H, 3.0, v)
+    assert np.linalg.norm(auto.amps - dense) < 1e-9
 
 
 def random_coupling_chain_924(seed=924):
@@ -175,9 +193,9 @@ def test_expmv_krylov_long_times_match_dense(t):
     # the propagation runs over a hundred substeps, so a drifting basis
     # would show as accumulated error or a norm leak
     H, v = random_coupling_chain_924()
-    krylov = expmv(H, t, v, method="krylov")
-    dense = expmv(H, t, v, method="dense")
-    assert np.linalg.norm(krylov.amps - dense.amps) < 1e-9
+    krylov = expmv(H, t, v)
+    dense = oracles.dense_expmv(H, t, v)
+    assert np.linalg.norm(krylov.amps - dense) < 1e-9
     assert abs(krylov.norm() - 1.0) < 1e-12
 
 
@@ -197,10 +215,10 @@ def test_expmv_krylov_escalation_matches_dense(monkeypatch):
     # four basis vectors are too few for one substep, so the substep
     # count is doubled until the error estimate passes
     monkeypatch.setattr(propagate, "MAX_KRYLOV", 4)
-    krylov = expmv(H, 0.1, v, tol=1e-6, method="krylov")
+    krylov = expmv(H, 0.1, v, tol=1e-6)
     assert len(set(stalls)) >= 2  # stalled at two or more substep lengths
-    dense = expmv(H, 0.1, v, method="dense")
-    assert np.linalg.norm(krylov.amps - dense.amps) < 1e-6
+    dense = oracles.dense_expmv(H, 0.1, v)
+    assert np.linalg.norm(krylov.amps - dense) < 1e-6
     assert abs(krylov.norm() - 1.0) < 1e-12
 
 
@@ -233,7 +251,7 @@ def test_expmv_estimate_schedule_is_bit_identical(L, n, t, monkeypatch):
     H = build_hamiltonian(basis, BondCouplings(rng.uniform(-2.0, 2.0, L - 1)))
     v = random_state(basis, rng)
     assert_schedule_is_bit_identical(
-        monkeypatch, lambda: expmv(H, t, v, method="krylov").amps)
+        monkeypatch, lambda: expmv(H, t, v).amps)
 
 
 @pytest.mark.parametrize("L, n", [(12, 6), (14, 6)], ids=["d924", "d3003"])
@@ -246,30 +264,31 @@ def test_expmv_sequence_schedule_is_bit_identical(L, n, monkeypatch):
     times = (7.68, 0.3, 40.0, -0.3, 0.05, 7.68)
     assert_schedule_is_bit_identical(
         monkeypatch,
-        lambda: np.concatenate([expmv(H, t, v, method="krylov").amps for t in times]))
+        lambda: np.concatenate([expmv(H, t, v).amps for t in times]))
 
 
 def test_expmv_keeps_one_propagator_per_hamiltonian(monkeypatch):
+    # each H of its own sector: operators are kept per sector and couplings
     H, v = random_coupling_chain_924()
     fresh = [random_coupling_chain_924()[0] for _ in range(3)]
     doubled = counted_calls(monkeypatch, "_doubled")
     eig = counted_calls(monkeypatch, "_tridiag_eig")
     times = (0.3, 0.2, 0.3)
     for t, H_new in zip(times, fresh):
-        expmv(H_new, t, v, method="krylov")
+        expmv(H_new, t, v)
     assert len(doubled) == 3
     n_fresh = len(eig)
     doubled.clear()
     eig.clear()
     for t in times:
-        expmv(H, t, v, method="krylov")
+        expmv(H, t, v)
     assert len(doubled) == 1  # built on the first call only
     assert len(eig) < n_fresh  # later calls start their estimates near the last stop
 
 
 def even_state(basis, rng):
     """A random normalized state in the range of the symmetric isometry."""
-    P = basis.symmetric_isometry()
+    P = basis.symmetric_isometry
     x = rng.standard_normal(P.shape[1]) + 1j * rng.standard_normal(P.shape[1])
     return StateVector(basis, P @ (x / np.linalg.norm(x)))
 
@@ -281,10 +300,11 @@ def test_expmv_krylov_on_even_states_matches_dense(L, monkeypatch):
         basis, H = chain(L, n)
         v = even_state(basis, rng)
         taken = reductions(monkeypatch)
-        krylov = expmv(H, 3.0, v, method="krylov")
+        with krylov_route():
+            krylov = expmv(H, 3.0, v)
         assert taken == [True]
-        dense = expmv(H, 3.0, v, method="dense")
-        assert np.linalg.norm(krylov.amps - dense.amps) < 1e-9
+        dense = oracles.dense_expmv(H, 3.0, v)
+        assert np.linalg.norm(krylov.amps - dense) < 1e-9
 
 
 @pytest.mark.parametrize("case", ["random", "nearly-even", "small-nearly-even", "non-palindromic"])
@@ -302,9 +322,13 @@ def test_expmv_off_symmetry_runs_in_full_sector_bit_identically(case, monkeypatc
         H = build_hamiltonian(basis, BondCouplings(rng.uniform(0.5, 1.5, 11)))
         v = even
     taken = reductions(monkeypatch)
-    out = expmv(H, 2.7, v, method="krylov")
+    out = expmv(H, 2.7, v)
     assert taken == [False]
-    ref = propagate._Propagator(H.matrix)(propagate._split(v.amps), 2.7, 1e-10, H.norm_inf())
+    # the full-sector Krylov propagation on build_hamiltonian's own CSR
+    x = propagate._split(v.amps)
+    V = np.empty((propagate.MAX_KRYLOV + 1, x.size))
+    ref, _ = propagate._krylov_propagate(
+        propagate._doubled(H.matrix), H.norm_inf, x, 2.7, 1e-10, V)
     assert np.array_equal(out.amps, propagate._join(ref))
 
 
@@ -315,10 +339,10 @@ def test_expmv_gate_is_relative_to_the_norm(monkeypatch):
     v = StateVector(basis, 1e4 * (even_state(basis, rng).amps
                                   + 1e-12 * random_state(basis, rng).amps))
     taken = reductions(monkeypatch)
-    out = expmv(H, 2.7, v, method="krylov")
+    out = expmv(H, 2.7, v)
     assert taken == [True]
-    dense = expmv(H, 2.7, v, method="dense")
-    assert np.linalg.norm(out.amps - dense.amps) < 1e-9 * v.norm()
+    dense = oracles.dense_expmv(H, 2.7, v)
+    assert np.linalg.norm(out.amps - dense) < 1e-9 * v.norm()
 
 
 def test_expmv_keeps_one_reduced_propagator_per_hamiltonian(monkeypatch):
@@ -327,15 +351,16 @@ def test_expmv_keeps_one_reduced_propagator_per_hamiltonian(monkeypatch):
     even, odd = even_state(basis, rng), random_state(basis, rng)
     doubled = counted_calls(monkeypatch, "_doubled")
     for t in (0.3, 0.2, 0.3):
-        expmv(H, t, even, method="krylov")
+        expmv(H, t, even)
     assert len(doubled) == 1  # P^T H P, built on the first call only
-    m = basis.symmetric_isometry().shape[1]
-    assert H._propagators[True].mat2.shape == (2 * m, 2 * m)
-    expmv(H, 0.3, odd, method="krylov")
+    m = basis.symmetric_isometry.shape[1]
+    assert [op.mat2.shape for op in basis._operators.values()] == [(2 * m, 2 * m)]
+    expmv(H, 0.3, odd)
     assert len(doubled) == 2  # the full-sector propagator beside it
-    expmv(H, 0.3, even, method="krylov")
-    expmv(H, 0.3, odd, method="krylov")
+    expmv(H, 0.3, even)
+    expmv(H, 0.3, odd)
     assert len(doubled) == 2
+    assert len(basis._operators) == 2
 
 
 @pytest.mark.parametrize("method", ["krylov", "krylov-even", "ramp"])
@@ -350,13 +375,13 @@ def test_krylov_workspace_beyond_memory_raises_before_allocating(method, monkeyp
         dim = basis.dim
     else:
         v = StateVector(basis, ctx.v0.amps)
-        dim = basis.symmetric_isometry().shape[1]
+        dim = basis.symmetric_isometry.shape[1]
     need = (propagate.MAX_KRYLOV + 1) * 2 * dim * 8
 
     def run():
         if method.startswith("krylov"):
-            return expmv(H, 1.0, v, method="krylov")
-        return adiabatic_ramp(v, basis, ctx.base, RampSchedule(1.0, 4, ctx.bond, 1.0))
+            return expmv(H, 1.0, v)  # dim 924: the Krylov route
+        return adiabatic_ramp(v, basis, ctx.base, RampSchedule(1.0, 4, 1.0))
 
     def no_workspace(*args, **kwargs):
         raise AssertionError("the workspace was allocated")
@@ -383,7 +408,7 @@ def test_substep_walks_back_to_the_first_passing_estimate():
     x = propagate._split(v.amps)
     mat2 = propagate._doubled(H.matrix)
     V = np.empty((propagate.MAX_KRYLOV + 1, x.size))
-    dt = propagate._THETA_SUB / H.norm_inf()
+    dt = propagate._THETA_SUB / H.norm_inf
     ref, stop = propagate._lanczos_substep(mat2, x, dt, 1e-10, V)
     assert 10 < stop < propagate.MAX_KRYLOV - 8
     for check_from in (1, stop - 1, stop, stop + 1, stop + 8):
@@ -396,40 +421,34 @@ def test_expmv_argument_errors():
     basis, H = chain(4, 2)
     v = random_state(basis)
     with pytest.raises(ValueError):
-        expmv(H, 1.0, v, method="pade")
-    with pytest.raises(ValueError):
         expmv(H, 1.0, random_state(enumerate_sector(4, 1)))
-    for method in ("dense", "krylov"):
+    for route in ROUTES:
         for tol in (-1e-10, float("nan")):
-            with pytest.raises(ValueError, match="tolerance"):
-                expmv(H, 1.0, v, tol=tol, method=method)
+            with pytest.raises(ValueError, match="tolerance"), route():
+                expmv(H, 1.0, v, tol=tol)
 
 
 # -------------------------------------------------------------- schedule
 
 
 def test_ramp_schedule_is_linear():
-    sched = RampSchedule(8.0, 16, 3, 0.75)
+    sched = RampSchedule(8.0, 16, 0.75)
     for s in (0.0, 2.0, 4.0, 8.0):
         assert sched.coupling_at(s) == pytest.approx(0.75 * s / 8.0, abs=1e-15)
     for T_A in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="duration"):
-            RampSchedule(T_A, 4, 0, 1.0)
+            RampSchedule(T_A, 4, 1.0)
     with pytest.raises(ValueError):
-        RampSchedule(1.0, 0, 0, 1.0)
+        RampSchedule(1.0, 0, 1.0)
 
 
 def test_adiabatic_ramp_argument_errors():
     ctx = ramp_context(4, 2)
-    sched = RampSchedule(1.0, 4, ctx.bond, 1.0)
+    sched = RampSchedule(1.0, 4, 1.0)
     with pytest.raises(ValueError):
         adiabatic_ramp(ctx.v0, ctx.basis, BondCouplings.uniform(6).with_bond(1, 0.0), sched)
     with pytest.raises(ValueError):
         adiabatic_ramp(ctx.v0, ctx.basis, BondCouplings.uniform(4), sched)  # bond not cut
-    with pytest.raises(ValueError):
-        adiabatic_ramp(
-            ctx.v0, ctx.basis, ctx.base, RampSchedule(1.0, 4, 0, 1.0)
-        )  # not the middle bond
     doubled = StateVector(ctx.basis, 2.0 * ctx.v0.amps)
     with pytest.raises(ValueError):
         adiabatic_ramp(doubled, ctx.basis, ctx.base, sched)
@@ -452,8 +471,8 @@ def test_bond_split_shares_pattern_and_refills_exactly(L, data):
     J[bond] = 0.0
     J[rng.choice([b for b in range(L - 1) if b != bond])] = 0.0
     base = BondCouplings(J)
-    op = propagate._RampOperator(enumerate_sector(L, n), base, bond)
-    mat = op.prop.mat2
+    op = propagate._Operator(enumerate_sector(L, n), base, bond, None)
+    mat = op.mat2
     assert mat.has_canonical_format
     # every lambda is written over the last: both halves of the doubled
     # matrix must hold exactly the dense Hamiltonian at that coupling
@@ -465,7 +484,7 @@ def test_bond_split_shares_pattern_and_refills_exactly(L, data):
 
 def test_adiabatic_ramp_zero_duration_is_identity():
     ctx = ramp_context(4, 2)
-    out = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, RampSchedule(0.0, 1, ctx.bond, 1.0))
+    out = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, RampSchedule(0.0, 1, 1.0))
     assert np.allclose(out.amps, ctx.v0.amps, atol=1e-15)
 
 
@@ -475,7 +494,7 @@ def stepwise_expm(v0, basis, base, schedule):
     ds = schedule.T_A / schedule.steps
     for k in range(schedule.steps):
         lam = schedule.coupling_at((k + 0.5) * ds)
-        Hk = build_hamiltonian(basis, base.with_bond(schedule.bond, lam)).matrix.toarray()
+        Hk = build_hamiltonian(basis, base.with_bond(middle_bond(basis.L), lam)).matrix.toarray()
         amps = scipy.linalg.expm(-1j * ds * Hk) @ amps
     return amps
 
@@ -485,7 +504,7 @@ def test_adiabatic_ramp_matches_stepwise_expm(L, n):
     # independent reference: the same midpoint product assembled from
     # scipy dense exponentials of the full stepped Hamiltonian
     ctx = ramp_context(L, n)
-    sched = RampSchedule(2.5, 12, ctx.bond, 1.0)
+    sched = RampSchedule(2.5, 12, 1.0)
     out = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched)
     ref = stepwise_expm(ctx.v0, ctx.basis, ctx.base, sched)
     assert np.linalg.norm(out.amps - ref) < 1e-10
@@ -516,7 +535,7 @@ RAMP_SECTORS = [(L, n) for L in (4, 6, 8, 10, 12) for n in range(2, L - 1, 2)]
 @pytest.mark.parametrize("L, n", RAMP_SECTORS)
 def test_symmetric_ramp_matches_full_space_ramp(L, n, monkeypatch):
     ctx = ramp_context(L, n)
-    sched = RampSchedule(6.0, 40, ctx.bond, 1.0)
+    sched = RampSchedule(6.0, 40, 1.0)
     taken = reductions(monkeypatch)
     reduced = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched)
     assert taken == [True]
@@ -530,12 +549,12 @@ def full_space_reference(v0, basis, base, schedule, tol=1e-10):
     ``build_hamiltonian``'s CSR of every step's couplings: the arithmetic the
     full-sector path keeps bit for bit."""
     ds = schedule.T_A / schedule.steps
-    nb = build_hamiltonian(basis, base).norm_inf()
+    nb = build_hamiltonian(basis, base).norm_inf
     x, k_stop = propagate._split(v0.amps), 0
     V = np.empty((propagate.MAX_KRYLOV + 1, x.size))
     for k in range(schedule.steps):
         lam = schedule.coupling_at((k + 0.5) * ds)
-        H = build_hamiltonian(basis, base.with_bond(schedule.bond, lam))
+        H = build_hamiltonian(basis, base.with_bond(middle_bond(basis.L), lam))
         x, k_stop = propagate._krylov_propagate(
             propagate._doubled(H.matrix), nb + abs(lam), x, ds, tol / schedule.steps, V, k_stop)
     return propagate._join(x)
@@ -553,9 +572,9 @@ def test_ramp_off_symmetry_runs_in_full_sector_bit_identically(L, n, case, monke
         v0 = StateVector(ctx.basis, v0.amps + 1e-8 * random_state(ctx.basis, rng).amps).normalized()
     else:
         J = rng.uniform(0.5, 1.5, L - 1)
-        J[ctx.bond] = 0.0
+        J[middle_bond(L)] = 0.0
         base = BondCouplings(J)
-    sched = RampSchedule(4.0, 24, ctx.bond, 1.0)
+    sched = RampSchedule(4.0, 24, 1.0)
     taken = reductions(monkeypatch)
     out = adiabatic_ramp(v0, ctx.basis, base, sched)
     assert taken == [False]
@@ -567,7 +586,7 @@ def test_ramp_within_tol_of_even_runs_in_symmetric_subspace(monkeypatch):
     ctx = ramp_context(8, 4)
     odd = random_state(ctx.basis).amps
     v0 = StateVector(ctx.basis, ctx.v0.amps + 1e-12 * odd).normalized()
-    sched = RampSchedule(4.0, 24, ctx.bond, 1.0)
+    sched = RampSchedule(4.0, 24, 1.0)
     taken = reductions(monkeypatch)
     out = adiabatic_ramp(v0, ctx.basis, ctx.base, sched)
     assert taken == [True]
@@ -577,7 +596,7 @@ def test_ramp_within_tol_of_even_runs_in_symmetric_subspace(monkeypatch):
 @pytest.mark.parametrize("L, n", [(4, 2), (8, 4), (16, 4)], ids=["d6", "d70", "d1820"])
 def test_ramp_estimate_schedule_is_bit_identical(L, n, monkeypatch):
     ctx = ramp_context(L, n)
-    sched = RampSchedule(9.0, 48, ctx.bond, 1.0)
+    sched = RampSchedule(9.0, 48, 1.0)
     assert_schedule_is_bit_identical(
         monkeypatch, lambda: adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched).amps)
 
@@ -603,7 +622,7 @@ def test_ramp_computes_few_estimates_per_substep(monkeypatch):
     full_space(monkeypatch)
     eig = counted_calls(monkeypatch, "_tridiag_eig")
     substeps = counted_calls(monkeypatch, "_lanczos_substep")
-    adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, RampSchedule(9.0, 32, ctx.bond, 1.0))
+    adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, RampSchedule(9.0, 32, 1.0))
     assert len(substeps) >= 32
     assert len(eig) <= 3 * len(substeps)
 
@@ -616,7 +635,7 @@ def test_adiabatic_ramp_needs_no_dense_eigensolver(L, n, monkeypatch):
         raise AssertionError("the ramp called a dense eigensolver")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    out = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, RampSchedule(3.0, 24, ctx.bond, 1.0))
+    out = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, RampSchedule(3.0, 24, 1.0))
     assert abs(out.norm() - 1.0) < 1e-12
 
 
@@ -624,7 +643,7 @@ def test_longer_ramps_prepare_better_states():
     ctx = ramp_context(4, 2)
     fids = []
     for T in (1.0, 4.0, 16.0):
-        out = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, RampSchedule(T, 256, ctx.bond, 1.0))
+        out = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, RampSchedule(T, 256, 1.0))
         fids.append(infidelity(out.normalized(), ctx.target))
     assert fids[0] > fids[1] > fids[2]
 
@@ -811,7 +830,7 @@ def test_ramp_and_expmv_keep_the_parameter_names_the_benchmark_binds():
     # perfbench/tracing.py binds each call to these signatures and reads
     # ``basis`` and ``schedule`` (the .d<dim> ramp metrics) and ``t``
     ctx = ramp_context(4, 2)
-    sched = RampSchedule(1.0, 4, ctx.bond, 1.0)
+    sched = RampSchedule(1.0, 4, 1.0)
     bound = inspect.signature(adiabatic_ramp).bind(ctx.v0, ctx.basis, ctx.base, sched)
     assert bound.arguments["basis"] is ctx.basis
     assert bound.arguments["schedule"] is sched

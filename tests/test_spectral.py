@@ -317,7 +317,7 @@ def test_infidelity_endpoints():
     assert infidelity(pair.ground, pair.ground) == pytest.approx(0.0, abs=1e-12)
     basis = pair.ground.basis
     e0 = pair.ground
-    w, U = uniform_chain(4, 2).dense_eig()
+    w, U = uniform_chain(4, 2).dense_eig
     e1 = StateVector(basis, U[:, 1])
     assert infidelity(e1, e0) == pytest.approx(1.0, abs=1e-12)
 

@@ -251,8 +251,8 @@ def test_symmetric_isometry_matches_bitwise_projector(L):
     half = rng.uniform(-2.0, 2.0, L // 2)
     for n in range(L + 1):
         basis = enumerate_sector(L, n)
-        P = basis.symmetric_isometry()
-        assert basis.symmetric_isometry() is P
+        P = basis.symmetric_isometry
+        assert basis.symmetric_isometry is P
         assert P.shape == (basis.dim, P.shape[1])
         proj = oracles.symmetric_projector(L, n)
         assert P.shape[1] == round(np.trace(proj))  # Burnside's orbit count
@@ -269,7 +269,7 @@ def test_symmetric_isometry_matches_bitwise_projector(L):
 @pytest.mark.parametrize("L, n, orbits", [(16, 8, 3299), (16, 4, 924), (8, 4, 23), (7, 3, 19)])
 def test_symmetric_isometry_orbit_counts(L, n, orbits):
     # reflection and, at half filling, spin flip; an odd chain keeps reflection only
-    assert enumerate_sector(L, n).symmetric_isometry().shape[1] == orbits
+    assert enumerate_sector(L, n).symmetric_isometry.shape[1] == orbits
 
 
 def test_hamiltonian_structure_invariants():
@@ -291,7 +291,7 @@ def test_hamiltonian_rejects_length_mismatch():
 def test_l2_energies_are_plus_minus_J():
     basis = enumerate_sector(2, 1)
     H = build_hamiltonian(basis, BondCouplings.uniform(2, 1.0))
-    w, _ = H.dense_eig()
+    w, _ = H.dense_eig
     assert np.allclose(w, [-1.0, 1.0])
 
 
@@ -299,7 +299,7 @@ def test_norm_inf_matches_dense():
     basis = enumerate_sector(6, 2)
     H = build_hamiltonian(basis, BondCouplings.uniform(6))
     dense = np.abs(H.matrix.toarray()).sum(axis=1).max()
-    assert H.norm_inf() == pytest.approx(float(dense), rel=0, abs=0)
+    assert H.norm_inf == pytest.approx(float(dense), rel=0, abs=0)
 
 
 # -------------------------------------------------------------- vectors
