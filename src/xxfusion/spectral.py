@@ -23,6 +23,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DegenerateGapError, LanczosConvergenceError
 from .spin_model import (
+    LANCZOS_NCV,
     BondCouplings,
     SparseHamiltonian,
     StateVector,
@@ -110,8 +111,8 @@ def _lanczos_lowest_two(H: SparseHamiltonian):
     x the top eigenvector, the ground is x on the larger block and
     -B x / sigma_1 on the smaller one, over sqrt(2).
 
-    ARPACK restarts within at most 20 vectors for two pairs, so memory does
-    not grow with the iteration count.  Its start vector, and the fresh
+    ARPACK restarts within ``LANCZOS_NCV`` vectors for two pairs, so memory
+    does not grow with the iteration count.  Its start vector, and the fresh
     vector it draws where the Krylov space closes early (B of rank one),
     come from one generator seeded with ``_LANCZOS_SEED``, so repeated runs
     are bit-identical.  With no hop stored (every coupling zero) H = 0, and
@@ -125,7 +126,9 @@ def _lanczos_lowest_two(H: SparseHamiltonian):
     rng = np.random.default_rng(_LANCZOS_SEED)
     v0 = rng.standard_normal(m)
     try:
-        w, U = eigsh(gram, k=2, which="LA", v0=v0, tol=LANCZOS_TOL, rng=rng)
+        w, U = eigsh(
+            gram, k=2, which="LA", v0=v0, tol=LANCZOS_TOL, ncv=LANCZOS_NCV, rng=rng
+        )
     except ArpackNoConvergence as err:
         raise LanczosConvergenceError(
             f"Lanczos did not converge two pairs (dim {H.dim}): {err}"

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 from xxfusion.cli import OPTIONS
@@ -86,3 +87,45 @@ def test_golden_outputs_flag_an_unexpected_exit_code(tmp_path, monkeypatch, caps
     assert run_script("golden_outputs", [str(tmp_path)], monkeypatch, module) == 1
     assert "(exit 2, expected 0)" in capsys.readouterr().out
     assert (tmp_path / "gap_L_4_n-up_0" / "exit_code").read_text() == "2\n"
+
+
+def golden_tree(root, stdout, code="0\n"):
+    run_dir = root / "compare_L_4"
+    run_dir.mkdir(parents=True)
+    (root / "settings").write_text("OPENBLAS_NUM_THREADS=1\n")
+    (run_dir / "stdout").write_text(stdout)
+    (run_dir / "stderr").write_text("")
+    (run_dir / "exit_code").write_text(code)
+    return root
+
+
+ROWS = ("# xxfusion 0.1.0 compare L=4\nmethod,L,achieved_infidelity,t_A,status\n"
+        "adiabatic,4,{},{},{}\n# final_infidelity = {}\n")
+
+
+@pytest.mark.parametrize("after, code, status, moved", [
+    (("4.25575855398e-05", 2.5, "OK", "1e-3"), "0\n", 0, "achieved_infidelity"),
+    (("4.25575855403e-05", 2.5, "FAILED", "1e-3"), "0\n", 1, "status"),
+    (("4.25575855403e-05", 2.5, "OK", "1e-3"), "1\n", 1, "exit_code"),
+    (("4.25575855403e-05", 2.75, "OK", "1e-3"), "0\n", 1, "t_A"),
+    (("4.25575855403e-05", 2.5, "OK", "1.1e-3"), "0\n", 1, "final_infidelity"),
+    (("nan", 2.5, "OK", "1e-3"), "0\n", 1, "achieved_infidelity"),
+], ids=["roundoff", "status", "exit-code", "t_A", "comment-value", "nan"])
+def test_golden_diff_passes_only_small_numeric_moves(tmp_path, monkeypatch, capsys,
+                                                      after, code, status, moved):
+    before = golden_tree(tmp_path / "before", ROWS.format("4.25575855403e-05", 2.5, "OK", "1e-3"))
+    changed = golden_tree(tmp_path / "after", ROWS.format(*after), code)
+    assert run_script("golden_diff", [str(before), str(changed)], monkeypatch) == status
+    (line, summary) = capsys.readouterr().out.splitlines()
+    assert moved in line and summary.startswith(f"[golden_diff] {status} difference")
+    if status == 0:
+        assert line.endswith("achieved_infidelity: 4.25575855403e-05 -> "
+                             "4.25575855398e-05 (rel 1.17e-11)")
+
+
+def test_golden_diff_flags_a_missing_file(tmp_path, monkeypatch, capsys):
+    before = golden_tree(tmp_path / "before", "E0 = -1\n")
+    after = golden_tree(tmp_path / "after", "E0 = -1\n")
+    (after / "compare_L_4" / "stderr").unlink()
+    assert run_script("golden_diff", [str(before), str(after)], monkeypatch) == 1
+    assert "compare_L_4/stderr: only in" in capsys.readouterr().out

@@ -300,8 +300,8 @@ def test_lanczos_route_never_assembles_H(monkeypatch):
 
 
 def test_lowest_two_lanczos_budget_failure_is_typed(monkeypatch):
-    # a one-iteration ARPACK budget cannot converge two pairs at this size
-    # (at L = 12 and 14 one iteration on the parity block already does)
+    # a one-iteration ARPACK budget cannot converge two pairs at this size,
+    # nor at L = 12 or 14, within LANCZOS_NCV vectors on the parity block
     monkeypatch.setattr(spectral, "eigsh", functools.partial(spectral.eigsh, maxiter=1))
     H = uniform_chain(16, 8)  # dim 12870, above the dense cutoff
     with pytest.raises(LanczosConvergenceError, match="did not converge") as info:

@@ -90,7 +90,7 @@ def test_hamiltonian_beyond_memory_raises_before_allocating(monkeypatch):
     need = (
         8 * dim + 12 * nnz + 4 * (dim + 1)
         + 6 * nnz + 4 * (dim - m + 1) + 6 * dim
-        + 8 * 47 * m + 24 * dim
+        + 8 * (2 * spin_model.LANCZOS_NCV + 7) * m + 24 * dim
     )
 
     def no_pattern(*args):
@@ -128,6 +128,29 @@ def test_capacity_need_bounds_the_traced_peak(monkeypatch, L):
     finally:
         tracemalloc.stop()
     assert needs[0] >= peak
+
+
+def test_arpack_share_of_the_capacity_need_bounds_eigsh(monkeypatch):
+    # (2 ncv + 7) m float64 is the check's share for ARPACK alone; scipy's
+    # default basis of 20 vectors peaks above it (9.0 MB against 5.25 MB)
+    import xxfusion.spectral as spectral
+    import xxfusion.spin_model as spin_model
+
+    eigsh, peaks = spectral.eigsh, []
+
+    def traced_eigsh(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return eigsh(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(spectral, "eigsh", traced_eigsh)
+    basis = enumerate_sector(18, 9)
+    lowest_two(build_hamiltonian(basis, BondCouplings.uniform(18)))
+    share = 8 * (2 * spin_model.LANCZOS_NCV + 7) * larger_parity_block(basis)
+    assert len(peaks) == 1 and peaks[0] <= share
 
 
 def test_hop_count_bound_holds_in_every_sector():
