@@ -36,8 +36,6 @@ from .propagate import (
     ramp_time_for_infidelity,
 )
 from .rodeo import (
-    RodeoOutcome,
-    RodeoSchedule,
     energy_scan,
     make_schedule,
     rodeo_cycle,
@@ -47,11 +45,8 @@ from .rodeo import (
 from .spectral import (
     SpectralPair,
     chain_pair,
-    free_fermion_energies,
     infidelity,
     lowest_two,
-    sector_ground_energy_oracle,
-    spectral_weight,
 )
 from .spin_model import (
     BondCouplings,
@@ -71,12 +66,10 @@ __all__ = [
     "BondCouplings", "SectorBasis", "SparseHamiltonian", "StateVector",
     "basis_state", "build_hamiltonian", "embed_product",
     "enumerate_sector", "middle_bond", "sector_occupancy",
-    "SpectralPair", "chain_pair", "free_fermion_energies", "infidelity", "lowest_two",
-    "sector_ground_energy_oracle", "spectral_weight",
+    "SpectralPair", "chain_pair", "infidelity", "lowest_two",
     "RampContext", "RampResult", "RampSchedule", "adiabatic_ramp",
     "converged_ramp", "default_step_tol", "expmv", "ramp_time_for_infidelity",
-    "RodeoOutcome", "RodeoSchedule", "energy_scan", "make_schedule",
-    "rodeo_cycle", "rodeo_cycles", "run_rodeo",
+    "energy_scan", "make_schedule", "rodeo_cycle", "rodeo_cycles", "run_rodeo",
     "METHODS", "FusionConfig", "FusionStep", "StepRecord", "compare_methods",
     "expected_cost", "fuse_step", "half_ground", "run_fusion",
     "SimulationError", "CapacityError", "DegenerateGapError",

@@ -323,7 +323,7 @@ def cmd_scan(values: dict) -> int:
         raise ConfigError(f"energy bounds must be finite, got {values['e_min']} "
                           f"and {values['e_max']}")
     H, pair = _chain_pair(values)
-    schedule = make_schedule(
+    times = make_schedule(
         pair.gap,
         depth=values["depth"],
         superiterations=values["superiterations"],
@@ -335,7 +335,7 @@ def cmd_scan(values: dict) -> int:
     except MemoryError as err:
         raise CapacityError(f"an energy grid of {values['points']} points does not fit "
                             f"in memory") from err
-    results = energy_scan(v0, H, grid, schedule, tol=values["expmv_tol"])
+    results = energy_scan(v0, H, grid, times, tol=values["expmv_tol"])
     rows = [f"{_fmt(E)},{_fmt(p)},OK" for E, p in results]
     _write_csv(values["output"], [_provenance("scan", values)], "E_t,p_total,status", rows)
     return 0

@@ -224,7 +224,7 @@ class FusionStep:
         c = self.config
         times = make_schedule(
             self.gap, depth=c.depth, superiterations=c.max_superiterations, ratio=c.ratio
-        ).times
+        )
         block_time = float(times[: c.depth].sum())
         t_R = 0.0
         cycles = rodeo_cycles(start, self.H, self.E0, times, tol=c.expmv_tol)
@@ -294,11 +294,15 @@ class FusionStep:
             yield None, StepRecord.failed(L, method, target, err)
 
 
+def _check_target(target_infidelity: float) -> None:
+    if not 0.0 < target_infidelity < 1.0:
+        raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
+
+
 def _check_method_target(method: str, target_infidelity: float) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if not 0.0 < target_infidelity < 1.0:
-        raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
+    _check_target(target_infidelity)
 
 
 def fuse_step(
@@ -400,8 +404,7 @@ def compare_methods(
     config = config or FusionConfig()
     targets = sorted(set(float(t) for t in infidelity_targets), reverse=True)
     for t in targets:
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"target infidelity {t} outside (0, 1)")
+        _check_target(t)
     step = FusionStep.exact_halves(L, filling, config)
     if not targets:
         return []

@@ -387,8 +387,8 @@ def adiabatic_ramp(
     ``base`` must hold the middle bond at zero; step k evolves for
     T_A/steps under H(base) + lambda(s_mid) H(bond) with lambda evaluated
     at the step midpoint.  Every step, in every sector, is a Krylov
-    propagation to ``tol / steps`` (``tol`` > 0) on one doubled CSR with
-    lambda set in place; no dense eigensolver is called.  When ``base`` is
+    propagation to ``tol / steps`` (``tol`` in (0, 1)) on one doubled CSR
+    with lambda set in place; no dense eigensolver is called.  When ``base`` is
     palindromic and v0 is within ``tol`` of its even part, the ramp runs
     on P^T v0 in the symmetric subspace (see the module notes) and the
     state is lifted back as P x; otherwise it runs in the full sector.
@@ -396,8 +396,7 @@ def adiabatic_ramp(
     operator is built once per sector, couplings and subspace, and kept
     on ``basis``.  Norm is preserved to integrator precision.
     """
-    if not tol > 0.0:
-        raise ValueError(f"Krylov tolerance must be positive, got {tol}")
+    check_expmv_tol(tol)
     if base.n_sites != basis.L:
         raise ValueError("couplings do not match the sector length")
     bond = middle_bond(basis.L)
@@ -469,8 +468,7 @@ def converged_ramp(
     one with a looser target or none resumes where an early stop left
     off.
     """
-    if not tol > 0.0:
-        raise ValueError(f"Krylov tolerance must be positive, got {tol}")
+    check_expmv_tol(tol)
     steps = _initial_steps(ctx, T_A)
     prev = None
     while steps <= MAX_RAMP_STEPS:

@@ -5,13 +5,14 @@ ancilla staying in |1>; eigencomponents at energy E are damped by
 cos((E - E_t) t_j / 2).  A superiteration runs a geometric ladder of
 cycle times t_1 r^d, d = 0..D-1, whose first time is pi over the
 spectral gap so the first excited component is annihilated exactly when
-E_t sits on the ground energy.
+E_t sits on the ground energy.  A schedule is just that array of cycle
+times, ``superiterations`` copies of the ladder end to end; its total
+time t_R is the array's sum.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +23,6 @@ from .spin_model import SparseHamiltonian, StateVector, _require_memory
 #: Once the cumulative success probability falls below this, the input is
 #: treated as orthogonal to everything the schedule can keep.
 ANNIHILATION_FLOOR = 1e-30
-
-
-@dataclass(frozen=True)
-class RodeoSchedule:
-    """Cycle times: ``superiterations`` repeats of a geometric ladder."""
-
-    t1: float
-    depth: int
-    superiterations: int
-    ratio: float
-    times: np.ndarray
-
-    @property
-    def total_time(self) -> float:
-        return float(self.times.sum())
 
 
 def _check_ladder(depth: int, superiterations: int, ratio: float) -> None:
@@ -54,8 +40,9 @@ def make_schedule(
     depth: int = 8,
     superiterations: int = 1,
     ratio: float = 0.5,
-) -> RodeoSchedule:
-    """Geometric cycle-time ladder seeded by t1 = pi / gap.
+) -> np.ndarray:
+    """Cycle times: ``superiterations`` repeats of the geometric ladder
+    t1 ratio^d, d = 0 .. depth-1, seeded by t1 = pi / gap.
 
     Refuses with :class:`CapacityError`, before allocating, a ladder and
     its tiled times larger than physical memory.
@@ -70,9 +57,7 @@ def make_schedule(
         depth=depth, superiterations=superiterations,
     )
     t1 = np.pi / gap
-    ladder = t1 * ratio ** np.arange(depth)
-    times = np.tile(ladder, superiterations)
-    return RodeoSchedule(float(t1), depth, superiterations, ratio, times)
+    return np.tile(t1 * ratio ** np.arange(depth), superiterations)
 
 
 def rodeo_cycle(
@@ -134,57 +119,50 @@ def rodeo_cycles(
         yield state, p_total
 
 
-@dataclass(frozen=True)
-class RodeoOutcome:
-    state: StateVector
-    p_total: float
-    t_R: float
-
-
 def run_rodeo(
     v0: StateVector,
     H: SparseHamiltonian,
     E_t: float,
-    schedule: RodeoSchedule,
+    times: np.ndarray,
     *,
     tol: float = 1e-10,
     evolved: StateVector | None = None,
-) -> RodeoOutcome:
-    """Run every cycle of ``schedule`` on v0: the last survivor, the total
-    success probability and the schedule's total time.
+) -> tuple[StateVector, float]:
+    """Run one cycle per entry of ``times`` on v0: the last survivor and
+    the total success probability, as ``(state, p_total)``; v0 and 1 when
+    ``times`` is empty.
 
     Renormalization, ``p_total``, the annihilation error and ``evolved``
     are those of :func:`rodeo_cycles`.
     """
     state, p_total = v0, 1.0
-    for state, p_total in rodeo_cycles(v0, H, E_t, schedule.times, tol=tol, evolved=evolved):
+    for state, p_total in rodeo_cycles(v0, H, E_t, times, tol=tol, evolved=evolved):
         pass
-    return RodeoOutcome(state, p_total, schedule.total_time)
+    return state, p_total
 
 
 def energy_scan(
     v0: StateVector,
     H: SparseHamiltonian,
     grid: np.ndarray,
-    schedule: RodeoSchedule,
+    times: np.ndarray,
     *,
     tol: float = 1e-10,
 ) -> list[tuple[float, float]]:
-    """Total success probability of ``schedule`` at each target energy.
+    """Total success probability of the cycle ``times`` at each target energy.
 
-    Each grid point runs the full schedule on v0; the first cycle's
+    Each grid point runs every cycle on v0; the first cycle's
     propagation of v0 does not depend on E_t, so it is computed once and
     shared by every point.  Points where the weight is annihilated report
     probability 0 instead of raising.
     """
     evolved = None
-    if schedule.times.size:
-        evolved = expmv(H, float(schedule.times[0]), v0, tol=tol)
+    if times.size:
+        evolved = expmv(H, float(times[0]), v0, tol=tol)
     results = []
     for E_t in np.asarray(grid, dtype=np.float64):
         try:
-            outcome = run_rodeo(v0, H, float(E_t), schedule, tol=tol, evolved=evolved)
-            p = outcome.p_total
+            _, p = run_rodeo(v0, H, float(E_t), times, tol=tol, evolved=evolved)
         except RodeoAnnihilationError:
             p = 0.0
         results.append((float(E_t), p))

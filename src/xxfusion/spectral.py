@@ -1,4 +1,4 @@
-"""Lowest two eigenpairs per sector, the free-fermion oracle, overlaps.
+"""Lowest two eigenpairs per sector, and the infidelity between states.
 
 Below ``DENSE_CUTOFF`` the solver simply diagonalizes.  Above it the
 chain's bipartite structure is used: every hop flips the parity of the up
@@ -8,9 +8,7 @@ B.  B is built straight from the hop pattern of the smaller parity
 block's rows, so this route never forms the CSR of H.  ARPACK's
 implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``) finds the
 top two eigenpairs of B^T B on the larger parity block from a fixed-seed
-generator, and the ground is lifted back to the whole sector.  The
-free-fermion single-particle energies give an independent check on every
-sector ground energy of the uniform chain.
+generator, and the ground is lifted back to the whole sector.
 """
 
 from __future__ import annotations
@@ -176,42 +174,12 @@ def chain_pair(L: int, n_up: int, J: float = 1.0) -> tuple[SparseHamiltonian, Sp
     return H, lowest_two(H)
 
 
-def free_fermion_energies(L: int, J: float = 1.0) -> np.ndarray:
-    """Single-particle energies 2J cos(k pi / (L+1)) of the open chain.
-
-    The XX chain maps to free fermions hopping with amplitude J; filling
-    the n_up lowest modes gives the sector ground energy exactly.
-    """
-    if L < 1:
-        raise ValueError(f"need at least one site, got L={L}")
-    k = np.arange(1, L + 1)
-    return 2.0 * J * np.cos(k * np.pi / (L + 1))
-
-
-def sector_ground_energy_oracle(L: int, n_up: int, J: float = 1.0) -> float:
-    """Exact ground energy of sector (L, n_up) from the free-fermion map."""
-    if not 0 <= n_up <= L:
-        raise ValueError(f"n_up={n_up} outside [0, {L}]")
-    energies = np.sort(free_fermion_energies(L, J))
-    return float(energies[:n_up].sum())
-
-
-def _check_compatible(v: StateVector, w: StateVector) -> None:
-    if not v.basis.same_sector(w.basis) or v.basis.dim != w.basis.dim:
-        raise ValueError("states live in different sectors")
-
-
 def infidelity(v: StateVector, target: StateVector) -> float:
     """1 - |<target|v>|^2 for normalized v and target."""
-    _check_compatible(v, target)
+    if not v.basis.same_sector(target.basis) or v.basis.dim != target.basis.dim:
+        raise ValueError("states live in different sectors")
     for s, name in ((v, "v"), (target, "target")):
         if abs(s.norm() - 1.0) > 1e-9:
             raise ValueError(f"{name} is not normalized (norm {s.norm():.12g})")
     overlap = np.vdot(target.amps, v.amps)
     return max(0.0, 1.0 - float(np.abs(overlap)) ** 2)
-
-
-def spectral_weight(v: StateVector, eigvec: StateVector) -> float:
-    """|<eigvec|v>|, the weight of v on a (normalized) eigenvector."""
-    _check_compatible(v, eigvec)
-    return float(np.abs(np.vdot(eigvec.amps, v.amps)))

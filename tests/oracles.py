@@ -136,6 +136,11 @@ def sector_ground_energy(L: int, n_up: int, J: float = 1.0) -> float:
     return float(sum(sorted(single_particle_energies(L, J))[:n_up]))
 
 
+def overlap(v, w) -> float:
+    """|<w|v>| of two states' amplitudes, summed term by term."""
+    return abs(sum(complex(b).conjugate() * complex(a) for a, b in zip(v.amps, w.amps)))
+
+
 def converged_probe(ctx, T_A: float, step_tol: float):
     """A ramp probe doubled until its infidelity stabilizes, with no
     early stop and no shared ramps.  Returns (infidelity, state, steps)."""

@@ -31,8 +31,6 @@ from xxfusion import (
     middle_bond,
     ramp_time_for_infidelity,
     rodeo_cycle,
-    sector_ground_energy_oracle,
-    spectral_weight,
 )
 from xxfusion.cli import main as cli_main
 from xxfusion.fusion import FusionConfig, FusionStep, compare_methods
@@ -85,7 +83,7 @@ def test_02_ground_energies_match_free_fermion_oracle():
     sectors = 0
     for L in range(1, 13):
         for n in range(L + 1):
-            oracle = sector_ground_energy_oracle(L, n)
+            oracle = oracles.sector_ground_energy(L, n)
             if math.comb(L, n) < 2:
                 # trivial sector: no hops survive, the energy is zero
                 err = abs(oracle - 0.0)
@@ -109,13 +107,13 @@ def test_03_spectral_weight_constant_over_24_cycles():
         rng = np.random.default_rng(L)
         amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         state = StateVector(basis, amps / np.linalg.norm(amps))
-        reference = spectral_weight(state, pair.ground)
-        sched = make_schedule(pair.gap, depth=8, superiterations=3)
+        reference = oracles.overlap(state, pair.ground)
+        times = make_schedule(pair.gap, depth=8, superiterations=3)
         running = 1.0
-        for t_j in sched.times:
+        for t_j in times:
             state, p = rodeo_cycle(state, H, pair.E0, float(t_j))
             running *= p
-            drift = abs(math.sqrt(running) * spectral_weight(state, pair.ground)
+            drift = abs(math.sqrt(running) * oracles.overlap(state, pair.ground)
                         - reference)
             worst = max(worst, drift)
     verdict(3, worst < 1e-12,
@@ -259,15 +257,15 @@ def test_10_energy_scan_peaks_and_transparency():
     """L=2 scan peaks at +-J; an exact eigenstate input passes untouched."""
     basis, H = uniform_chain(2, 1)
     pair = lowest_two(H)
-    sched = make_schedule(pair.gap, depth=3, superiterations=2)
+    times = make_schedule(pair.gap, depth=3, superiterations=2)
     grid = np.linspace(-2.0, 2.0, 81)
     spacing = grid[1] - grid[0]
     neel = StateVector(basis, np.array([1.0, 0.0]))
-    ps = np.array([p for _, p in energy_scan(neel, H, grid, sched)])
+    ps = np.array([p for _, p in energy_scan(neel, H, grid, times)])
     left_peak = grid[:41][np.argmax(ps[:41])]
     right_peak = grid[41:][np.argmax(ps[41:])]
     peaks_ok = abs(left_peak + 1.0) <= spacing and abs(right_peak - 1.0) <= spacing
-    transparent = dict(energy_scan(pair.ground, H, np.array([pair.E0]), sched))
+    transparent = dict(energy_scan(pair.ground, H, np.array([pair.E0]), times))
     p_eigen = transparent[pair.E0]
     verdict(10, peaks_ok and abs(p_eigen - 1.0) < 1e-12,
             f"peaks at {left_peak:+.2f}, {right_peak:+.2f} (grid spacing "

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import functools
+import importlib.util
 import io
 import math
 from pathlib import Path
@@ -560,6 +561,22 @@ def test_every_outcome_is_a_documented_exit(argv):
         last = (err.splitlines() or [""])[-1]
         assert last.startswith(("config error:", "error:", "FAILED")), (argv, err)
     assert captured_run(argv)[1] == out, argv
+
+
+def golden_config_errors():
+    """The invocations ``scripts/golden_outputs.py`` lists under exit 2."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "golden_outputs.py"
+    spec = importlib.util.spec_from_file_location("golden_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.INVOCATIONS[2]
+
+
+@pytest.mark.parametrize("text", golden_config_errors())
+def test_golden_config_errors_exit_2(text):
+    code, _, err = captured_run(text.split())
+    assert code == 2
+    assert err.splitlines()[-1].startswith("config error:")
 
 
 # ------------------------------------------------------------- structure

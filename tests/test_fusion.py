@@ -167,11 +167,11 @@ def test_fusion_step_sweep_matches_run_rodeo():
     for M in (1, 2, 3):
         m, state, _, p_total, t_R = next(sweep)
         assert m == M
-        schedule = make_schedule(step.gap, depth=8, superiterations=M)
-        out = run_rodeo(start, step.H, step.E0, schedule)
-        assert np.array_equal(state.amps, out.state.amps)
-        assert p_total == out.p_total
-        assert t_R == pytest.approx(out.t_R, abs=1e-12)
+        times = make_schedule(step.gap, depth=8, superiterations=M)
+        ref_state, ref_p = run_rodeo(start, step.H, step.E0, times)
+        assert np.array_equal(state.amps, ref_state.amps)
+        assert p_total == ref_p
+        assert t_R == pytest.approx(times.sum(), abs=1e-12)
 
 
 def test_fusion_step_start_has_no_adiabatic_sweep():

@@ -455,7 +455,7 @@ def test_adiabatic_ramp_argument_errors():
     foreign = basis_state(enumerate_sector(4, 1), 0b0001)
     with pytest.raises(ValueError, match="sector"):
         adiabatic_ramp(foreign, ctx.basis, ctx.base, sched)
-    for tol in (0.0, -1.0, math.nan):
+    for tol in (0.0, -1.0, math.nan, 1.0):
         with pytest.raises(ValueError, match="tolerance"):
             adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched, tol=tol)
 
@@ -671,7 +671,7 @@ def test_converged_ramp_rejects_bad_tolerance(monkeypatch):
         raise AssertionError("a ramp was integrated")
 
     monkeypatch.setattr(propagate, "adiabatic_ramp", no_ramp)
-    for tol in (0.0, -1.0, math.nan):
+    for tol in (0.0, -1.0, math.nan, 1.0):
         with pytest.raises(ValueError, match="tolerance"):
             converged_ramp(ramp_context(4, 2), 1.0, step_tol=1e-4, tol=tol)
 

@@ -19,7 +19,6 @@ from xxfusion import (
     make_schedule,
     rodeo_cycle,
     run_rodeo,
-    spectral_weight,
 )
 
 RNG = np.random.default_rng(20240813)
@@ -44,14 +43,14 @@ def eigenstate(H, k):
 
 
 def test_make_schedule_geometric_ladder():
-    sched = make_schedule(2.0, depth=4, superiterations=3, ratio=0.5)
+    times = make_schedule(2.0, depth=4, superiterations=3, ratio=0.5)
     t1 = np.pi / 2.0
-    assert sched.t1 == pytest.approx(t1, rel=1e-15)
+    assert times[0] == pytest.approx(t1, rel=1e-15)
     ladder = t1 * 0.5 ** np.arange(4)
-    assert np.allclose(sched.times, np.tile(ladder, 3), rtol=1e-15)
-    assert sched.times.size == sched.depth * sched.superiterations
-    assert np.all(sched.times > 0)
-    assert sched.total_time == pytest.approx(3 * t1 * (2.0 - 2.0 ** -3), rel=1e-14)
+    assert np.allclose(times, np.tile(ladder, 3), rtol=1e-15)
+    assert times.shape == (4 * 3,)
+    assert np.all(times > 0)
+    assert times.sum() == pytest.approx(3 * t1 * (2.0 - 2.0 ** -3), rel=1e-14)
 
 
 @given(
@@ -61,10 +60,10 @@ def test_make_schedule_geometric_ladder():
     st.floats(0.1, 1.0),
 )
 def test_make_schedule_invariants(gap, depth, M, ratio):
-    sched = make_schedule(gap, depth=depth, superiterations=M, ratio=ratio)
-    assert sched.times.size == depth * M
-    assert sched.t1 == pytest.approx(np.pi / gap, rel=1e-14)
-    block = sched.times[:depth]
+    times = make_schedule(gap, depth=depth, superiterations=M, ratio=ratio)
+    assert times.size == depth * M
+    assert times[0] == pytest.approx(np.pi / gap, rel=1e-14)
+    block = times[:depth]
     if depth > 1:
         assert np.allclose(block[1:] / block[:-1], ratio, rtol=1e-12)
 
@@ -133,39 +132,40 @@ def test_single_cycle_annihilates_first_excited():
 def test_run_rodeo_probability_bookkeeping():
     basis, H = chain(4, 2)
     pair = lowest_two(H)
-    sched = make_schedule(pair.gap, depth=4, superiterations=2)
+    times = make_schedule(pair.gap, depth=4, superiterations=2)
     v = random_state(basis)
-    out = run_rodeo(v, H, pair.E0, sched)
+    state, p_total = run_rodeo(v, H, pair.E0, times)
     probs = []
-    for t in sched.times:
+    for t in times:
         v, p = rodeo_cycle(v, H, pair.E0, float(t))
         probs.append(p)
     assert len(probs) == 8
-    assert out.p_total == pytest.approx(float(np.prod(probs)), rel=1e-12)
-    assert out.t_R == sched.total_time
-    assert abs(out.state.norm() - 1.0) < 1e-12
+    assert p_total == pytest.approx(float(np.prod(probs)), rel=1e-12)
+    assert abs(state.norm() - 1.0) < 1e-12
+
+
+def test_run_rodeo_without_cycles_returns_its_input():
+    basis, H = chain(4, 2)
+    v = random_state(basis)
+    state, p_total = run_rodeo(v, H, 0.0, make_schedule(1.0, superiterations=0))
+    assert state is v and p_total == 1.0
 
 
 def test_run_rodeo_converges_to_target_state():
     basis, H = chain(4, 2)
     pair = lowest_two(H)
     v = random_state(basis, np.random.default_rng(42))
-    weight0 = spectral_weight(v, pair.ground)
-    weights = [
-        spectral_weight(
-            run_rodeo(v, H, pair.E0, make_schedule(pair.gap, depth=8, superiterations=M)).state,
-            pair.ground,
-        )
-        for M in (1, 2, 4)
-    ]
+    weight0 = oracles.overlap(v, pair.ground)
+    outs = [run_rodeo(v, H, pair.E0, make_schedule(pair.gap, depth=8, superiterations=M))
+            for M in (1, 2, 4)]
+    weights = [oracles.overlap(state, pair.ground) for state, _ in outs]
     assert weight0 < weights[0] < weights[1] < weights[2]
     assert weights[2] > 0.99999
-    out = run_rodeo(v, H, pair.E0, make_schedule(pair.gap, depth=8, superiterations=2))
     # the undamped target component floors the success probability, and
     # residual contamination only shrinks as cycles accumulate
-    assert weight0**2 - 1e-12 <= out.p_total <= 1.0
-    deep = run_rodeo(v, H, pair.E0, make_schedule(pair.gap, depth=8, superiterations=4))
-    assert weight0**2 - 1e-12 <= deep.p_total <= out.p_total
+    p2, p4 = outs[1][1], outs[2][1]
+    assert weight0**2 - 1e-12 <= p2 <= 1.0
+    assert weight0**2 - 1e-12 <= p4 <= p2
 
 
 def test_run_rodeo_raises_on_orthogonal_input():
@@ -180,15 +180,15 @@ def test_spectral_weight_constant_over_24_cycles():
     # with E_t exactly E0 the unnormalized ground amplitude never moves
     basis, H = chain(4, 2)
     pair = lowest_two(H)
-    sched = make_schedule(pair.gap, depth=8, superiterations=3)
-    assert sched.times.size == 24
+    times = make_schedule(pair.gap, depth=8, superiterations=3)
+    assert times.size == 24
     state = random_state(basis)
-    reference = spectral_weight(state, pair.ground)
+    reference = oracles.overlap(state, pair.ground)
     running = 1.0
-    for t_j in sched.times:
+    for t_j in times:
         state, p = rodeo_cycle(state, H, pair.E0, float(t_j))
         running *= p
-        unnormalized = np.sqrt(running) * spectral_weight(state, pair.ground)
+        unnormalized = np.sqrt(running) * oracles.overlap(state, pair.ground)
         assert unnormalized == pytest.approx(reference, abs=1e-12)
 
 
@@ -208,8 +208,8 @@ def test_ancilla_circuit_dimension_cap():
 def test_energy_scan_eigenstate_peak_and_annihilation():
     basis, H = chain(2, 1)
     pair = lowest_two(H)
-    sched = make_schedule(pair.gap, depth=3, superiterations=2)
-    results = energy_scan(pair.ground, H, np.array([-1.0, 0.0, 1.0]), sched)
+    times = make_schedule(pair.gap, depth=3, superiterations=2)
+    results = energy_scan(pair.ground, H, np.array([-1.0, 0.0, 1.0]), times)
     grid_p = {E: p for E, p in results}
     assert grid_p[-1.0] == pytest.approx(1.0, abs=1e-12)  # E_t = E0 keeps everything
     assert grid_p[1.0] == 0.0  # ground is orthogonal to the E1 filter target
@@ -219,9 +219,9 @@ def test_energy_scan_eigenstate_peak_and_annihilation():
 def test_energy_scan_neel_input_splits_evenly():
     basis, H = chain(2, 1)
     pair = lowest_two(H)
-    sched = make_schedule(pair.gap, depth=3, superiterations=2)
+    times = make_schedule(pair.gap, depth=3, superiterations=2)
     neel = StateVector(basis, np.array([1.0, 0.0]))  # |01>, up at site 0
-    results = dict(energy_scan(neel, H, np.array([-1.0, 1.0]), sched))
+    results = dict(energy_scan(neel, H, np.array([-1.0, 1.0]), times))
     assert results[-1.0] == pytest.approx(0.5, abs=1e-12)
     assert results[1.0] == pytest.approx(0.5, abs=1e-12)
 
@@ -229,7 +229,7 @@ def test_energy_scan_neel_input_splits_evenly():
 def test_energy_scan_shares_first_propagation(monkeypatch):
     basis, H = chain(6, 3)
     pair = lowest_two(H)
-    sched = make_schedule(pair.gap, depth=3, superiterations=2)
+    times = make_schedule(pair.gap, depth=3, superiterations=2)
     v0 = pair.ground
     # the first cycle, at t_1 = pi / gap, annihilates the ground at E0 + gap
     grid = np.array([pair.E0, pair.E0 + pair.gap, 0.0, 0.7])
@@ -237,18 +237,18 @@ def test_energy_scan_shares_first_propagation(monkeypatch):
     expmv = rodeo.expmv
 
     def counted(H_, t, v, **kwargs):
-        if t == sched.times[0]:
+        if t == times[0]:
             t1_calls.append(v)
         return expmv(H_, t, v, **kwargs)
 
     monkeypatch.setattr(rodeo, "expmv", counted)
-    results = energy_scan(v0, H, grid, sched)
+    results = energy_scan(v0, H, grid, times)
     first_cycle_inputs = [v for v in t1_calls if v is v0]
     assert len(first_cycle_inputs) == 1
     for (E_t, p), E_grid in zip(results, grid):
         assert E_t == E_grid
         try:
-            expected = run_rodeo(v0, H, E_t, sched).p_total
+            _, expected = run_rodeo(v0, H, E_t, times)
         except RodeoAnnihilationError:
             expected = 0.0
         assert p == expected
@@ -264,14 +264,14 @@ def test_energy_scan_krylov_matches_closed_form_filter(L, n):
     _, Hh = chain(L // 2, n // 2)
     g = lowest_two(Hh).ground
     v0 = embed_product(g, g, basis=basis)
-    sched = make_schedule(lowest_two(H).gap, depth=8, superiterations=2)
+    times = make_schedule(lowest_two(H).gap, depth=8, superiterations=2)
     grid = np.linspace(-7.0, 7.0, 29)
-    results = energy_scan(v0, H, grid, sched)
+    results = energy_scan(v0, H, grid, times)
     # every cycle ran in the symmetric subspace
     assert {reduced for _, _, reduced in H.basis._operators} == {True}
     w, U = np.linalg.eigh(H.matrix.toarray())
     weights = np.abs(U.T @ v0.amps) ** 2
     for E_t, p in results:
-        closed = weights @ np.prod(np.cos(np.outer(w - E_t, sched.times) / 2.0) ** 2, axis=1)
+        closed = weights @ np.prod(np.cos(np.outer(w - E_t, times) / 2.0) ** 2, axis=1)
         assert p == pytest.approx(closed, rel=1e-8)
-        assert p == run_rodeo(v0, H, E_t, sched).p_total
+        assert p == run_rodeo(v0, H, E_t, times)[1]

@@ -1,4 +1,4 @@
-"""Eigensolver routes, the free-fermion oracle, and overlap measures."""
+"""Eigensolver routes, checked against free-fermion energies, and overlap measures."""
 
 import functools
 import math
@@ -21,11 +21,8 @@ from xxfusion import (
     build_hamiltonian,
     embed_product,
     enumerate_sector,
-    free_fermion_energies,
     infidelity,
     lowest_two,
-    sector_ground_energy_oracle,
-    spectral_weight,
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -54,26 +51,33 @@ def live_bond_chain(L, n, bond):
 # -------------------------------------------------------- free fermions
 
 
+def one_particle_spectrum(L, J):
+    """Sorted eigenvalues of the library's one-up-spin sector, which is the
+    single-particle hopping matrix."""
+    return np.linalg.eigvalsh(uniform_chain(L, 1, J).matrix.toarray())
+
+
 def test_free_fermion_energies_L4():
     # 2 cos(k pi / 5) lands on the golden ratio: phi, phi - 1, and mirrors
-    e = free_fermion_energies(4, 1.0)
-    assert np.allclose(sorted(e), [-PHI, -(PHI - 1.0), PHI - 1.0, PHI], atol=1e-14)
+    golden = [-PHI, -(PHI - 1.0), PHI - 1.0, PHI]
+    assert np.allclose(sorted(oracles.single_particle_energies(4, 1.0)), golden, atol=1e-14)
+    assert np.allclose(one_particle_spectrum(4, 1.0), golden, atol=1e-14)
 
 
 def test_free_fermion_energies_match_plain_loop():
-    for L in range(1, 13):
+    for L in range(2, 13):
         assert np.allclose(
-            sorted(free_fermion_energies(L, 0.8)),
+            one_particle_spectrum(L, 0.8),
             sorted(oracles.single_particle_energies(L, 0.8)),
             atol=1e-13,
         )
 
 
 def test_sector_ground_energy_oracle_values():
-    assert sector_ground_energy_oracle(4, 2) == pytest.approx(-math.sqrt(5.0), abs=1e-12)
-    assert sector_ground_energy_oracle(4, 0) == 0.0
+    assert oracles.sector_ground_energy(4, 2) == pytest.approx(-math.sqrt(5.0), abs=1e-12)
+    assert oracles.sector_ground_energy(4, 0) == 0.0
     # filled and empty sectors both cost nothing: the band sums to zero
-    assert sector_ground_energy_oracle(9, 9) == pytest.approx(0.0, abs=1e-12)
+    assert oracles.sector_ground_energy(9, 9) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_oracle_matches_dense_diagonalization_small():
@@ -81,7 +85,7 @@ def test_oracle_matches_dense_diagonalization_small():
         for n in range(1, L):
             _, dense = oracles.dense_hamiltonian(L, n, 1.0)
             E0 = float(np.linalg.eigvalsh(dense)[0])
-            assert sector_ground_energy_oracle(L, n) == pytest.approx(E0, abs=1e-10)
+            assert oracles.sector_ground_energy(L, n) == pytest.approx(E0, abs=1e-10)
 
 
 # ----------------------------------------------------------- lowest_two
@@ -190,7 +194,7 @@ def test_lanczos_route_clips_negative_sigma_squared(monkeypatch):
 
 def free_fermion_pair(L, n):
     # E0 fills the n lowest modes; E1 lifts the top one by a level
-    e = np.sort(free_fermion_energies(L))
+    e = np.sort(oracles.single_particle_energies(L))
     E0 = float(e[:n].sum())
     return E0, E0 + float(e[n] - e[n - 1])
 
@@ -251,7 +255,7 @@ def test_lowest_two_gap_for_every_small_sector():
             pair = lowest_two(uniform_chain(L, n))
             assert pair.E0 <= pair.E1
             assert pair.E0 == pytest.approx(
-                sector_ground_energy_oracle(L, n), abs=1e-9
+                oracles.sector_ground_energy(L, n), abs=1e-9
             )
 
 
@@ -296,7 +300,7 @@ def test_lanczos_route_never_assembles_H(monkeypatch):
 
     monkeypatch.setattr(spin_model, "_hop_pattern", rows_only)
     pair = lowest_two(build_hamiltonian(enumerate_sector(16, 8), BondCouplings.uniform(16)))
-    assert pair.E0 == pytest.approx(sector_ground_energy_oracle(16, 8), abs=1e-9)
+    assert pair.E0 == pytest.approx(oracles.sector_ground_energy(16, 8), abs=1e-9)
 
 
 def test_lowest_two_lanczos_budget_failure_is_typed(monkeypatch):
@@ -356,12 +360,12 @@ def test_spectral_weight_scales_linearly(seed, c):
     rng = np.random.default_rng(seed)
     v = StateVector(basis, rng.standard_normal(6) + 1j * rng.standard_normal(6))
     g = lowest_two(uniform_chain(4, 2)).ground
-    assert spectral_weight(StateVector(basis, c * v.amps), g) == pytest.approx(
-        c * spectral_weight(v, g), rel=1e-12
+    assert oracles.overlap(StateVector(basis, c * v.amps), g) == pytest.approx(
+        c * oracles.overlap(v, g), rel=1e-12
     )
     # weight^2 + infidelity = 1 for normalized inputs
     vn = v.normalized()
-    assert spectral_weight(vn, g) ** 2 + infidelity(vn, g) == pytest.approx(1.0, abs=1e-12)
+    assert oracles.overlap(vn, g) ** 2 + infidelity(vn, g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_embedded_product_overlap_goldens():
@@ -369,5 +373,5 @@ def test_embedded_product_overlap_goldens():
     prod = embed_product(g2, g2, basis=enumerate_sector(4, 2))
     g4 = lowest_two(uniform_chain(4, 2)).ground
     assert infidelity(prod, g4) == pytest.approx(0.1027864045000435, abs=1e-13)
-    assert spectral_weight(prod, g4) == pytest.approx(0.9472135954999572, abs=1e-13)
-    assert spectral_weight(StateVector(prod.basis, np.zeros(6)), g4) == 0.0
+    assert oracles.overlap(prod, g4) == pytest.approx(0.9472135954999572, abs=1e-13)
+    assert oracles.overlap(StateVector(prod.basis, np.zeros(6)), g4) == 0.0
