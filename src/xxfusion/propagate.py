@@ -99,12 +99,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import PropagationError, RampSearchError, StepRefinementError
-from .spectral import DENSE_CUTOFF, infidelity
+from .spectral import DENSE_CUTOFF, _tridiag_eig, infidelity
 from .spin_model import (
     BondCouplings,
     SectorBasis,
@@ -151,17 +150,6 @@ class RampSchedule:
 class _SubstepStall(Exception):
     def __init__(self, residual: float):
         self.residual = residual
-
-
-def _tridiag_eig(alphas, betas):
-    # eigenpairs of the real symmetric tridiagonal T; dstevd is the driver
-    # scipy's eigh_tridiagonal picks, called without its wrapper
-    if alphas.size == 1:
-        return alphas, np.ones((1, 1))
-    theta, S, info = scipy.linalg.lapack.dstevd(alphas, betas)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstevd failed with info={info}")
-    return theta, S
 
 
 def _lanczos_substep(mat2, x, t, tol_abs, V, check_from=0):
@@ -424,7 +412,8 @@ class RampContext:
     """Fixed data of one ramp problem: sector, base couplings (the middle
     bond at zero), final middle-bond coupling, input, target; and the
     ramps integrated for it, which :func:`converged_ramp` keeps
-    by ``(T_A, steps, tol)``."""
+    by ``(T_A, steps, tol)``.  A probe's first ramp is never returned, so
+    its entry keeps the infidelity and step count but no state."""
 
     basis: SectorBasis
     base: BondCouplings
@@ -438,7 +427,7 @@ class RampContext:
 class RampResult:
     T_A: float
     infidelity: float
-    state: StateVector
+    state: StateVector | None  # None only in a context's first-ramp entries
     steps: int
 
 
@@ -477,7 +466,7 @@ def converged_ramp(
             sched = RampSchedule(T_A, steps, ctx.J_target)
             state = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched, tol=tol)
             fid = infidelity(state.normalized(), ctx.target)
-            ctx._ramps[key] = RampResult(T_A, fid, state, steps)
+            ctx._ramps[key] = RampResult(T_A, fid, None if prev is None else state, steps)
         res = ctx._ramps[key]
         if prev is not None:
             delta = abs(res.infidelity - prev.infidelity)

@@ -5,23 +5,26 @@ chain's bipartite structure is used: every hop flips the parity of the up
 spins on even sites, so in the basis split by that parity
 H = [[0, B], [B^T, 0]] and the lowest pair of H is -sigma_1, -sigma_2 of
 B.  B is built straight from the hop pattern of the smaller parity
-block's rows, so this route never forms the CSR of H.  ARPACK's
-implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``) finds the
-top two eigenpairs of B^T B on the larger parity block from a fixed-seed
-generator, and the ground is lifted back to the whole sector.
+block's rows, so this route never forms the CSR of H.  A two-pass
+Lanczos iteration without reorthogonalization finds the top two
+eigenvalues of B^T B on the larger parity block, and the top eigenvector:
+pass 1 keeps only the recurrence coefficients, pass 2 replays them to sum
+the Ritz vector, so the solver holds a handful of vectors of the block's
+length however many steps it takes.  Its start vectors come from a
+fixed-seed generator, and the ground is lifted back to the whole sector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DegenerateGapError, LanczosConvergenceError
 from .spin_model import (
-    LANCZOS_NCV,
     BondCouplings,
     SparseHamiltonian,
     StateVector,
@@ -33,8 +36,23 @@ from .spin_model import (
 #: Sector dimension at which lowest_two switches from dense to Lanczos.
 DENSE_CUTOFF = 400
 
-#: ARPACK tolerance: residual of each Ritz pair relative to its Ritz value.
+#: Residual of the second Ritz pair of B^T B relative to its value.
 LANCZOS_TOL = 1e-10
+
+#: Residual of the top Ritz pair relative to its value; tighter, since its
+#: vector becomes the ground.
+_TOP_TOL = 1e-13
+
+#: Ritz values within this relative distance of theta_1 are its ghost copies.
+_GHOST_SPREAD = 1e-12
+
+#: beta_k at or below this multiple of theta_1 closes the Krylov space.
+_BREAKDOWN = 1e-12
+
+#: Steps one Lanczos pass takes before raising LanczosConvergenceError;
+#: pass 1 takes at most 59 on the sectors of L <= 14 with random couplings
+#: and 51 at (22, 11).
+LANCZOS_MAX_STEPS = 500
 
 #: Gaps below this multiple of the coupling scale are treated as degenerate.
 DEGENERATE_GAP_FACTOR = 1e-10
@@ -92,48 +110,151 @@ def _sublattice_blocks(H: SparseHamiltonian):
     return big, B
 
 
+def _tridiag_eig(alphas, betas):
+    # eigenpairs of the real symmetric tridiagonal T, eigenvalues ascending;
+    # dstevd is the driver scipy's eigh_tridiagonal picks, called without
+    # its wrapper
+    if alphas.size == 1:
+        return alphas, np.ones((1, 1))
+    theta, S, info = scipy.linalg.lapack.dstevd(alphas, betas)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info={info}")
+    return theta, S
+
+
+def _recurrence(gram, q, q_prev, beta_prev, alpha=None):
+    """One step of the three-term recurrence: w = G q - beta_prev q_prev -
+    alpha q, the next Lanczos vector times beta, and alpha, the Rayleigh
+    quotient taken after the first subtraction unless it is given.  Pass 2
+    hands back the alphas of pass 1, so its vectors repeat pass 1's bit for
+    bit."""
+    w = gram(q)
+    if q_prev is not None:
+        w -= beta_prev * q_prev
+    if alpha is None:
+        alpha = float(np.dot(q, w))
+    w -= alpha * q
+    return w, alpha
+
+
+def _first_pass(gram, q, floor=0.0):
+    """Pass 1 of the Lanczos iteration of ``gram`` from the unit vector q,
+    keeping only alpha_k and beta_k.
+
+    After step k, with (theta_j, s_j) the eigenpairs of the tridiagonal T_k
+    and beta_k |s_j[-1]| the residual of Ritz pair j, the pass stops once
+    the top pair's residual is at most ``_TOP_TOL`` theta_1 and the largest
+    Ritz value more than ``_GHOST_SPREAD`` relative below theta_1 meets
+    ``LANCZOS_TOL``.  Without reorthogonalization, converged values come
+    back as ghost copies (Cullum & Willoughby, *Lanczos Algorithms for
+    Large Symmetric Eigenvalue Computations*, 1985); those of theta_1 sit
+    within the spread and do not count as a second value.  It also stops
+    when the Krylov space closes: beta_k at most ``_BREAKDOWN`` times
+    theta_1 or ``floor``, whichever is larger.
+
+    Returns (alphas, betas, s_1, theta_1, theta_2, closed), theta_2 being
+    the second value (nan if the space closed before there was one).
+    Raises :class:`LanczosConvergenceError` after ``LANCZOS_MAX_STEPS``.
+    """
+    alphas, betas = np.empty((2, LANCZOS_MAX_STEPS))
+    q_prev = None
+    for k in range(LANCZOS_MAX_STEPS):
+        w, alphas[k] = _recurrence(gram, q, q_prev, betas[k - 1] if k else 0.0)
+        b = betas[k] = math.sqrt(np.dot(w, w))
+        theta, S = _tridiag_eig(alphas[: k + 1], betas[:k])
+        res = b * np.abs(S[-1])
+        top = theta[-1]
+        below = np.flatnonzero(theta < top * (1.0 - _GHOST_SPREAD))
+        second = theta[below[-1]] if below.size else math.nan
+        closed = b <= _BREAKDOWN * max(top, floor)
+        if closed or (
+            res[-1] <= _TOP_TOL * top and below.size and res[below[-1]] <= LANCZOS_TOL * second
+        ):
+            return alphas[: k + 1], betas[:k], S[:, -1], top, second, closed
+        w /= b
+        q_prev, q = q, w
+    raise LanczosConvergenceError(
+        f"Lanczos did not converge two pairs within {LANCZOS_MAX_STEPS} steps "
+        f"(parity block of {q.size} states)"
+    )
+
+
+def _ritz_vector(gram, q, alphas, betas, s):
+    """Pass 2: the unit Ritz vector sum_k s_k q_k, replaying pass 1's
+    recurrence from the same start q with its alphas and betas; one product
+    and no inner product per step."""
+    x = s[0] * q
+    q_prev = None
+    for k in range(s.size - 1):
+        w, _ = _recurrence(gram, q, q_prev, betas[k - 1] if k else 0.0, alphas[k])
+        w /= betas[k]
+        x += s[k + 1] * w
+        q_prev, q = q, w
+    return x / np.linalg.norm(x)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+def _gram_top_two(B: sp.csr_matrix):
+    """The two largest eigenvalues of B^T B, counted with multiplicity, and
+    the unit eigenvector of the largest, by a two-pass Lanczos iteration
+    on x -> B^T (B x) with no product or transposed copy formed.
+
+    Pass 1 (:func:`_first_pass`) keeps alpha_k and beta_k; pass 2
+    (:func:`_ritz_vector`) replays them to sum the top Ritz vector, so only
+    the current Lanczos vectors are ever held.  Where the Krylov space
+    closes, as for B of rank one or two identical live bonds, it holds one
+    vector per eigenspace and may miss a second copy of theta_1; pass 1 then
+    runs once more from a fresh vector on the operator projected off the
+    Ritz vector, before and after each product, and its top value is
+    theta_2.  Both start vectors come from one generator seeded with
+    ``_LANCZOS_SEED``, so repeated runs are bit-identical.
+    """
+    Bt = B.T
+
+    def gram(q):
+        return Bt @ (B @ q)
+
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    q0 = _unit(rng.standard_normal(B.shape[1]))
+    alphas, betas, s, theta1, theta2, closed = _first_pass(gram, q0)
+    x = _ritz_vector(gram, q0, alphas, betas, s)
+    if closed:
+
+        def deflated(q):
+            w = gram(q - np.dot(x, q) * x)
+            w -= np.dot(x, w) * x
+            return w
+
+        theta2 = _first_pass(deflated, _unit(rng.standard_normal(x.size)), theta1)[3]
+    return theta1, theta2, x
+
+
 def _lanczos_lowest_two(H: SparseHamiltonian):
-    """Two lowest eigenpairs by ARPACK's implicitly restarted Lanczos on B^T B.
+    """Two lowest eigenpairs by a two-pass Lanczos iteration on B^T B.
 
     Every hop moves one up spin between an even and an odd site, so it
     flips the parity of the up spins on even sites.  Ordered by that
     parity, H = [[0, B], [B^T, 0]] with B the hops from the smaller block
     into the larger one, and the eigenvalues of H are +-sigma_i(B) plus
     zeros: E0 = -sigma_1 and E1 = -sigma_2 (Golub & Kahan, SIAM J. Numer.
-    Anal. 2, 205 (1965)).  ARPACK finds the two largest eigenpairs of
-    B^T B, applied as B^T (B x) with no product or transposed copy formed,
-    on vectors of the larger block's length; on these chains that
-    converges in fewer steps than the lowest pair of H, whose relative gap
-    is about a quarter of B^T B's.  sigma^2 is clipped at 0 before the root,
-    since a zero singular value may come back as a roundoff below 0.  With
-    x the top eigenvector, the ground is x on the larger block and
-    -B x / sigma_1 on the smaller one, over sqrt(2).
-
-    ARPACK restarts within ``LANCZOS_NCV`` vectors for two pairs, so memory
-    does not grow with the iteration count.  Its start vector, and the fresh
-    vector it draws where the Krylov space closes early (B of rank one),
-    come from one generator seeded with ``_LANCZOS_SEED``, so repeated runs
-    are bit-identical.  With no hop stored (every coupling zero) H = 0, and
-    E0 = E1 = 0 with the first basis state.
+    Anal. 2, 205 (1965)).  :func:`_gram_top_two` finds the two largest
+    eigenvalues of B^T B and the top eigenvector x on vectors of the
+    larger block's length; on these chains that converges in fewer steps
+    than the lowest pair of H, whose relative gap is about a quarter of
+    B^T B's.  sigma^2 is clipped at 0 before the root, since a zero singular
+    value may come back as a roundoff below 0.  The ground is x on the
+    larger block and -B x / sigma_1 on the smaller one, over sqrt(2).  With
+    no hop stored (every coupling zero) H = 0, and E0 = E1 = 0 with the
+    first basis state.
     """
     big, B = _sublattice_blocks(H)
     if B.nnz == 0:
         return 0.0, 0.0, np.eye(1, H.dim).ravel()
-    m = B.shape[1]
-    gram = LinearOperator((m, m), matvec=lambda x: B.T @ (B @ x), dtype=np.float64)
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    v0 = rng.standard_normal(m)
-    try:
-        w, U = eigsh(
-            gram, k=2, which="LA", v0=v0, tol=LANCZOS_TOL, ncv=LANCZOS_NCV, rng=rng
-        )
-    except ArpackNoConvergence as err:
-        raise LanczosConvergenceError(
-            f"Lanczos did not converge two pairs (dim {H.dim}): {err}"
-        ) from err
-    second, top = np.argsort(w)
-    sigma1, sigma2 = np.sqrt(np.clip(w[[top, second]], 0.0, None))
-    x = U[:, top]
+    theta1, theta2, x = _gram_top_two(B)
+    sigma1, sigma2 = np.sqrt(np.clip([theta1, theta2], 0.0, None))
     vec = np.empty(H.dim)
     vec[big] = x
     vec[~big] = -(B @ x) / sigma1
@@ -144,7 +265,7 @@ def lowest_two(H: SparseHamiltonian) -> SpectralPair:
     """Ground and first excited energies plus the ground vector.
 
     The sector size alone picks the route: a dense ``eigh`` below
-    ``DENSE_CUTOFF`` states, ARPACK on B^T B from there on.  The ground
+    ``DENSE_CUTOFF`` states, Lanczos on B^T B from there on.  The ground
     vector's first amplitude of largest magnitude (to a relative 1e-8, so
     that ties of opposite sign are resolved by position, not by roundoff)
     is fixed real positive, which pins the sign of the otherwise arbitrary

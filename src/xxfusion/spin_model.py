@@ -38,11 +38,12 @@ MAX_SECTOR_DIM = 1 << 24
 #: Longest chain whose configurations fit a signed 64-bit integer.
 MAX_SITES = 63
 
-#: Lanczos vectors ARPACK keeps for ``spectral.lowest_two``'s two pairs:
-#: the smallest of 6, 8, 10 and 12 within 1.15x of the products that
-#: scipy's default of 20 takes on sectors (14, 7) to (24, 6).  It sizes
-#: the capacity check of ``build_hamiltonian`` too.
-LANCZOS_NCV = 10
+#: float64 vectors of the larger sublattice-parity block's length that the
+#: two-pass Lanczos of ``spectral.lowest_two`` holds at its peak, its
+#: temporaries included: 6.1 at (18, 9), 7.1 where the Krylov space closes
+#: and pass 1 runs again.  It sizes the capacity check of
+#: ``build_hamiltonian``.
+LANCZOS_VECTORS = 8
 
 
 def _physical_memory() -> int | None:
@@ -318,11 +319,12 @@ def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHam
     count of antiparallel bonds) and 4 per row pointer; half the hops
     again, plus a row pointer per state of the smaller sublattice-parity
     block, for the block B of ``spectral``; 6 per configuration for the
-    parity masks and the column ranks; 2 * LANCZOS_NCV + 7 float64
-    vectors of the larger block's length m for ARPACK (``LANCZOS_NCV``
-    Lanczos vectors, as many Ritz vectors while it extracts them, 3 of
-    workspace, the residual, the start vector and the two returned); and
-    24 per configuration for the lifted ground, real and then complex.
+    parity masks and the column ranks; ``LANCZOS_VECTORS`` float64
+    vectors of the larger block's length m for the Lanczos passes (the
+    start vector, the last two Lanczos vectors, the next one and its
+    intermediate on the smaller block, the Ritz vector being summed, and
+    the temporaries of the recurrence); and 24 per configuration for the
+    lifted ground, real and then complex.
     """
     if couplings.n_sites != basis.L:
         raise ValueError(
@@ -336,7 +338,7 @@ def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHam
     need = (
         8 * dim + 12 * nnz + 4 * (dim + 1)
         + 6 * nnz + 4 * (dim - m + 1) + 6 * dim
-        + 8 * (2 * LANCZOS_NCV + 7) * m + 24 * dim
+        + 8 * LANCZOS_VECTORS * m + 24 * dim
     )
     _require_memory(
         need,

@@ -2,7 +2,6 @@
 
 import ast
 import contextlib
-import functools
 import importlib.util
 import io
 import math
@@ -55,9 +54,9 @@ def test_gap_rejects_gapless_sector(capsys):
 
 
 def test_gap_lanczos_failure_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "eigsh", functools.partial(spectral.eigsh, maxiter=1))
-    # dim 12870 goes through Lanczos, and one ARPACK iteration cannot converge
-    # two pairs there (nor at L = 12 or 14)
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 5)
+    # dim 12870 goes through Lanczos, and five steps cannot converge two
+    # pairs there (nor at L = 12 or 14)
     assert run(["gap", "--L", "16"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: Lanczos did not converge")

@@ -333,6 +333,27 @@ def test_compare_methods_integrates_each_ramp_once(monkeypatch):
     assert len(ramps) <= 37
 
 
+def test_compare_methods_keeps_no_state_of_a_probes_first_ramp(monkeypatch):
+    # a probe returns only after a doubling, so its ramp at the first step
+    # count is never returned; the context keeps that ramp's infidelity
+    # and step count, and the state of every later one
+    contexts = {}
+    converged = propagate.converged_ramp
+
+    def recorded(ctx, T_A, **kwargs):
+        contexts[id(ctx)] = ctx
+        return converged(ctx, T_A, **kwargs)
+
+    monkeypatch.setattr(propagate, "converged_ramp", recorded)
+    compare_methods(8, Fraction(1, 2), [1e-3, 1e-4])
+    first, later = [], []
+    for ctx in contexts.values():
+        for (T_A, steps, _), res in ctx._ramps.items():
+            (first if steps == propagate._initial_steps(ctx, T_A) else later).append(res)
+    assert first and all(res.state is None for res in first)
+    assert later and all(res.state is not None for res in later)
+
+
 @pytest.mark.parametrize("L", [4, 8])
 def test_fuse_step_records_equal_compare_rows(L):
     # one cell evaluator: a single-target table is fuse_step, bit for bit

@@ -1,6 +1,5 @@
 """Eigensolver routes, checked against free-fermion energies, and overlap measures."""
 
-import functools
 import math
 
 import numpy as np
@@ -28,8 +27,8 @@ from xxfusion import (
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-#: Sectors of dim >= 3 whose larger sublattice-parity block has 2 states,
-#: too few for ARPACK's two pairs; lowest_two sends them to the dense route.
+#: Sectors of dim >= 3 whose larger sublattice-parity block has 2 states;
+#: lowest_two sends them to the dense route, and the route tests skip them.
 SMALL_BLOCK_SECTORS = {(3, 1), (3, 2), (4, 1), (4, 3)}
 
 #: lowest_two's two routes, each returning (E0, E1, real ground vector).
@@ -127,6 +126,32 @@ def test_lowest_two_routes_agree():
         assert np.max(np.abs(dense - lanczos[2])) <= 1e-8, (L, n)
 
 
+def test_lanczos_route_matches_eigh_on_uniform_sectors():
+    # every uniform sector from DENSE_CUTOFF to dim 3432, L = 11 to 14
+    sectors = [(L, n) for L in range(2, 15) for n in range(L + 1)
+               if spectral.DENSE_CUTOFF <= math.comb(L, n) <= 3432]
+    assert len(sectors) == 20
+    for L, n in sectors:
+        H = uniform_chain(L, n)
+        E0, E1, dense = dense_route(H)
+        lanczos = lanczos_route(H)
+        assert lanczos[:2] == pytest.approx((E0, E1), abs=1e-12), (L, n)
+        assert np.max(np.abs(dense - lanczos[2])) <= 1e-12, (L, n)
+
+
+@pytest.mark.parametrize("L, n, bonds", [(12, 6, (1, 8)), (14, 7, (1, 10))])
+def test_two_identical_live_bonds_are_a_degenerate_gap(L, n, bonds):
+    # sigma_1 = 2 has many copies, but one start vector's Krylov space
+    # closes after three steps with one vector per eigenspace; only a fresh
+    # start vector finds a second copy, so E1 = E0
+    J = np.zeros(L - 1)
+    J[list(bonds)] = 1.0
+    H = build_hamiltonian(enumerate_sector(L, n), BondCouplings(J))
+    assert H.dim >= spectral.DENSE_CUTOFF
+    with pytest.raises(DegenerateGapError):
+        lowest_two(H)
+
+
 def random_couplings(L, seed):
     # magnitudes in [0.5, 1.5] with random signs; bond 1 and, from L = 8,
     # bond 5 cut exactly, leaving segments of even length (2, 4) before
@@ -165,9 +190,9 @@ def test_lowest_two_zero_singular_value(L, n, bond):
 
 @pytest.mark.parametrize("L, n, bond", RANK_ONE_CASES)
 def test_lanczos_route_repeats_bit_for_bit(L, n, bond):
-    # B has rank one, so the Krylov space closes after one step and ARPACK
-    # restarts from a fresh random vector; drawn from the seeded generator,
-    # it is the same vector on every run
+    # B has rank one, so the Krylov space closes after two steps and pass 1
+    # runs again from a fresh random vector; drawn from the seeded
+    # generator, it is the same vector on every run
     H = live_bond_chain(L, n, bond)
     E0, E1, vec = lanczos_route(H)
     for _ in range(20):
@@ -179,14 +204,13 @@ def test_lanczos_route_repeats_bit_for_bit(L, n, bond):
 def test_lanczos_route_clips_negative_sigma_squared(monkeypatch):
     # a zero singular value may come back as a roundoff below 0; the
     # route takes it as 0 instead of a nan root
-    eigsh = spectral.eigsh
+    top_two = spectral._gram_top_two
 
-    def eigsh_below_zero(*args, **kwargs):
-        w, U = eigsh(*args, **kwargs)
-        w[np.argmin(w)] = -1e-17
-        return w, U
+    def second_below_zero(B):
+        theta1, _, x = top_two(B)
+        return theta1, -1e-17, x
 
-    monkeypatch.setattr(spectral, "eigsh", eigsh_below_zero)
+    monkeypatch.setattr(spectral, "_gram_top_two", second_below_zero)
     E0, E1, _ = lanczos_route(live_bond_chain(6, 1, 4))
     assert (E0, E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
     assert E1 == 0.0
@@ -304,9 +328,8 @@ def test_lanczos_route_never_assembles_H(monkeypatch):
 
 
 def test_lowest_two_lanczos_budget_failure_is_typed(monkeypatch):
-    # a one-iteration ARPACK budget cannot converge two pairs at this size,
-    # nor at L = 12 or 14, within LANCZOS_NCV vectors on the parity block
-    monkeypatch.setattr(spectral, "eigsh", functools.partial(spectral.eigsh, maxiter=1))
+    # five steps cannot converge two pairs at this size, nor at L = 12 or 14
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 5)
     H = uniform_chain(16, 8)  # dim 12870, above the dense cutoff
     with pytest.raises(LanczosConvergenceError, match="did not converge") as info:
         lowest_two(H)

@@ -90,7 +90,7 @@ def test_hamiltonian_beyond_memory_raises_before_allocating(monkeypatch):
     need = (
         8 * dim + 12 * nnz + 4 * (dim + 1)
         + 6 * nnz + 4 * (dim - m + 1) + 6 * dim
-        + 8 * (2 * spin_model.LANCZOS_NCV + 7) * m + 24 * dim
+        + 8 * spin_model.LANCZOS_VECTORS * m + 24 * dim
     )
 
     def no_pattern(*args):
@@ -130,26 +130,33 @@ def test_capacity_need_bounds_the_traced_peak(monkeypatch, L):
     assert needs[0] >= peak
 
 
-def test_arpack_share_of_the_capacity_need_bounds_eigsh(monkeypatch):
-    # (2 ncv + 7) m float64 is the check's share for ARPACK alone; scipy's
-    # default basis of 20 vectors peaks above it (9.0 MB against 5.25 MB)
+@pytest.mark.parametrize("live", [None, (1, 14)], ids=["uniform", "two-live-bonds"])
+def test_lanczos_share_of_the_capacity_need_bounds_the_solver(monkeypatch, live):
+    # LANCZOS_VECTORS m float64 is the check's share for the two Lanczos
+    # passes alone; keeping the 40 Lanczos vectors of pass 1 on the uniform
+    # chain would take five times as much.  With two identical live bonds
+    # the Krylov space closes and pass 1 runs again beside the Ritz vector.
     import xxfusion.spectral as spectral
     import xxfusion.spin_model as spin_model
 
-    eigsh, peaks = spectral.eigsh, []
+    top_two, peaks = spectral._gram_top_two, []
 
-    def traced_eigsh(*args, **kwargs):
+    def traced(B):
         tracemalloc.start()
         try:
-            return eigsh(*args, **kwargs)
+            return top_two(B)
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    monkeypatch.setattr(spectral, "eigsh", traced_eigsh)
+    monkeypatch.setattr(spectral, "_gram_top_two", traced)
     basis = enumerate_sector(18, 9)
-    lowest_two(build_hamiltonian(basis, BondCouplings.uniform(18)))
-    share = 8 * (2 * spin_model.LANCZOS_NCV + 7) * larger_parity_block(basis)
+    J = np.ones(17)
+    if live is not None:
+        J = np.zeros(17)
+        J[list(live)] = 1.0
+    spectral._lanczos_lowest_two(build_hamiltonian(basis, BondCouplings(J)))
+    share = 8 * spin_model.LANCZOS_VECTORS * larger_parity_block(basis)
     assert len(peaks) == 1 and peaks[0] <= share
 
 
