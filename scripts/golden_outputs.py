@@ -54,6 +54,8 @@ INVOCATIONS = {
         "scan --L 4 --initial product",
         # a configuration state is not even under reflection: the full-sector Krylov scan
         "scan --L 12 --n-up 6 --initial config:111111000000 --points 5",
+        # a Lanczos-route ground, summed when the scan first reads it
+        "scan --L 14 --n-up 6 --initial ground --points 5",
         "gap --L 22 --filling 1/2",
         # odd L: the two sublattice-parity blocks differ in size (848 and 868)
         "gap --L 13 --n-up 6",

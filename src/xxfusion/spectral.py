@@ -10,14 +10,19 @@ Lanczos iteration without reorthogonalization finds the top two
 eigenvalues of B^T B on the larger parity block, and the top eigenvector:
 pass 1 keeps only the recurrence coefficients, pass 2 replays them to sum
 the Ritz vector, so the solver holds a handful of vectors of the block's
-length however many steps it takes.  Its start vectors come from a
-fixed-seed generator, and the ground is lifted back to the whole sector.
+length however many steps it takes.  The energies come from pass 1 alone;
+pass 2, and the lift of the ground back to the whole sector, run on the
+first read of ``SpectralPair.ground``, so a caller that wants only the gap
+never pays for them.  Until that read the pair holds B, the larger block's
+mask, the start vector and pass 1's coefficients.  The start vectors come
+from a fixed-seed generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -60,13 +65,24 @@ DEGENERATE_GAP_FACTOR = 1e-10
 _LANCZOS_SEED = 0x5EC7
 
 
-@dataclass(frozen=True)
 class SpectralPair:
-    """Ground energy, first excited energy, and the ground vector."""
+    """Ground energy, first excited energy, and the ground vector.
 
-    E0: float
-    E1: float
-    ground: StateVector
+    ``ground`` is made by the zero-argument function the pair is built
+    with, on its first read, and kept; the function, with all it holds, is
+    dropped then.  On the Lanczos route that read runs pass 2, and an
+    unread pair holds B, the larger block's mask, the start vector and
+    pass 1's coefficients.
+    """
+
+    def __init__(self, E0: float, E1: float, ground: Callable[[], StateVector]):
+        self.E0, self.E1 = E0, E1
+        self._make_ground = ground
+
+    @cached_property
+    def ground(self) -> StateVector:
+        ground, self._make_ground = self._make_ground(), None
+        return ground
 
     @property
     def gap(self) -> float:
@@ -84,7 +100,8 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
 
 def _dense_lowest_two(H: SparseHamiltonian):
     w, U = H.dense_eig
-    return float(w[0]), float(w[1]), _phase_fixed(U[:, 0])
+    ground = _phase_fixed(U[:, 0])
+    return float(w[0]), float(w[1]), lambda: ground
 
 
 def _sublattice_blocks(H: SparseHamiltonian):
@@ -199,16 +216,19 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 def _gram_top_two(B: sp.csr_matrix):
     """The two largest eigenvalues of B^T B, counted with multiplicity, and
-    the unit eigenvector of the largest, by a two-pass Lanczos iteration
-    on x -> B^T (B x) with no product or transposed copy formed.
+    a zero-argument function returning the unit eigenvector of the largest,
+    by a two-pass Lanczos iteration on x -> B^T (B x) with no product or
+    transposed copy formed.
 
-    Pass 1 (:func:`_first_pass`) keeps alpha_k and beta_k; pass 2
-    (:func:`_ritz_vector`) replays them to sum the top Ritz vector, so only
-    the current Lanczos vectors are ever held.  Where the Krylov space
-    closes, as for B of rank one or two identical live bonds, it holds one
-    vector per eigenspace and may miss a second copy of theta_1; pass 1 then
-    runs once more from a fresh vector on the operator projected off the
-    Ritz vector, before and after each product, and its top value is
+    Pass 1 (:func:`_first_pass`) keeps alpha_k and beta_k and gives both
+    values; pass 2 (:func:`_ritz_vector`) replays them to sum the top Ritz
+    vector when the function is called, so only the current Lanczos
+    vectors are ever held, and the function holds B, the start vector and
+    pass 1's coefficients.  Where the Krylov space closes, as for B of rank
+    one or two identical live bonds, it holds one vector per eigenspace and
+    may miss a second copy of theta_1; the Ritz vector is then summed at
+    once, and pass 1 runs again from a fresh vector on the operator
+    projected off it, before and after each product, and its top value is
     theta_2.  Both start vectors come from one generator seeded with
     ``_LANCZOS_SEED``, so repeated runs are bit-identical.
     """
@@ -220,16 +240,17 @@ def _gram_top_two(B: sp.csr_matrix):
     rng = np.random.default_rng(_LANCZOS_SEED)
     q0 = _unit(rng.standard_normal(B.shape[1]))
     alphas, betas, s, theta1, theta2, closed = _first_pass(gram, q0)
+    if not closed:
+        return theta1, theta2, lambda: _ritz_vector(gram, q0, alphas, betas, s)
     x = _ritz_vector(gram, q0, alphas, betas, s)
-    if closed:
 
-        def deflated(q):
-            w = gram(q - np.dot(x, q) * x)
-            w -= np.dot(x, w) * x
-            return w
+    def deflated(q):
+        w = gram(q - np.dot(x, q) * x)
+        w -= np.dot(x, w) * x
+        return w
 
-        theta2 = _first_pass(deflated, _unit(rng.standard_normal(x.size)), theta1)[3]
-    return theta1, theta2, x
+    theta2 = _first_pass(deflated, _unit(rng.standard_normal(x.size)), theta1)[3]
+    return theta1, theta2, lambda: x
 
 
 def _lanczos_lowest_two(H: SparseHamiltonian):
@@ -245,20 +266,27 @@ def _lanczos_lowest_two(H: SparseHamiltonian):
     larger block's length; on these chains that converges in fewer steps
     than the lowest pair of H, whose relative gap is about a quarter of
     B^T B's.  sigma^2 is clipped at 0 before the root, since a zero singular
-    value may come back as a roundoff below 0.  The ground is x on the
+    value may come back as a roundoff below 0.  The ground, returned as a
+    zero-argument function that runs pass 2 and the lift, is x on the
     larger block and -B x / sigma_1 on the smaller one, over sqrt(2).  With
     no hop stored (every coupling zero) H = 0, and E0 = E1 = 0 with the
     first basis state.
     """
     big, B = _sublattice_blocks(H)
     if B.nnz == 0:
-        return 0.0, 0.0, np.eye(1, H.dim).ravel()
-    theta1, theta2, x = _gram_top_two(B)
+        first = np.eye(1, H.dim).ravel()
+        return 0.0, 0.0, lambda: first
+    theta1, theta2, ritz = _gram_top_two(B)
     sigma1, sigma2 = np.sqrt(np.clip([theta1, theta2], 0.0, None))
-    vec = np.empty(H.dim)
-    vec[big] = x
-    vec[~big] = -(B @ x) / sigma1
-    return float(-sigma1), float(-sigma2), _phase_fixed(vec / np.sqrt(2.0))
+
+    def ground():
+        x = ritz()
+        vec = np.empty(big.size)
+        vec[big] = x
+        vec[~big] = -(B @ x) / sigma1
+        return _phase_fixed(vec / np.sqrt(2.0))
+
+    return float(-sigma1), float(-sigma2), ground
 
 
 def lowest_two(H: SparseHamiltonian) -> SpectralPair:
@@ -269,7 +297,10 @@ def lowest_two(H: SparseHamiltonian) -> SpectralPair:
     vector's first amplitude of largest magnitude (to a relative 1e-8, so
     that ties of opposite sign are resolved by position, not by roundoff)
     is fixed real positive, which pins the sign of the otherwise arbitrary
-    real phase; both routes therefore return the same vector.
+    real phase; both routes therefore return the same vector.  The Lanczos
+    route sums the ground on the first read of ``ground`` (pass 2), so the
+    energies and the gap cost pass 1 alone, and an unread pair keeps B
+    alive; see :class:`SpectralPair`.
     Raises :class:`DegenerateGapError` when E1 - E0 is below
     ``DEGENERATE_GAP_FACTOR`` times the coupling scale, since every
     schedule downstream divides by the gap.
@@ -279,14 +310,14 @@ def lowest_two(H: SparseHamiltonian) -> SpectralPair:
             f"sector (L={H.basis.L}, n_up={H.basis.n_up}) has dimension {H.dim}; no gap"
         )
     solve = _dense_lowest_two if H.dim < DENSE_CUTOFF else _lanczos_lowest_two
-    E0, E1, vec = solve(H)
+    E0, E1, vector = solve(H)
     if E1 - E0 < DEGENERATE_GAP_FACTOR * H.couplings.scale:
         raise DegenerateGapError(
             f"E1 - E0 = {E1 - E0:.3e} is degenerate at coupling scale "
             f"{H.couplings.scale:.3e} (L={H.basis.L}, n_up={H.basis.n_up})"
         )
-    ground = StateVector(H.basis, vec.astype(np.complex128))
-    return SpectralPair(E0, E1, ground)
+    basis = H.basis
+    return SpectralPair(E0, E1, lambda: StateVector(basis, vector().astype(np.complex128)))
 
 
 def chain_pair(L: int, n_up: int, J: float = 1.0) -> tuple[SparseHamiltonian, SpectralPair]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import xxfusion.cli as cli
 import xxfusion.spectral as spectral
 from xxfusion import (
     BondCouplings,
@@ -31,7 +32,8 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 #: lowest_two sends them to the dense route, and the route tests skip them.
 SMALL_BLOCK_SECTORS = {(3, 1), (3, 2), (4, 1), (4, 3)}
 
-#: lowest_two's two routes, each returning (E0, E1, real ground vector).
+#: lowest_two's two routes, each returning (E0, E1, a zero-argument function
+#: that returns the real ground vector).
 dense_route = spectral._dense_lowest_two
 lanczos_route = spectral._lanczos_lowest_two
 
@@ -123,7 +125,7 @@ def test_lowest_two_routes_agree():
         lanczos = lanczos_route(H)
         assert lanczos[:2] == pytest.approx((E0, E1), abs=1e-10)
         # elementwise 1e-8 at dim <= 924 also bounds 1 - overlap by 5e-14
-        assert np.max(np.abs(dense - lanczos[2])) <= 1e-8, (L, n)
+        assert np.max(np.abs(dense() - lanczos[2]())) <= 1e-8, (L, n)
 
 
 def test_lanczos_route_matches_eigh_on_uniform_sectors():
@@ -136,7 +138,7 @@ def test_lanczos_route_matches_eigh_on_uniform_sectors():
         E0, E1, dense = dense_route(H)
         lanczos = lanczos_route(H)
         assert lanczos[:2] == pytest.approx((E0, E1), abs=1e-12), (L, n)
-        assert np.max(np.abs(dense - lanczos[2])) <= 1e-12, (L, n)
+        assert np.max(np.abs(dense() - lanczos[2]())) <= 1e-12, (L, n)
 
 
 @pytest.mark.parametrize("L, n, bonds", [(12, 6, (1, 8)), (14, 7, (1, 10))])
@@ -172,7 +174,7 @@ def test_lowest_two_routes_agree_on_random_couplings():
             E0, E1, dense = dense_route(H)
             lanczos = lanczos_route(H)
             assert lanczos[:2] == pytest.approx((E0, E1), abs=1e-10), (L, n)
-            assert np.max(np.abs(dense - lanczos[2])) <= 1e-8, (L, n)
+            assert np.max(np.abs(dense() - lanczos[2]())) <= 1e-8, (L, n)
 
 
 RANK_ONE_CASES = [(6, 1, 4), (10, 1, 4), (11, 10, 5), (12, 11, 6)]
@@ -185,7 +187,7 @@ def test_lowest_two_zero_singular_value(L, n, bond):
     assert (E0, E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
     lanczos = lanczos_route(H)
     assert lanczos[:2] == pytest.approx((-1.0, 0.0), abs=1e-12)
-    assert np.max(np.abs(dense - lanczos[2])) <= 1e-12
+    assert np.max(np.abs(dense() - lanczos[2]())) <= 1e-12
 
 
 @pytest.mark.parametrize("L, n, bond", RANK_ONE_CASES)
@@ -194,11 +196,12 @@ def test_lanczos_route_repeats_bit_for_bit(L, n, bond):
     # runs again from a fresh random vector; drawn from the seeded
     # generator, it is the same vector on every run
     H = live_bond_chain(L, n, bond)
-    E0, E1, vec = lanczos_route(H)
+    E0, E1, ground = lanczos_route(H)
+    vec = ground()
     for _ in range(20):
         again = lanczos_route(H)
         assert again[:2] == (E0, E1)
-        assert np.array_equal(again[2], vec)
+        assert np.array_equal(again[2](), vec)
 
 
 def test_lanczos_route_clips_negative_sigma_squared(monkeypatch):
@@ -207,13 +210,57 @@ def test_lanczos_route_clips_negative_sigma_squared(monkeypatch):
     top_two = spectral._gram_top_two
 
     def second_below_zero(B):
-        theta1, _, x = top_two(B)
-        return theta1, -1e-17, x
+        theta1, _, ritz = top_two(B)
+        return theta1, -1e-17, ritz
 
     monkeypatch.setattr(spectral, "_gram_top_two", second_below_zero)
     E0, E1, _ = lanczos_route(live_bond_chain(6, 1, 4))
     assert (E0, E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
     assert E1 == 0.0
+
+
+def counted_ritz_replays(monkeypatch):
+    """A list that gains one entry per pass 2 (Ritz vector replay)."""
+    ritz, replays = spectral._ritz_vector, []
+
+    def counted(*args):
+        replays.append(1)
+        return ritz(*args)
+
+    monkeypatch.setattr(spectral, "_ritz_vector", counted)
+    return replays
+
+
+def test_gap_makes_no_ritz_replay(monkeypatch, capsys):
+    # dim 3432 takes the Lanczos route, and gap reads no ground
+    replays = counted_ritz_replays(monkeypatch)
+    assert cli.main(["gap", "--L", "14"]) == 0
+    assert "gap = " in capsys.readouterr().out
+    assert replays == []
+
+
+def test_ground_is_summed_on_the_first_read_only(monkeypatch):
+    replays = counted_ritz_replays(monkeypatch)
+    pair = lowest_two(uniform_chain(14, 7))
+    assert replays == []
+    ground = pair.ground
+    assert len(replays) == 1
+    assert pair.ground is ground
+    assert len(replays) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="one start vector's Krylov space misses the tied "
+                   "copy of E0; the deflated pass that finds it is ROADMAP item 10")
+def test_cut_chain_is_a_degenerate_gap():
+    # the middle bond cut leaves two 7-site chains sharing 7 up spins, and
+    # the 3 + 4 and 4 + 3 splits tie: eigvalsh gives E0 = E1 = -8.0546789843,
+    # where lowest_two returns E1 - E0 = 0.765
+    J = np.ones(13)
+    J[6] = 0.0
+    H = build_hamiltonian(enumerate_sector(14, 7), BondCouplings(J))
+    assert H.dim >= spectral.DENSE_CUTOFF
+    with pytest.raises(DegenerateGapError):
+        lowest_two(H)
 
 
 def free_fermion_pair(L, n):
@@ -261,13 +308,14 @@ def test_lowest_two_ground_properties():
     H = uniform_chain(8, 4)
     for route in (dense_route, lanczos_route):
         E0, _, g = route(H)
+        g = g()
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
         residual = H.matrix @ g - E0 * g
         assert np.linalg.norm(residual) <= 1e-9 * 2.0 * math.sqrt(H.dim)
         # phase convention: the largest amplitude is positive
         assert g[int(np.argmax(np.abs(g)))] > 0
     # dim 70 takes the dense route
-    assert np.array_equal(lowest_two(H).ground.amps, dense_route(H)[2].astype(complex))
+    assert np.array_equal(lowest_two(H).ground.amps, dense_route(H)[2]().astype(complex))
 
 
 def test_lowest_two_gap_for_every_small_sector():

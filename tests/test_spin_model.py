@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -115,7 +116,8 @@ def larger_parity_block(basis):
 @pytest.mark.parametrize("L", [16, 18])
 def test_capacity_need_bounds_the_traced_peak(monkeypatch, L):
     # the check's bytes cover what build_hamiltonian and lowest_two's
-    # Lanczos route allocate at half filling, the configurations included
+    # Lanczos route allocate at half filling, the configurations and the
+    # ground's first read (pass 2 and the lift) included
     import xxfusion.spin_model as spin_model
 
     needs = []
@@ -123,7 +125,7 @@ def test_capacity_need_bounds_the_traced_peak(monkeypatch, L):
     basis = enumerate_sector(L, L // 2)
     tracemalloc.start()
     try:
-        lowest_two(build_hamiltonian(basis, BondCouplings.uniform(L)))
+        lowest_two(build_hamiltonian(basis, BondCouplings.uniform(L))).ground
         peak = tracemalloc.get_traced_memory()[1] + basis.configs.nbytes
     finally:
         tracemalloc.stop()
@@ -133,31 +135,44 @@ def test_capacity_need_bounds_the_traced_peak(monkeypatch, L):
 @pytest.mark.parametrize("live", [None, (1, 14)], ids=["uniform", "two-live-bonds"])
 def test_lanczos_share_of_the_capacity_need_bounds_the_solver(monkeypatch, live):
     # LANCZOS_VECTORS m float64 is the check's share for the two Lanczos
-    # passes alone; keeping the 40 Lanczos vectors of pass 1 on the uniform
+    # passes alone: pass 1 in lowest_two, and pass 2 on the first read of
+    # the ground.  Keeping the 40 Lanczos vectors of pass 1 on the uniform
     # chain would take five times as much.  With two identical live bonds
-    # the Krylov space closes and pass 1 runs again beside the Ritz vector.
+    # the Krylov space closes, and pass 1 runs again beside the Ritz vector.
+    # Once read, the pair holds B no more.
     import xxfusion.spectral as spectral
     import xxfusion.spin_model as spin_model
 
-    top_two, peaks = spectral._gram_top_two, []
+    top_two, peaks, held = spectral._gram_top_two, [], []
 
-    def traced(B):
+    def traced(fn, *args):
         tracemalloc.start()
         try:
-            return top_two(B)
+            return fn(*args)
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    monkeypatch.setattr(spectral, "_gram_top_two", traced)
+    def pass_one(B):
+        held.append(weakref.ref(B))
+        theta1, theta2, ritz = traced(top_two, B)
+        return theta1, theta2, lambda: traced(ritz)
+
+    monkeypatch.setattr(spectral, "_gram_top_two", pass_one)
     basis = enumerate_sector(18, 9)
     J = np.ones(17)
     if live is not None:
         J = np.zeros(17)
         J[list(live)] = 1.0
-    spectral._lanczos_lowest_two(build_hamiltonian(basis, BondCouplings(J)))
+    # a pair around the route's deferred ground: two live bonds are a
+    # degenerate gap, which lowest_two itself would refuse
+    pair = spectral.SpectralPair(*spectral._lanczos_lowest_two(
+        build_hamiltonian(basis, BondCouplings(J))))
+    assert len(peaks) == 1 and held[0]() is not None
+    pair.ground
     share = 8 * spin_model.LANCZOS_VECTORS * larger_parity_block(basis)
-    assert len(peaks) == 1 and peaks[0] <= share
+    assert len(peaks) == 2 and max(peaks) <= share
+    assert held[0]() is None
 
 
 def test_hop_count_bound_holds_in_every_sector():
