@@ -175,7 +175,8 @@ class FusionStep:
         H, pair = chain_pair(L, 2 * ground_half.basis.n_up, config.J)
         product = embed_product(ground_half, ground_half, basis=H.basis).normalized()
         base = H.couplings.with_bond(middle_bond(L), 0.0)
-        ctx = RampContext(H.basis, base, config.J, product, pair.ground)
+        ctx = RampContext(H.basis, base, config.J, product, pair.ground, T_start=config.T_start,
+                          T_cap=config.T_cap, bisections=config.bisections, tol=config.expmv_tol)
         return cls(config, H, pair.E0, pair.gap, ctx)
 
     @classmethod
@@ -186,17 +187,9 @@ class FusionStep:
     def ramp(self, target: float, *, step_tol: float | None = None) -> RampResult:
         """Converged ramp from the product reaching ``target``, by the duration
         search of :func:`ramp_time_for_infidelity`; ``step_tol`` defaults to
-        ``config.step_tol``."""
-        c = self.config
+        ``config.step_tol``.  The other search settings are ``ctx``'s."""
         return ramp_time_for_infidelity(
-            target,
-            self.ctx,
-            T_start=c.T_start,
-            T_cap=c.T_cap,
-            refine_bisections=c.bisections,
-            step_tol=c.step_tol if step_tol is None else step_tol,
-            tol=c.expmv_tol,
-        )
+            target, self.ctx, step_tol=self.config.step_tol if step_tol is None else step_tol)
 
     def start(self, method: str) -> tuple[StateVector, float, int]:
         """Input of the rodeo sweep as ``(state, t_A, ramp_steps)``.

@@ -61,9 +61,10 @@ the arithmetic is the full sector's, bit for bit.  One gate,
 
 The norm bound sets the substep count, so each caller keeps its own:
 swapping either one moves output bytes.  ``expmv`` passes the full H's
-||H||_inf, which bounds a reduced propagation too, since
-||P^T H P||_2 <= ||H||_2 <= ||H||_inf, so a reduced ``expmv`` takes the
-substeps of the full sector; the reduced matrix's own bound would differ
+||H||_inf, recorded by its operator before compression, which bounds a
+reduced propagation too, since ||P^T H P||_2 <= ||H||_2 <= ||H||_inf,
+so a reduced ``expmv`` takes the substeps of the full sector; the
+reduced matrix's own bound would differ
 (12.83 against 12 at (L, n) = (14, 6), the sector of the benchmark's
 energy scan).  The ramp has no full H at its lambda, so each step passes
 what :meth:`_Operator.set` returns, ||P^T H_base P||_inf + |lambda|
@@ -72,14 +73,15 @@ is 7.657 for the reduced ramp against 7.0 in the full sector at (8, 4),
 and 9.828 against 9.0 at (16, 4).
 
 The step count is doubled until the measured infidelity stabilizes.  A
-:class:`RampContext` keeps every ramp integrated for it, keyed by
-(T_A, steps, tol), so probes of any search on it, at any step tolerance
-or target, integrate no ramp twice.  A search returns the first
-duration on the doubling grid T_start * 2^k that meets the target,
-refined by bisection between it and the last miss.  The
-infidelity is not monotone in T_A, so that need not be the shortest
-duration meeting the target: at L=16, half filling and target 1e-4 the
-continuous ramp first crosses it at T_A = 54, and the search returns 72.
+:class:`RampContext` holds the search settings (T_start, T_cap,
+bisections, Krylov tol) and every ramp integrated for it, keyed by
+(T_A, steps), so probes of any search on it, at any step tolerance or
+target, integrate no ramp twice.  A search returns the first duration
+on the doubling grid T_start * 2^k that meets the target, refined by
+bisection between it and the last miss.  The infidelity is not
+monotone in T_A, so that need not be the shortest duration meeting the
+target: at L=16, half filling and target 1e-4 the continuous ramp first
+crosses it at T_A = 54, and the search returns 72.
 
 A search probe stops doubling early once it is certain to miss the
 target: the midpoint ramp's error is O(ds^2), so after a doubling pair
@@ -100,7 +102,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import PropagationError, RampSearchError, StepRefinementError
 from .spectral import DENSE_CUTOFF, _tridiag_eig, infidelity
@@ -260,9 +261,10 @@ class _Operator:
     complex product, real part the couplings and imaginary part the
     bond's coefficient, so they share its pattern.
 
-    Refuses with :class:`CapacityError`, before allocating, a Krylov
-    workspace larger than physical memory.  ``k_stop`` is the stop of the
-    last substep, carried from call to call; it only decides where error
+    ``norm_inf``, ``expmv``'s norm bound, is the full sector's
+    ||H(couplings)||_inf.  Refuses with :class:`CapacityError`, before
+    allocating, a Krylov workspace larger than physical memory.  ``k_stop``
+    is the stop of the last substep, carried from call to call; it only decides where error
     estimates start, and the walk-back keeps the stop where it would be.
     """
 
@@ -272,14 +274,16 @@ class _Operator:
             bonds.append(bond)
         indptr, indices, hop_bond = _hop_pattern(basis, bonds)
         mat = sp.csr_matrix((couplings.J[hop_bond], indices, indptr), shape=(basis.dim, basis.dim))
+        # ||.||_inf, the max absolute row sum, formed as scipy's sparse norm(., inf) does
+        self.norm_inf = abs(mat).sum(axis=1).max()
         coef = (hop_bond == bond).astype(np.float64)  # all zero when bond is None
         if P is not None:
             mat.data = mat.data + 1j * coef
             mat = _compressed(mat, P)
             mat.data, coef = mat.data.real.copy(), mat.data.imag.copy()
         self.P = P
-        self.nb = spla.norm(mat, np.inf)
-        self.nu = spla.norm(sp.csr_matrix((coef, mat.indices, mat.indptr), mat.shape), np.inf)
+        self.nb = abs(mat).sum(axis=1).max()
+        self.nu = abs(sp.csr_matrix((coef, mat.indices, mat.indptr), mat.shape)).sum(axis=1).max()
         n = mat.shape[0]
         _require_memory(
             (MAX_KRYLOV + 1) * 2 * n * 8,
@@ -345,8 +349,9 @@ def expmv(H: SparseHamiltonian, t: float, v: StateVector, tol: float = 1e-10) ->
     H's couplings are palindromic and v lies within ``tol`` |v| of its
     even part, the Krylov route propagates P^T H P on P^T v in the
     symmetric subspace and lifts the result back as P x; otherwise it
-    runs in the full sector.  Its norm bound is ``H.norm_inf`` either
-    way.  The operator is kept on the sector across calls, so repeated
+    runs in the full sector.  Its norm bound is the full sector's
+    ||H||_inf either way, kept on the operator, so ``H.matrix`` is never
+    built.  The operator is kept on the sector across calls, so repeated
     calls rebuild nothing and start their error estimates near the last
     stop; a workspace larger than physical memory raises
     :class:`CapacityError` before it is allocated.
@@ -359,7 +364,7 @@ def expmv(H: SparseHamiltonian, t: float, v: StateVector, tol: float = 1e-10) ->
         w, U = H.dense_eig
         return StateVector(v.basis, U @ (np.exp(-1j * w * t) * (U.T @ v.amps)))
     op, x = _operator(H.basis, H.couplings, None, v, tol)
-    return StateVector(v.basis, op.lift(op(x, t, tol, H.norm_inf)))
+    return StateVector(v.basis, op.lift(op(x, t, tol, op.norm_inf)))
 
 
 def adiabatic_ramp(
@@ -410,17 +415,25 @@ def adiabatic_ramp(
 @dataclass(frozen=True)
 class RampContext:
     """Fixed data of one ramp problem: sector, base couplings (the middle
-    bond at zero), final middle-bond coupling, input, target; and the
-    ramps integrated for it, which :func:`converged_ramp` keeps
-    by ``(T_A, steps, tol)``.  A probe's first ramp is never returned, so
-    its entry keeps the infidelity and step count but no state."""
+    bond at zero), final middle-bond coupling, input, target; the settings
+    of every search on it, checked here; and the ramps integrated for it
+    at Krylov ``tol``, which :func:`converged_ramp` keeps by
+    ``(T_A, steps)``.  A probe's first ramp is never returned, so its
+    entry keeps the infidelity and step count but no state."""
 
     basis: SectorBasis
     base: BondCouplings
     J_target: float
     v0: StateVector
     target: StateVector
+    T_start: float = 1.0
+    T_cap: float = T_CAP
+    bisections: int = 0
+    tol: float = 1e-10
     _ramps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_search(self.T_start, self.T_cap, self.bisections, None, self.tol)
 
 
 @dataclass(frozen=True)
@@ -441,7 +454,6 @@ def converged_ramp(
     T_A: float,
     *,
     step_tol: float,
-    tol: float = 1e-10,
     target: float | None = None,
 ) -> RampResult:
     """Ramp at fixed duration, doubling steps until infidelity stabilizes.
@@ -452,19 +464,17 @@ def converged_ramp(
     Delta >= ``step_tol`` while the finer value still exceeds the target
     by more than Delta ends the refinement early: that result is returned
     as it is, certain to miss the target.  Ramps the context already
-    holds for ``(T_A, steps, tol)`` are looked up instead of run again,
-    so a repeated call returns the same result without integrating, and
-    one with a looser target or none resumes where an early stop left
-    off.
+    holds for ``(T_A, steps)`` are looked up instead of run again, so a
+    repeated call returns the same result without integrating, and one
+    with a looser target or none resumes where an early stop left off.
     """
-    check_expmv_tol(tol)
     steps = _initial_steps(ctx, T_A)
     prev = None
     while steps <= MAX_RAMP_STEPS:
-        key = (T_A, steps, tol)
+        key = (T_A, steps)
         if key not in ctx._ramps:
             sched = RampSchedule(T_A, steps, ctx.J_target)
-            state = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched, tol=tol)
+            state = adiabatic_ramp(ctx.v0, ctx.basis, ctx.base, sched, tol=ctx.tol)
             fid = infidelity(state.normalized(), ctx.target)
             ctx._ramps[key] = RampResult(T_A, fid, None if prev is None else state, steps)
         res = ctx._ramps[key]
@@ -500,28 +510,28 @@ def _check_search(T_start, T_cap, bisections, step_tol, tol) -> None:
         raise ValueError(f"ramp duration cap {T_cap} is not finite or below T_start {T_start}")
     if bisections < 0:
         raise ValueError(f"bisections must be nonnegative, got {bisections}")
+    _check_step_tol(step_tol)
+    check_expmv_tol(tol)
+
+
+def _check_step_tol(step_tol) -> None:
     if step_tol is not None and not step_tol > 0.0:
         raise ValueError(f"step tolerance must be positive, got {step_tol}")
-    check_expmv_tol(tol)
 
 
 def ramp_time_for_infidelity(
     target_infidelity: float,
     ctx: RampContext,
     *,
-    T_start: float = 1.0,
-    T_cap: float = T_CAP,
-    refine_bisections: int = 0,
     step_tol: float | None = None,
-    tol: float = 1e-10,
 ) -> RampResult:
     """First ramp duration on a doubling grid that meets the target,
     refined by bisection.
 
-    Durations T_start * 2^k are probed until one achieves the target
-    infidelity; up to ``refine_bisections`` bisection rounds then shrink
-    the bracket between it and the last miss, stopping once its midpoint
-    rounds to one of its ends.  The infidelity is not monotone in T_A, so
+    Durations ``ctx.T_start`` * 2^k up to ``ctx.T_cap`` are probed until
+    one achieves the target infidelity; up to ``ctx.bisections`` rounds
+    then bisect the bracket between it and the last miss, stopping once
+    its midpoint rounds to one of its ends.  The infidelity is not monotone in T_A, so
     a shorter duration off this grid may also meet the target (see the
     module notes).  Each probe is evaluated
     with step doubling until its infidelity is converged to ``step_tol``
@@ -535,35 +545,35 @@ def ramp_time_for_infidelity(
     """
     if not 0.0 < target_infidelity < 1.0:
         raise ValueError(f"target infidelity {target_infidelity} outside (0, 1)")
-    _check_search(T_start, T_cap, refine_bisections, step_tol, tol)
+    _check_step_tol(step_tol)
     if step_tol is None:
         step_tol = default_step_tol(target_infidelity)
     missed = []
     hi = None
-    T = T_start
-    while T <= T_cap:
-        res = converged_ramp(ctx, T, step_tol=step_tol, tol=tol, target=target_infidelity)
+    T = ctx.T_start
+    while T <= ctx.T_cap:
+        res = converged_ramp(ctx, T, step_tol=step_tol, target=target_infidelity)
         if res.infidelity <= target_infidelity:
             hi = res
             break
         missed.append(T)
         T *= 2.0
     if hi is None:
-        best = min((converged_ramp(ctx, T, step_tol=step_tol, tol=tol) for T in missed),
+        best = min((converged_ramp(ctx, T, step_tol=step_tol) for T in missed),
                    key=lambda r: r.infidelity)
         raise RampSearchError(
-            f"no ramp duration up to {T_cap:.6g} reached infidelity "
+            f"no ramp duration up to {ctx.T_cap:.6g} reached infidelity "
             f"{target_infidelity:.3e} (best {best.infidelity:.3e} at "
             f"T_A={best.T_A:.6g})",
             best_infidelity=best.infidelity,
         )
     if missed:
         lo = missed[-1]
-        for _ in range(refine_bisections):
+        for _ in range(ctx.bisections):
             mid = 0.5 * (lo + hi.T_A)
             if mid in (lo, hi.T_A):
                 break  # the bracket cannot shrink; further rounds repeat a probe
-            res = converged_ramp(ctx, mid, step_tol=step_tol, tol=tol, target=target_infidelity)
+            res = converged_ramp(ctx, mid, step_tol=step_tol, target=target_infidelity)
             if res.infidelity <= target_infidelity:
                 hi = res
             else:

@@ -28,7 +28,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import CapacityError
 
@@ -220,9 +219,9 @@ def middle_bond(L: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SparseHamiltonian:
-    """XX Hamiltonian restricted to one sector; its real CSR ``matrix``,
-    dense eigendecomposition and norm bound are each computed on first
-    access and kept.
+    """XX Hamiltonian restricted to one sector; its real CSR ``matrix``
+    and dense eigendecomposition are each computed on first access and
+    kept, and only the dense eigendecomposition reads ``matrix``.
 
     H = sum_b J[b] (S+_b S-_{b+1} + S-_b S+_{b+1}); diagonal is zero and
     every matrix element is real, so the eigenbasis can be chosen real.
@@ -248,11 +247,6 @@ class SparseHamiltonian:
     def dense_eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Full eigendecomposition (w, U); intended for small dims."""
         return np.linalg.eigh(self.matrix.toarray())
-
-    @cached_property
-    def norm_inf(self) -> float:
-        """Max absolute row sum; bounds the spectral radius."""
-        return float(spla.norm(self.matrix, np.inf))
 
 
 def _hop_pattern(basis: SectorBasis, bonds, rows=None) -> tuple:

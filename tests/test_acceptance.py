@@ -237,12 +237,12 @@ def test_09_adiabatic_cost_spike():
     basis, H = uniform_chain(8, 4)
     base = BondCouplings.uniform(8).with_bond(middle_bond(8), 0.0)
     prod, _ = fused_product(8, 4)
-    ctx = RampContext(basis, base, 1.0, prod.normalized(), lowest_two(H).ground)
+    v0, ground = prod.normalized(), lowest_two(H).ground
+    contexts = {b: RampContext(basis, base, 1.0, v0, ground, bisections=b) for b in (3, 0)}
     found = {}
     for target in (1e-2, 1e-3):
-        for bisections in (3, 0):
-            res = ramp_time_for_infidelity(target, ctx, refine_bisections=bisections,
-                                           step_tol=min(1e-4, target / 10.0))
+        for bisections, ctx in contexts.items():
+            res = ramp_time_for_infidelity(target, ctx, step_tol=min(1e-4, target / 10.0))
             found[(target, bisections)] = res.T_A
     ratio = found[(1e-3, 3)] / found[(1e-2, 3)]
     ratio_grid = found[(1e-3, 0)] / found[(1e-2, 0)]

@@ -5,6 +5,9 @@ import contextlib
 import importlib.util
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -579,6 +582,17 @@ def test_golden_config_errors_exit_2(text):
 
 
 # ------------------------------------------------------------- structure
+
+
+def test_cli_import_leaves_out_scipy_sparse_linalg():
+    # a fresh interpreter, so no other test's imports count
+    code = "import sys, xxfusion.cli; print('scipy.sparse.linalg' in sys.modules)"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_cli_imports_no_private_names():

@@ -174,6 +174,12 @@ def test_fusion_step_sweep_matches_run_rodeo():
         assert t_R == pytest.approx(times.sum(), abs=1e-12)
 
 
+def test_fusion_step_context_carries_the_search_settings():
+    cfg = FusionConfig(T_start=2.0, T_cap=16.0, bisections=1, expmv_tol=1e-8)
+    ctx = FusionStep.from_half(half_ground(), cfg).ctx
+    assert (ctx.T_start, ctx.T_cap, ctx.bisections, ctx.tol) == (2.0, 16.0, 1, 1e-8)
+
+
 def test_fusion_step_start_has_no_adiabatic_sweep():
     step = FusionStep.from_half(half_ground(), FusionConfig())
     state, t_A, ramp_steps = step.start("rodeo")
@@ -348,7 +354,7 @@ def test_compare_methods_keeps_no_state_of_a_probes_first_ramp(monkeypatch):
     compare_methods(8, Fraction(1, 2), [1e-3, 1e-4])
     first, later = [], []
     for ctx in contexts.values():
-        for (T_A, steps, _), res in ctx._ramps.items():
+        for (T_A, steps), res in ctx._ramps.items():
             (first if steps == propagate._initial_steps(ctx, T_A) else later).append(res)
     assert first and all(res.state is None for res in first)
     assert later and all(res.state is not None for res in later)

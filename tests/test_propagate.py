@@ -50,16 +50,22 @@ def chain(L, n, J=1.0):
     return basis, build_hamiltonian(basis, BondCouplings.uniform(L, J))
 
 
+def norm_inf(mat):
+    """||mat||_inf of a CSR matrix, as scipy's sparse ``norm(mat, inf)`` forms it."""
+    return abs(mat).sum(axis=1).max()
+
+
 @functools.cache
-def ramp_context(L, n):
-    """Product of exact half grounds ramping toward the fused ground."""
+def ramp_context(L, n, **settings):
+    """Product of exact half grounds ramping toward the fused ground, with
+    the search ``settings`` of :class:`RampContext` (its defaults if none)."""
     basis, H = chain(L, n)
     bond = middle_bond(L)
     base = BondCouplings.uniform(L).with_bond(bond, 0.0)
     _, Hh = chain(L // 2, n // 2)
     g = lowest_two(Hh).ground
     v0 = embed_product(g, g, basis=basis).normalized()
-    return RampContext(basis, base, 1.0, v0, lowest_two(H).ground)
+    return RampContext(basis, base, 1.0, v0, lowest_two(H).ground, **settings)
 
 
 # ----------------------------------------------------------------- expmv
@@ -328,8 +334,16 @@ def test_expmv_off_symmetry_runs_in_full_sector_bit_identically(case, monkeypatc
     x = propagate._split(v.amps)
     V = np.empty((propagate.MAX_KRYLOV + 1, x.size))
     ref, _ = propagate._krylov_propagate(
-        propagate._doubled(H.matrix), H.norm_inf, x, 2.7, 1e-10, V)
+        propagate._doubled(H.matrix), norm_inf(H.matrix), x, 2.7, 1e-10, V)
     assert np.array_equal(out.amps, propagate._join(ref))
+
+
+def test_krylov_expmv_builds_no_hamiltonian_matrix():
+    # the operator records ||H||_inf from the CSR it assembles itself
+    basis, H = chain(14, 6)
+    assert basis.dim >= propagate.DENSE_CUTOFF
+    expmv(H, 0.5, random_state(basis))
+    assert "matrix" not in H.__dict__
 
 
 def test_expmv_gate_is_relative_to_the_norm(monkeypatch):
@@ -408,7 +422,7 @@ def test_substep_walks_back_to_the_first_passing_estimate():
     x = propagate._split(v.amps)
     mat2 = propagate._doubled(H.matrix)
     V = np.empty((propagate.MAX_KRYLOV + 1, x.size))
-    dt = propagate._THETA_SUB / H.norm_inf
+    dt = propagate._THETA_SUB / norm_inf(H.matrix)
     ref, stop = propagate._lanczos_substep(mat2, x, dt, 1e-10, V)
     assert 10 < stop < propagate.MAX_KRYLOV - 8
     for check_from in (1, stop - 1, stop, stop + 1, stop + 8):
@@ -549,7 +563,7 @@ def full_space_reference(v0, basis, base, schedule, tol=1e-10):
     ``build_hamiltonian``'s CSR of every step's couplings: the arithmetic the
     full-sector path keeps bit for bit."""
     ds = schedule.T_A / schedule.steps
-    nb = build_hamiltonian(basis, base).norm_inf
+    nb = norm_inf(build_hamiltonian(basis, base).matrix)
     x, k_stop = propagate._split(v0.amps), 0
     V = np.empty((propagate.MAX_KRYLOV + 1, x.size))
     for k in range(schedule.steps):
@@ -671,9 +685,10 @@ def test_converged_ramp_rejects_bad_tolerance(monkeypatch):
         raise AssertionError("a ramp was integrated")
 
     monkeypatch.setattr(propagate, "adiabatic_ramp", no_ramp)
+    # the context checks its Krylov tolerance once, before any probe
     for tol in (0.0, -1.0, math.nan, 1.0):
         with pytest.raises(ValueError, match="tolerance"):
-            converged_ramp(ramp_context(4, 2), 1.0, step_tol=1e-4, tol=tol)
+            dataclasses.replace(ramp_context(4, 2), tol=tol)
 
 
 def test_converged_ramp_step_cap(monkeypatch):
@@ -684,7 +699,7 @@ def test_converged_ramp_step_cap(monkeypatch):
 
 def test_ramp_search_golden_L4():
     # doubling grid with three bisection refinements, as the experiments use
-    res = ramp_time_for_infidelity(1e-3, ramp_context(4, 2), refine_bisections=3)
+    res = ramp_time_for_infidelity(1e-3, ramp_context(4, 2, bisections=3))
     assert res.T_A == 9.0
     assert res.infidelity == pytest.approx(3.714410696875614e-05, rel=1e-6)
     assert res.infidelity <= 1e-3
@@ -709,9 +724,10 @@ def counted_ramps(monkeypatch):
     return ramps
 
 
-def fresh_context(L, n):
-    """``ramp_context(L, n)`` holding no ramps yet; the cached one may."""
-    return dataclasses.replace(ramp_context(L, n))
+def fresh_context(L, n, **settings):
+    """``ramp_context(L, n)`` with the search ``settings`` given, holding
+    no ramps yet; the cached one may."""
+    return dataclasses.replace(ramp_context(L, n), **settings)
 
 
 def test_ramp_search_shares_probe_cache(monkeypatch):
@@ -730,7 +746,7 @@ def test_ramp_search_shares_probe_cache(monkeypatch):
 def test_ramp_search_stops_bisecting_once_the_bracket_cannot_shrink():
     # about fifty halvings leave a bracket one float wide; any later round
     # would repeat a probe, so a huge count returns what 60 rounds return
-    many, sixty = (ramp_time_for_infidelity(1e-3, fresh_context(4, 2), refine_bisections=k)
+    many, sixty = (ramp_time_for_infidelity(1e-3, fresh_context(4, 2, bisections=k))
                    for k in (10**11, 60))
     assert (many.T_A, many.steps, many.infidelity) == (sixty.T_A, sixty.steps, sixty.infidelity)
     assert many.state.amps.tobytes() == sixty.state.amps.tobytes()
@@ -748,12 +764,12 @@ def test_ramp_search_cache_order_does_not_matter():
 
 
 def test_ramp_search_cap_failure_reports_best(monkeypatch):
-    ctx = fresh_context(4, 2)
+    ctx = fresh_context(4, 2, T_cap=2.0)
     # a step_tol looser than default_step_tol(1e-9) = 1e-10 keeps both probes
     # short; they still stop early first, then converge in full on failure
     step_tol = 1e-5
     with pytest.raises(RampSearchError) as err:
-        ramp_time_for_infidelity(1e-9, ctx, T_cap=2.0, step_tol=step_tol)
+        ramp_time_for_infidelity(1e-9, ctx, step_tol=step_tol)
     # the best of the fully converged probes, none stopped early; the kept
     # ramps spare integrating them again
     ramps = counted_ramps(monkeypatch)
@@ -763,16 +779,17 @@ def test_ramp_search_cap_failure_reports_best(monkeypatch):
 
 
 def test_ramps_are_kept_per_krylov_tolerance(monkeypatch):
-    ctx = fresh_context(4, 2)
+    # each context has one Krylov tolerance: two at different tols share no ramps
+    loose_ctx, tight_ctx = fresh_context(4, 2, tol=1e-8), fresh_context(4, 2, tol=1e-10)
     ramps = counted_ramps(monkeypatch)
-    loose = converged_ramp(ctx, 2.0, step_tol=1e-4, tol=1e-8)
+    loose = converged_ramp(loose_ctx, 2.0, step_tol=1e-4)
     n_loose = len(ramps)
-    assert n_loose >= 2 and all(key[2] == 1e-8 for key in ctx._ramps)
-    converged_ramp(ctx, 2.0, step_tol=1e-4, tol=1e-10)
+    assert n_loose >= 2 and list(loose_ctx._ramps) == ramps
+    converged_ramp(tight_ctx, 2.0, step_tol=1e-4)
     # the same (T_A, steps) ramps again, integrated anew at the tighter tol
     assert ramps[n_loose:] == ramps[:n_loose]
-    assert len(ctx._ramps) == 2 * n_loose
-    assert converged_ramp(ctx, 2.0, step_tol=1e-4, tol=1e-8) is loose
+    assert tight_ctx._ramps.keys() == loose_ctx._ramps.keys()
+    assert converged_ramp(loose_ctx, 2.0, step_tol=1e-4) is loose
     assert len(ramps) == 2 * n_loose
 
 
@@ -803,8 +820,8 @@ def test_converged_ramp_stops_early_only_when_certain_to_miss():
 )
 def test_ramp_search_matches_fully_converged_search(log_target, sector, bisections):
     target = 10.0**log_target
-    ctx = ramp_context(*sector)
-    res = ramp_time_for_infidelity(target, ctx, refine_bisections=bisections)
+    ctx = ramp_context(*sector, bisections=bisections)
+    res = ramp_time_for_infidelity(target, ctx)
     T_A, fid, state, steps = oracles.ramp_search(target, ctx, bisections)
     assert (res.T_A, res.steps, res.infidelity) == (T_A, steps, fid)
     assert res.state.amps.tobytes() == state.amps.tobytes()
@@ -816,14 +833,20 @@ def test_ramp_search_argument_errors(monkeypatch):
 
     monkeypatch.setattr(propagate, "converged_ramp", no_probe)
     ctx = ramp_context(4, 2)
-    for target, bad in ((0.0, {}), (1.5, {}), (1e-2, dict(T_start=0.0)),
-                        (1e-2, dict(T_start=4.0, T_cap=2.0)),
-                        (1e-2, dict(T_cap=math.inf)), (1e-2, dict(refine_bisections=-1)),
-                        (1e-2, dict(step_tol=0.0)), (1e-2, dict(tol=0.0)),
-                        (1e-2, dict(tol=math.nan)), (1e-2, dict(tol=1.0)),
-                        (1e-2, dict(tol=math.inf))):
+    for target, bad in ((0.0, {}), (1.5, {}), (1e-2, dict(step_tol=0.0))):
         with pytest.raises(ValueError):
             ramp_time_for_infidelity(target, ctx, **bad)
+    # the search settings are the context's, checked when it is made
+    for bad, message in ((dict(T_start=0.0), "first ramp duration"),
+                         (dict(T_start=4.0, T_cap=2.0), "duration cap"),
+                         (dict(T_cap=math.inf), "duration cap"),
+                         (dict(bisections=-1), "bisections"),
+                         (dict(tol=0.0), "expmv tolerance"),
+                         (dict(tol=math.nan), "expmv tolerance"),
+                         (dict(tol=1.0), "expmv tolerance"),
+                         (dict(tol=math.inf), "expmv tolerance")):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ctx, **bad)
 
 
 def test_ramp_and_expmv_keep_the_parameter_names_the_benchmark_binds():

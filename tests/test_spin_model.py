@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import xxfusion.propagate as propagate
 from xxfusion import (
     BondCouplings,
     CapacityError,
@@ -341,10 +342,14 @@ def test_l2_energies_are_plus_minus_J():
 
 
 def test_norm_inf_matches_dense():
+    # the bound expmv's Krylov operator records for H, in the full sector
+    # and in the symmetric subspace alike
     basis = enumerate_sector(6, 2)
     H = build_hamiltonian(basis, BondCouplings.uniform(6))
     dense = np.abs(H.matrix.toarray()).sum(axis=1).max()
-    assert H.norm_inf == pytest.approx(float(dense), rel=0, abs=0)
+    for P in (None, basis.symmetric_isometry):
+        op = propagate._Operator(basis, H.couplings, None, P)
+        assert op.norm_inf == pytest.approx(float(dense), rel=0, abs=0)
 
 
 # -------------------------------------------------------------- vectors
