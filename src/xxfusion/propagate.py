@@ -256,10 +256,10 @@ class _Operator:
     H is kept as the doubled CSR block_diag(H, H) on the hop pattern of
     the nonzero couplings and ``bond``; :meth:`set` refills the entries
     the bond touches as base + lambda * coef.  ``expmv`` passes
-    ``bond=None``, so none are refilled.  With P = None a refill writes
-    0 + lambda * 1 = lambda.  With an isometry P both terms come from one
-    complex product, real part the couplings and imaginary part the
-    bond's coefficient, so they share its pattern.
+    ``bond=None``, so none are refilled.  Both terms come from one complex
+    pattern, real part the couplings and imaginary part the bond's
+    coefficient, so they share it; with an isometry P, from one complex
+    product.  With P = None a refill writes 0 + lambda * 1 = lambda.
 
     ``norm_inf``, ``expmv``'s norm bound, is the full sector's
     ||H(couplings)||_inf.  Refuses with :class:`CapacityError`, before
@@ -269,18 +269,17 @@ class _Operator:
     """
 
     def __init__(self, basis: SectorBasis, couplings: BondCouplings, bond: int | None, P):
-        bonds = list(np.flatnonzero(couplings.J))
+        weights = couplings.J.astype(np.complex128)
         if bond is not None:
-            bonds.append(bond)
-        indptr, indices, hop_bond = _hop_pattern(basis, bonds)
-        mat = sp.csr_matrix((couplings.J[hop_bond], indices, indptr), shape=(basis.dim, basis.dim))
+            weights.imag[bond] = 1.0
+        indptr, indices, data = _hop_pattern(basis, weights)
+        mat = sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
         # ||.||_inf, the max absolute row sum, formed as scipy's sparse norm(., inf) does
-        self.norm_inf = abs(mat).sum(axis=1).max()
-        coef = (hop_bond == bond).astype(np.float64)  # all zero when bond is None
+        self.norm_inf = abs(mat.real).sum(axis=1).max()
         if P is not None:
-            mat.data = mat.data + 1j * coef
             mat = _compressed(mat, P)
-            mat.data, coef = mat.data.real.copy(), mat.data.imag.copy()
+        coef = mat.data.imag.copy()  # all zero when bond is None
+        mat = sp.csr_matrix((mat.data.real.copy(), mat.indices, mat.indptr), mat.shape)
         self.P = P
         self.nb = abs(mat).sum(axis=1).max()
         self.nu = abs(sp.csr_matrix((coef, mat.indices, mat.indptr), mat.shape)).sum(axis=1).max()

@@ -114,16 +114,15 @@ def _sublattice_blocks(H: SparseHamiltonian):
     H is never formed; its columns are ranked by ``cumsum(big)``, which is
     monotone, so they stay ascending.
     """
-    configs = H.basis.configs
-    odd = np.zeros(H.dim, dtype=bool)
-    for site in range(0, H.basis.L, 2):
-        odd ^= ((configs >> site) & 1).astype(bool)
-    big = odd if 2 * np.count_nonzero(odd) > H.dim else ~odd
+    L, dim = H.basis.L, H.dim
+    even_sites = sum(1 << site for site in range(0, L, 2))
+    odd = (np.bitwise_count(H.basis.configs & even_sites) & 1).astype(bool)
+    big = odd if 2 * np.count_nonzero(odd) > dim else ~odd
     m = int(np.count_nonzero(big))
-    rank = np.cumsum(big, dtype=np.int32) - 1
-    J = H.couplings.J
-    indptr, indices, bond = _hop_pattern(H.basis, np.flatnonzero(J), np.flatnonzero(~big))
-    B = sp.csr_matrix((J[bond], rank[indices], indptr), shape=(H.dim - m, m))
+    rank = np.cumsum(big, dtype=np.int32)
+    rank -= 1
+    indptr, indices, data = _hop_pattern(H.basis, H.couplings.J, np.flatnonzero(~big), rank)
+    B = sp.csr_matrix((data, indices, indptr), shape=(dim - m, m))
     return big, B
 
 

@@ -41,8 +41,13 @@ MAX_SITES = 63
 #: two-pass Lanczos of ``spectral.lowest_two`` holds at its peak, its
 #: temporaries included: 6.1 at (18, 9), 7.1 where the Krylov space closes
 #: and pass 1 runs again.  It sizes the capacity check of
-#: ``build_hamiltonian``.
+#: ``build_hamiltonian``.  B's build, before them, holds B with the parity
+#: masks, column ranks and row ordinals, and one block of rows, 1.18 times
+#: B and its mask at (22, 11); so B and these vectors set the solve's peak.
 LANCZOS_VECTORS = 8
+
+#: Rows that :func:`_hop_pattern` counts and fills at a time.
+HOP_BLOCK_ROWS = 1 << 15
 
 
 def _physical_memory() -> int | None:
@@ -240,8 +245,8 @@ class SparseHamiltonian:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """CSR of H on the canonical hop pattern; zero bonds store nothing."""
-        indptr, indices, bond = _hop_pattern(self.basis, np.flatnonzero(self.couplings.J))
-        return sp.csr_matrix((self.couplings.J[bond], indices, indptr), shape=(self.dim, self.dim))
+        indptr, indices, data = _hop_pattern(self.basis, self.couplings.J)
+        return sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
 
     @cached_property
     def dense_eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -249,50 +254,61 @@ class SparseHamiltonian:
         return np.linalg.eigh(self.matrix.toarray())
 
 
-def _hop_pattern(basis: SectorBasis, bonds, rows=None) -> tuple:
-    """Canonical CSR pattern (indptr, indices, bond) of the hops across ``bonds``.
+def _hop_pattern(basis: SectorBasis, weights, rows=None, columns=None) -> tuple:
+    """Canonical CSR arrays (indptr, indices, data) of the hops weighted
+    by ``weights``: the hop across bond b stores ``weights[b]``, in the
+    dtype of ``weights``, and a bond of weight zero stores nothing.
 
-    ``bond`` holds the bond of every stored entry, so any per-bond
-    coupling becomes the data array ``J[bond]`` on this one pattern.
     Moving the up spin across bond b changes the ordinal by +-C(b, k),
     where k counts the up spins below site b.  Rows are filled in the
     order of the module notes: down-hops from the row start, up-hops from
     the row end, both by decreasing b.  ``rows`` (ascending ordinals; all
     of them by default) picks the rows to fill.  Each comes out exactly
-    as in the full pattern, its columns still ordinals of the whole sector.
+    as in the full pattern, its columns the partners' ordinals in the
+    whole sector, or ``columns[ordinal]`` when that map is given.
+
+    The rows are counted, and then filled, ``HOP_BLOCK_ROWS`` at a time,
+    straight into the final arrays: the work arrays hold one block's rows
+    whatever the sector's size.
     """
-    rows = np.arange(basis.dim) if rows is None else np.asarray(rows)
-    configs = basis.configs[rows]
-    n_up = basis.n_up
-    wanted = set(int(b) for b in bonds)
-    antiparallel = configs ^ (configs >> 1)
-    counts = np.zeros(rows.size, dtype=np.int64)
-    for b in wanted:
-        counts += (antiparallel >> b) & 1
-    indptr = np.zeros(rows.size + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
+    weights = np.asarray(weights)
+    bonds = np.flatnonzero(weights)
+    configs = basis.configs
+    antiparallel = np.int64(sum(1 << int(b) for b in bonds))  # bit b of c ^ (c >> 1): bond b
+    shifts = {int(b): np.array([math.comb(b, k) for k in range(basis.n_up)], dtype=np.int64)
+              for b in bonds}
+    rows = None if rows is None else np.asarray(rows)
+    n_rows = basis.dim if rows is None else rows.size
+    blocks = [(i, min(i + HOP_BLOCK_ROWS, n_rows)) for i in range(0, n_rows, HOP_BLOCK_ROWS)]
+
+    def block(start, stop):
+        r = np.arange(start, stop) if rows is None else rows[start:stop]
+        return r, configs[r]
+
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    for start, stop in blocks:
+        c = block(start, stop)[1]
+        ends = indptr[start + 1:stop + 1]
+        np.cumsum(np.bitwise_count((c ^ (c >> 1)) & antiparallel), dtype=np.int32, out=ends)
+        ends += indptr[start]
     indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    bond = np.empty(indices.size, dtype=np.uint8)
-    down_pos = indptr[:-1].astype(np.int64)  # filled forward from the row start
-    up_pos = indptr[1:].astype(np.int64)  # filled backward from the row end
-    above = np.zeros(rows.size, dtype=np.int64)  # up spins on sites > b + 1
-    lo = (configs >> (basis.L - 1)) & 1
-    for b in reversed(range(basis.L - 1)):
-        hi, lo = lo, (configs >> b) & 1
-        if b in wanted:
-            shift = np.array([math.comb(b, k) for k in range(n_up)], dtype=np.int64)
-            down = np.flatnonzero(hi > lo)
-            pos = down_pos[down]
+    data = np.empty(indices.size, dtype=weights.dtype)
+    for start, stop in blocks:
+        r, c = block(start, stop)
+        down_pos = indptr[start:stop].copy()  # filled forward from the row start
+        up_pos = indptr[start + 1:stop + 1].copy()  # filled backward from the row end
+        for b in sorted(shifts, reverse=True):
+            spins = (c >> b) & 3  # bit 1: site b + 1, bit 0: site b
+            down, up = np.flatnonzero(spins == 2), np.flatnonzero(spins == 1)
+            down_at = down_pos[down]
             down_pos[down] += 1
-            indices[pos] = rows[down] - shift[n_up - 1 - above[down]]
-            bond[pos] = b
-            up = np.flatnonzero(lo > hi)
             up_pos[up] -= 1
-            pos = up_pos[up]
-            indices[pos] = rows[up] + shift[n_up - 1 - above[up]]
-            bond[pos] = b
-        above += hi
-    return indptr, indices, bond
+            for hop, pos, shift in ((down, down_at, -shifts[b]), (up, up_pos[up], shifts[b])):
+                below = np.bitwise_count(c[hop] & ((1 << b) - 1))  # up spins below site b
+                col = r[hop] + shift[below]
+                indices[pos] = col if columns is None else columns[col]
+                data[pos] = weights[b]
+    return indptr, indices, data
 
 
 def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHamiltonian:
@@ -308,17 +324,20 @@ def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHam
     the CSR and the Lanczos working set of ``spectral.lowest_two`` would
     together exceed physical memory.  The Lanczos route builds B, not the
     CSR of H, so for a run that only solves the lowest pair this is an
-    upper bound.  In bytes: 8 per configuration; 12
-    per stored hop (at most 2 dim n(L-n)/L of them: dim times the mean
-    count of antiparallel bonds) and 4 per row pointer; half the hops
-    again, plus a row pointer per state of the smaller sublattice-parity
-    block, for the block B of ``spectral``; 6 per configuration for the
-    parity masks and the column ranks; ``LANCZOS_VECTORS`` float64
-    vectors of the larger block's length m for the Lanczos passes (the
-    start vector, the last two Lanczos vectors, the next one and its
-    intermediate on the smaller block, the Ritz vector being summed, and
-    the temporaries of the recurrence); and 24 per configuration for the
-    lifted ground, real and then complex.
+    upper bound.  In bytes: 8 per configuration; 12 per stored hop (at
+    most 2 dim n(L-n)/L of them: dim times the mean count of antiparallel
+    bonds) and 4 per row pointer; half the hops again, plus a row pointer
+    per state of the smaller sublattice-parity block, for the block B of
+    ``spectral``, filled in place; 6 per configuration for the parity
+    masks and the column ranks; ``LANCZOS_VECTORS`` float64 vectors of
+    the larger block's length m for the Lanczos passes (the start vector,
+    the last two Lanczos vectors, the next one and its intermediate on
+    the smaller block, the Ritz vector being summed, and the temporaries
+    of the recurrence); and 24 per configuration for the lifted ground,
+    real and then complex.  B's build also holds the smaller block's row
+    ordinals (8 per state) and the work arrays of one block of
+    ``HOP_BLOCK_ROWS`` rows (about 70 bytes a row); the CSR of H, which
+    that route never builds, covers both.
     """
     if couplings.n_sites != basis.L:
         raise ValueError(

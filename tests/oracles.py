@@ -136,6 +136,13 @@ def sector_ground_energy(L: int, n_up: int, J: float = 1.0) -> float:
     return float(sum(sorted(single_particle_energies(L, J))[:n_up]))
 
 
+def sector_first_excited_energy(L: int, n_up: int, J: float = 1.0) -> float:
+    """The ground with its highest filled mode moved to the lowest empty one
+    (0 < n_up < L)."""
+    e = sorted(single_particle_energies(L, J))
+    return sector_ground_energy(L, n_up, J) - e[n_up - 1] + e[n_up]
+
+
 def overlap(v, w) -> float:
     """|<w|v>| of two states' amplitudes, summed term by term."""
     return abs(sum(complex(b).conjugate() * complex(a) for a, b in zip(v.amps, w.amps)))

@@ -1,9 +1,10 @@
 """Acceptance gate: eleven checks, one printed verdict line per check.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every verdict.
-Checks 6 and 9 encode cost-ordering claims that hold in the large-L
-regime; at the exactly solvable sizes tested here they are not met, and
-their verdict lines report the measured margins rather than hiding them.
+Checks 6 and 9 encode the paper's cost-ordering claims; at the exactly
+solvable sizes tested here they are not met, and their verdict lines
+report the measured margins rather than hiding them.  For the linear
+ramp the margins do not close with L (ROADMAP item 2).
 """
 
 import math

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import xxfusion.propagate as propagate
 import xxfusion.spectral as spectral
 from xxfusion import cli
@@ -43,6 +44,18 @@ def test_gap_prints_spectral_numbers(capsys):
     assert float(got["E1"]) == pytest.approx(-1.0, rel=1e-11)
     assert float(got["gap"]) == pytest.approx(math.sqrt(5.0) - 1.0, rel=1e-11)
     assert float(got["t1"]) == pytest.approx(math.pi / (math.sqrt(5.0) - 1.0), rel=1e-11)
+
+
+def test_gap_on_the_lanczos_route_matches_free_fermions(capsys):
+    # dim 184,756: B's 92,378 rows are filled in three blocks, and the
+    # energies come from the two-pass Lanczos on B^T B
+    assert run(["gap", "--L", "20"]) == 0
+    got = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    E0 = oracles.sector_ground_energy(20, 10)
+    E1 = oracles.sector_first_excited_energy(20, 10)
+    want = {"E0": E0, "E1": E1, "gap": E1 - E0, "t1": math.pi / (E1 - E0)}
+    for name, value in want.items():
+        assert float(got[name]) == pytest.approx(value, abs=1e-9), name
 
 
 def test_gap_n_up_overrides_filling(capsys):

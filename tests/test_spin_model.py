@@ -264,16 +264,69 @@ def test_hop_pattern_of_chosen_rows_matches_full_pattern(L, data):
     n = data.draw(st.integers(0, L))
     basis = enumerate_sector(L, n)
     bonds = data.draw(st.lists(st.integers(0, L - 2), unique=True))
+    weights = np.zeros(L - 1)
+    weights[bonds] = np.arange(1, len(bonds) + 1)  # a stored weight names its bond
     rows = np.array(sorted(data.draw(
         st.sets(st.integers(0, basis.dim - 1), max_size=basis.dim))), dtype=np.int64)
-    indptr, indices, bond = _hop_pattern(basis, bonds)
-    sub_indptr, sub_indices, sub_bond = _hop_pattern(basis, bonds, rows)
+    columns = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(
+        basis.dim).astype(np.int32)
+    indptr, indices, weight = _hop_pattern(basis, weights)
+    sub_indptr, sub_indices, sub_weight = _hop_pattern(basis, weights, rows, columns)
     assert sub_indptr.size == rows.size + 1
-    assert sub_indptr[0] == 0 and sub_indptr[-1] == sub_indices.size == sub_bond.size
+    assert sub_indptr[0] == 0 and sub_indptr[-1] == sub_indices.size == sub_weight.size
     for i, r in enumerate(rows):
         sub, full = slice(*sub_indptr[i:i + 2]), slice(*indptr[r:r + 2])
-        assert np.array_equal(sub_indices[sub], indices[full])
-        assert np.array_equal(sub_bond[sub], bond[full])
+        assert np.array_equal(sub_indices[sub], columns[indices[full]])
+        assert np.array_equal(sub_weight[sub], weight[full])
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3])
+def test_hop_pattern_is_the_same_across_block_boundaries(monkeypatch, rows_per_block):
+    # a block of a few rows puts boundaries inside every sector, and inside
+    # the smaller parity block that B is filled from; H, B and the ramp
+    # operator must not see them
+    import xxfusion.spectral as spectral
+    import xxfusion.spin_model as spin_model
+
+    rng = np.random.default_rng(26)
+    for L in range(2, 13):
+        J = rng.uniform(-2.0, 2.0, L - 1)
+        J[rng.random(L - 1) < 0.3] = 0.0  # cut bonds store nothing
+        couplings, bond = BondCouplings(J), int(rng.integers(L - 1))
+        for n in range(L + 1):
+            basis = enumerate_sector(L, n)
+            default = propagate._Operator(basis, couplings, bond, None)
+            with monkeypatch.context() as m:
+                m.setattr(spin_model, "HOP_BLOCK_ROWS", rows_per_block)
+                H = build_hamiltonian(basis, couplings)
+                assert np.array_equal(H.matrix.toarray(), oracles.dense_hamiltonian(L, n, J)[1])
+                big, B = spectral._sublattice_blocks(H)
+                op = propagate._Operator(basis, couplings, bond, None)
+            rows, columns = H.matrix[np.flatnonzero(~big)], np.flatnonzero(big)
+            assert B.has_sorted_indices, (L, n)
+            assert B.nnz == rows.nnz
+            assert np.array_equal(B.toarray(), rows.toarray()[:, columns]), (L, n)
+            for name in ("ramp", "base", "coef"):
+                assert np.array_equal(getattr(op, name), getattr(default, name)), (L, n, name)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(op.mat2, part), getattr(default.mat2, part))
+
+
+def test_hop_block_build_peaks_near_what_it_keeps():
+    # B is filled block by block straight into its final arrays, so the
+    # build holds little beyond B and the parity mask it returns
+    import xxfusion.spectral as spectral
+
+    bound = 1.25
+    H = build_hamiltonian(enumerate_sector(22, 11), BondCouplings.uniform(22))
+    tracemalloc.start()
+    try:
+        big, B = spectral._sublattice_blocks(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = big.nbytes + B.indptr.nbytes + B.indices.nbytes + B.data.nbytes
+    assert peak <= bound * kept
 
 
 def test_hamiltonian_is_canonical_csr():
