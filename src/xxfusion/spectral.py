@@ -1,21 +1,21 @@
 """Lowest two eigenpairs per sector, and the infidelity between states.
 
-Below ``DENSE_CUTOFF`` the solver simply diagonalizes.  Above it the
-chain's bipartite structure is used: every hop flips the parity of the up
-spins on even sites, so in the basis split by that parity
-H = [[0, B], [B^T, 0]] and the lowest pair of H is -sigma_1, -sigma_2 of
-B.  B is built straight from the hop pattern of the smaller parity
-block's rows, so this route never forms the CSR of H.  A two-pass
-Lanczos iteration without reorthogonalization finds the top two
-eigenvalues of B^T B on the larger parity block, and the top eigenvector:
-pass 1 keeps only the recurrence coefficients, pass 2 replays them to sum
-the Ritz vector, so the solver holds a handful of vectors of the block's
-length however many steps it takes.  The energies come from pass 1 alone;
-pass 2, and the lift of the ground back to the whole sector, run on the
-first read of ``SpectralPair.ground``, so a caller that wants only the gap
-never pays for them.  Until that read the pair holds B, the larger block's
-mask, the start vector and pass 1's coefficients.  The start vectors come
-from a fixed-seed generator.
+Below ``DENSE_CUTOFF`` the solver simply diagonalizes.  From there on the
+energies come from the single-particle levels: every Hamiltonian here is
+an open XX chain, which is free fermions (Lieb, Schultz & Mattis, Ann.
+Phys. 16, 407 (1961)), so a sector's E0 and E1 are sums of its lowest
+levels, the eigenvalues of an L x L tridiagonal matrix.  The ground is
+solved for only on the first read of ``SpectralPair.ground``, so an unread
+pair holds H alone.  That read uses the chain's bipartite structure: every
+hop flips the parity of the up spins on even sites, so in the basis split
+by that parity H = [[0, B], [B^T, 0]] and the ground of H comes from the
+top singular pair of B.  B is built straight from the hop pattern of the
+smaller parity block's rows, so this route never forms the CSR of H.  A
+two-pass Lanczos iteration without reorthogonalization finds the top
+eigenvector of B^T B on the larger parity block: pass 1 keeps only the
+recurrence coefficients, pass 2 replays them to sum the Ritz vector, so
+the solver holds a handful of vectors of the block's length however many
+steps it takes.  The start vector comes from a fixed-seed generator.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ from .spin_model import (
 #: Sector dimension at which lowest_two switches from dense to Lanczos.
 DENSE_CUTOFF = 400
 
-#: Residual of the second Ritz pair of B^T B relative to its value.
+#: Residual of the second Ritz pair of B^T B relative to its value.  Pass 1
+#: waits for it although E1 comes from the levels: the step it stops at
+#: fixes the ground's last bits.
 LANCZOS_TOL = 1e-10
 
 #: Residual of the top Ritz pair relative to its value; tighter, since its
@@ -70,9 +72,8 @@ class SpectralPair:
 
     ``ground`` is made by the zero-argument function the pair is built
     with, on its first read, and kept; the function, with all it holds, is
-    dropped then.  On the Lanczos route that read runs pass 2, and an
-    unread pair holds B, the larger block's mask, the start vector and
-    pass 1's coefficients.
+    dropped then.  On the Lanczos route that read builds B and runs both
+    Lanczos passes and the lift, and an unread pair holds only H.
     """
 
     def __init__(self, E0: float, E1: float, ground: Callable[[], StateVector]):
@@ -153,7 +154,7 @@ def _recurrence(gram, q, q_prev, beta_prev, alpha=None):
     return w, alpha
 
 
-def _first_pass(gram, q, floor=0.0):
+def _first_pass(gram, q):
     """Pass 1 of the Lanczos iteration of ``gram`` from the unit vector q,
     keeping only alpha_k and beta_k.
 
@@ -165,11 +166,10 @@ def _first_pass(gram, q, floor=0.0):
     back as ghost copies (Cullum & Willoughby, *Lanczos Algorithms for
     Large Symmetric Eigenvalue Computations*, 1985); those of theta_1 sit
     within the spread and do not count as a second value.  It also stops
-    when the Krylov space closes: beta_k at most ``_BREAKDOWN`` times
-    theta_1 or ``floor``, whichever is larger.
+    when the Krylov space closes: beta_k at most ``_BREAKDOWN`` theta_1.
 
-    Returns (alphas, betas, s_1, theta_1, theta_2, closed), theta_2 being
-    the second value (nan if the space closed before there was one).
+    Returns (alphas, betas, s_1, theta_1, theta_2), theta_2 being the
+    second value (nan if the space closed before there was one).
     Raises :class:`LanczosConvergenceError` after ``LANCZOS_MAX_STEPS``.
     """
     alphas, betas = np.empty((2, LANCZOS_MAX_STEPS))
@@ -182,11 +182,10 @@ def _first_pass(gram, q, floor=0.0):
         top = theta[-1]
         below = np.flatnonzero(theta < top * (1.0 - _GHOST_SPREAD))
         second = theta[below[-1]] if below.size else math.nan
-        closed = b <= _BREAKDOWN * max(top, floor)
-        if closed or (
+        if b <= _BREAKDOWN * top or (
             res[-1] <= _TOP_TOL * top and below.size and res[below[-1]] <= LANCZOS_TOL * second
         ):
-            return alphas[: k + 1], betas[:k], S[:, -1], top, second, closed
+            return alphas[: k + 1], betas[:k], S[:, -1], top, second
         w /= b
         q_prev, q = q, w
     raise LanczosConvergenceError(
@@ -209,97 +208,81 @@ def _ritz_vector(gram, q, alphas, betas, s):
     return x / np.linalg.norm(x)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def _gram_top_two(B: sp.csr_matrix):
-    """The two largest eigenvalues of B^T B, counted with multiplicity, and
-    a zero-argument function returning the unit eigenvector of the largest,
-    by a two-pass Lanczos iteration on x -> B^T (B x) with no product or
+def _gram_top(B: sp.csr_matrix):
+    """The largest eigenvalue of B^T B and its unit eigenvector, by a
+    two-pass Lanczos iteration on x -> B^T (B x) with no product or
     transposed copy formed.
 
-    Pass 1 (:func:`_first_pass`) keeps alpha_k and beta_k and gives both
-    values; pass 2 (:func:`_ritz_vector`) replays them to sum the top Ritz
-    vector when the function is called, so only the current Lanczos
-    vectors are ever held, and the function holds B, the start vector and
-    pass 1's coefficients.  Where the Krylov space closes, as for B of rank
-    one or two identical live bonds, it holds one vector per eigenspace and
-    may miss a second copy of theta_1; the Ritz vector is then summed at
-    once, and pass 1 runs again from a fresh vector on the operator
-    projected off it, before and after each product, and its top value is
-    theta_2.  Both start vectors come from one generator seeded with
-    ``_LANCZOS_SEED``, so repeated runs are bit-identical.
+    Pass 1 (:func:`_first_pass`) keeps alpha_k and beta_k, and pass 2
+    (:func:`_ritz_vector`) replays them to sum the top Ritz vector, so only
+    the current Lanczos vectors are ever held.  The start vector comes from
+    a generator seeded with ``_LANCZOS_SEED``, so repeated runs are
+    bit-identical.
     """
     Bt = B.T
 
     def gram(q):
         return Bt @ (B @ q)
 
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    q0 = _unit(rng.standard_normal(B.shape[1]))
-    alphas, betas, s, theta1, theta2, closed = _first_pass(gram, q0)
-    if not closed:
-        return theta1, theta2, lambda: _ritz_vector(gram, q0, alphas, betas, s)
-    x = _ritz_vector(gram, q0, alphas, betas, s)
+    q0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(B.shape[1])
+    q0 /= np.linalg.norm(q0)
+    alphas, betas, s, theta1, _ = _first_pass(gram, q0)
+    return theta1, _ritz_vector(gram, q0, alphas, betas, s)
 
-    def deflated(q):
-        w = gram(q - np.dot(x, q) * x)
-        w -= np.dot(x, w) * x
-        return w
 
-    theta2 = _first_pass(deflated, _unit(rng.standard_normal(x.size)), theta1)[3]
-    return theta1, theta2, lambda: x
+def _single_particle_levels(couplings: BondCouplings) -> np.ndarray:
+    """Ascending eigenvalues of the L x L hopping matrix, zero on the
+    diagonal and |J_b| beside it.  On an open chain the signs of J_b are a
+    gauge, so +-J give the same floats."""
+    J = np.abs(couplings.J)
+    return scipy.linalg.eigvalsh_tridiagonal(np.zeros(J.size + 1), J)
 
 
 def _lanczos_lowest_two(H: SparseHamiltonian):
-    """Two lowest eigenpairs by a two-pass Lanczos iteration on B^T B.
+    """The lowest pair from the single-particle levels eps, and the ground
+    by a two-pass Lanczos iteration on B^T B.
 
-    Every hop moves one up spin between an even and an odd site, so it
-    flips the parity of the up spins on even sites.  Ordered by that
-    parity, H = [[0, B], [B^T, 0]] with B the hops from the smaller block
-    into the larger one, and the eigenvalues of H are +-sigma_i(B) plus
-    zeros: E0 = -sigma_1 and E1 = -sigma_2 (Golub & Kahan, SIAM J. Numer.
-    Anal. 2, 205 (1965)).  :func:`_gram_top_two` finds the two largest
-    eigenvalues of B^T B and the top eigenvector x on vectors of the
-    larger block's length; on these chains that converges in fewer steps
-    than the lowest pair of H, whose relative gap is about a quarter of
-    B^T B's.  sigma^2 is clipped at 0 before the root, since a zero singular
-    value may come back as a roundoff below 0.  The ground, returned as a
-    zero-argument function that runs pass 2 and the lift, is x on the
-    larger block and -B x / sigma_1 on the smaller one, over sqrt(2).  With
-    no hop stored (every coupling zero) H = 0, and E0 = E1 = 0 with the
-    first basis state.
+    With n up spins, E0 = eps_0 + ... + eps_{n-1}, and E1 moves the top
+    filled level to the lowest empty one: E0 + (eps_n - eps_{n-1}).  The
+    ground, returned as a zero-argument function, builds B and runs both
+    passes and the lift.  Every hop moves one up spin between an even and
+    an odd site, so it flips the parity of the up spins on even sites.
+    Ordered by that parity, H = [[0, B], [B^T, 0]] with B the hops from the
+    smaller block into the larger one, and the eigenvalues of H are
+    +-sigma_i(B) plus zeros, so E0 = -sigma_1 (Golub & Kahan, SIAM J.
+    Numer. Anal. 2, 205 (1965)).  :func:`_gram_top` finds sigma_1^2 and the
+    top eigenvector x of B^T B on vectors of the larger block's length; on
+    these chains that converges in fewer steps than the lowest pair of H,
+    whose relative gap is about a quarter of B^T B's.  The ground is x on
+    the larger block and -B x / sigma_1 on the smaller one, over sqrt(2).
     """
-    big, B = _sublattice_blocks(H)
-    if B.nnz == 0:
-        first = np.eye(1, H.dim).ravel()
-        return 0.0, 0.0, lambda: first
-    theta1, theta2, ritz = _gram_top_two(B)
-    sigma1, sigma2 = np.sqrt(np.clip([theta1, theta2], 0.0, None))
+    levels, n = _single_particle_levels(H.couplings), H.basis.n_up
+    E0 = float(levels[:n].sum())
 
     def ground():
-        x = ritz()
+        big, B = _sublattice_blocks(H)
+        theta1, x = _gram_top(B)
         vec = np.empty(big.size)
         vec[big] = x
-        vec[~big] = -(B @ x) / sigma1
+        vec[~big] = -(B @ x) / math.sqrt(theta1)
         return _phase_fixed(vec / np.sqrt(2.0))
 
-    return float(-sigma1), float(-sigma2), ground
+    return E0, E0 + float(levels[n] - levels[n - 1]), ground
 
 
 def lowest_two(H: SparseHamiltonian) -> SpectralPair:
     """Ground and first excited energies plus the ground vector.
 
     The sector size alone picks the route: a dense ``eigh`` below
-    ``DENSE_CUTOFF`` states, Lanczos on B^T B from there on.  The ground
+    ``DENSE_CUTOFF`` states; from there on, energies summed from the
+    single-particle levels and a ground by Lanczos on B^T B.  The ground
     vector's first amplitude of largest magnitude (to a relative 1e-8, so
     that ties of opposite sign are resolved by position, not by roundoff)
     is fixed real positive, which pins the sign of the otherwise arbitrary
     real phase; both routes therefore return the same vector.  The Lanczos
-    route sums the ground on the first read of ``ground`` (pass 2), so the
-    energies and the gap cost pass 1 alone, and an unread pair keeps B
-    alive; see :class:`SpectralPair`.
+    route solves for the ground on the first read of ``ground``, so the
+    energies and the gap cost one L x L tridiagonal eigenvalue problem, and
+    an unread pair holds only H; see :class:`SpectralPair`.
     Raises :class:`DegenerateGapError` when E1 - E0 is below
     ``DEGENERATE_GAP_FACTOR`` times the coupling scale, since every
     schedule downstream divides by the gap.

@@ -39,11 +39,13 @@ MAX_SITES = 63
 
 #: float64 vectors of the larger sublattice-parity block's length that the
 #: two-pass Lanczos of ``spectral.lowest_two`` holds at its peak, its
-#: temporaries included: 6.1 at (18, 9), 7.1 where the Krylov space closes
-#: and pass 1 runs again.  It sizes the capacity check of
-#: ``build_hamiltonian``.  B's build, before them, holds B with the parity
-#: masks, column ranks and row ordinals, and one block of rows, 1.18 times
-#: B and its mask at (22, 11); so B and these vectors set the solve's peak.
+#: temporaries included: 6.1 at (18, 9), 5.1 where the Krylov space closes.
+#: They are allocated on the first read of a Lanczos-route ground, so
+#: ``gap``, which reads none, allocates none of them; the capacity check of
+#: ``build_hamiltonian`` still counts them, as an upper bound.  B's build,
+#: on that read before them, holds B with the parity masks, column ranks
+#: and row ordinals, and one block of rows, 1.18 times B and its mask at
+#: (22, 11); so B and these vectors set the ground's peak.
 LANCZOS_VECTORS = 8
 
 #: Rows that :func:`_hop_pattern` counts and fills at a time.
@@ -323,10 +325,12 @@ def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHam
     Raises :class:`CapacityError`, before allocating, when the sector,
     the CSR and the Lanczos working set of ``spectral.lowest_two`` would
     together exceed physical memory.  The Lanczos route builds B, not the
-    CSR of H, so for a run that only solves the lowest pair this is an
-    upper bound.  In bytes: 8 per configuration; 12 per stored hop (at
-    most 2 dim n(L-n)/L of them: dim times the mean count of antiparallel
-    bonds) and 4 per row pointer; half the hops again, plus a row pointer
+    CSR of H, and only on the first read of the ground, so for a run that
+    solves the lowest pair this is an upper bound; a run that reads only
+    the energies (``gap``) allocates neither B nor the Lanczos share.  In
+    bytes: 8 per configuration; 12 per stored hop (at most 2 dim n(L-n)/L
+    of them: dim times the mean count of antiparallel bonds) and 4 per
+    row pointer; half the hops again, plus a row pointer
     per state of the smaller sublattice-parity block, for the block B of
     ``spectral``, filled in place; 6 per configuration for the parity
     masks and the column ranks; ``LANCZOS_VECTORS`` float64 vectors of

@@ -71,9 +71,9 @@ def test_gap_rejects_gapless_sector(capsys):
 
 def test_gap_lanczos_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 5)
-    # dim 12870 goes through Lanczos, and five steps cannot converge two
-    # pairs there (nor at L = 12 or 14)
-    assert run(["gap", "--L", "16"]) == 1
+    # the ground of dim 3432 is solved by Lanczos on its first read, and
+    # five steps cannot converge two pairs there (nor at L = 12 or 16)
+    assert run(["scan", "--L", "14", "--initial", "ground", "--points", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: Lanczos did not converge")
     assert captured.out == ""

@@ -204,43 +204,30 @@ def test_lanczos_route_repeats_bit_for_bit(L, n, bond):
         assert np.array_equal(again[2](), vec)
 
 
-def test_lanczos_route_clips_negative_sigma_squared(monkeypatch):
-    # a zero singular value may come back as a roundoff below 0; the
-    # route takes it as 0 instead of a nan root
-    top_two = spectral._gram_top_two
-
-    def second_below_zero(B):
-        theta1, _, ritz = top_two(B)
-        return theta1, -1e-17, ritz
-
-    monkeypatch.setattr(spectral, "_gram_top_two", second_below_zero)
-    E0, E1, _ = lanczos_route(live_bond_chain(6, 1, 4))
-    assert (E0, E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
-    assert E1 == 0.0
-
-
-def counted_ritz_replays(monkeypatch):
-    """A list that gains one entry per pass 2 (Ritz vector replay)."""
-    ritz, replays = spectral._ritz_vector, []
+def counted_calls(monkeypatch, name):
+    """A list that gains one entry per call of ``spectral.<name>``."""
+    fn, calls = getattr(spectral, name), []
 
     def counted(*args):
-        replays.append(1)
-        return ritz(*args)
+        calls.append(1)
+        return fn(*args)
 
-    monkeypatch.setattr(spectral, "_ritz_vector", counted)
-    return replays
+    monkeypatch.setattr(spectral, name, counted)
+    return calls
 
 
 def test_gap_makes_no_ritz_replay(monkeypatch, capsys):
-    # dim 3432 takes the Lanczos route, and gap reads no ground
-    replays = counted_ritz_replays(monkeypatch)
+    # dim 3432 takes the Lanczos route, and gap reads no ground: its
+    # energies come from the levels, so it builds no B and runs no pass
+    calls = {name: counted_calls(monkeypatch, name)
+             for name in ("_sublattice_blocks", "_first_pass", "_ritz_vector")}
     assert cli.main(["gap", "--L", "14"]) == 0
     assert "gap = " in capsys.readouterr().out
-    assert replays == []
+    assert calls == {name: [] for name in calls}
 
 
 def test_ground_is_summed_on_the_first_read_only(monkeypatch):
-    replays = counted_ritz_replays(monkeypatch)
+    replays = counted_calls(monkeypatch, "_ritz_vector")
     pair = lowest_two(uniform_chain(14, 7))
     assert replays == []
     ground = pair.ground
@@ -249,18 +236,60 @@ def test_ground_is_summed_on_the_first_read_only(monkeypatch):
     assert len(replays) == 1
 
 
-@pytest.mark.xfail(strict=True, reason="one start vector's Krylov space misses the tied "
-                   "copy of E0; the deflated pass that finds it is ROADMAP item 10")
 def test_cut_chain_is_a_degenerate_gap():
     # the middle bond cut leaves two 7-site chains sharing 7 up spins, and
     # the 3 + 4 and 4 + 3 splits tie: eigvalsh gives E0 = E1 = -8.0546789843,
-    # where lowest_two returns E1 - E0 = 0.765
+    # and the levels hold the two chains' zero modes at once
     J = np.ones(13)
     J[6] = 0.0
     H = build_hamiltonian(enumerate_sector(14, 7), BondCouplings(J))
     assert H.dim >= spectral.DENSE_CUTOFF
     with pytest.raises(DegenerateGapError):
         lowest_two(H)
+
+
+def cut_random_couplings(L, seed):
+    # magnitudes in [0.5, 1.5], random signs, and each bond cut with
+    # probability 1/4; odd segments hold zero modes, so some grounds tie
+    rng = np.random.default_rng(seed)
+    J = rng.uniform(0.5, 1.5, L - 1) * rng.choice([-1.0, 1.0], L - 1)
+    J[rng.random(L - 1) < 0.25] = 0.0
+    return BondCouplings(J)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "random"])
+def test_lanczos_route_energies_match_eigvalsh(monkeypatch, kind):
+    # the route's energies are sums of single-particle levels; here they
+    # meet the many-body spectrum of the assembled H in every sector with
+    # L <= 12 and dim >= 2, tied grounds included
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 2)
+    ties = 0
+    for L in range(2, 13):
+        couplings = (BondCouplings.uniform(L) if kind == "uniform"
+                     else cut_random_couplings(L, 3000 + L))
+        for n in range(1, L):
+            H = build_hamiltonian(enumerate_sector(L, n), couplings)
+            E0, E1 = np.linalg.eigvalsh(H.matrix.toarray())[:2]
+            if E1 - E0 < 1e-8 * couplings.scale:
+                ties += 1
+                with pytest.raises(DegenerateGapError):
+                    lowest_two(H)
+                continue
+            pair = lowest_two(H)
+            assert (pair.E0, pair.E1) == pytest.approx((E0, E1), abs=1e-11), (L, n)
+    assert ties == 0 if kind == "uniform" else ties > 0
+
+
+@pytest.mark.parametrize("L", [16, 18])
+def test_first_pass_values_match_the_levels(L):
+    # pass 1's top two Ritz values of B^T B are sigma_1^2 and sigma_2^2,
+    # and -sigma_1, -sigma_2 are the lowest pair the levels give
+    H = uniform_chain(L, L // 2)
+    _, B = spectral._sublattice_blocks(H)
+    q = np.random.default_rng(1).standard_normal(B.shape[1])
+    theta1, theta2 = spectral._first_pass(lambda v: B.T @ (B @ v), q / np.linalg.norm(q))[3:]
+    pair = lowest_two(H)
+    assert (-math.sqrt(theta1), -math.sqrt(theta2)) == pytest.approx((pair.E0, pair.E1), abs=1e-10)
 
 
 def free_fermion_pair(L, n):
@@ -374,14 +403,16 @@ def test_lanczos_route_never_assembles_H(monkeypatch):
     monkeypatch.setattr(spectral, "_hop_pattern", rows_only)
     pair = lowest_two(build_hamiltonian(enumerate_sector(16, 8), BondCouplings.uniform(16)))
     assert pair.E0 == pytest.approx(oracles.sector_ground_energy(16, 8), abs=1e-9)
+    assert pair.ground.norm() == pytest.approx(1.0, abs=1e-12)  # B is built on this read
 
 
 def test_lowest_two_lanczos_budget_failure_is_typed(monkeypatch):
-    # five steps cannot converge two pairs at this size, nor at L = 12 or 14
+    # five steps cannot converge two pairs at this size, nor at L = 12 or
+    # 14; the passes run on the first read of the ground
     monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 5)
-    H = uniform_chain(16, 8)  # dim 12870, above the dense cutoff
+    pair = lowest_two(uniform_chain(16, 8))  # dim 12870, above the dense cutoff
     with pytest.raises(LanczosConvergenceError, match="did not converge") as info:
-        lowest_two(H)
+        pair.ground
     assert isinstance(info.value, SimulationError)
 
 
