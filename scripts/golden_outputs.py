@@ -69,6 +69,8 @@ INVOCATIONS = {
         "fuse --L-final 16 --L-base 2 --method adiabatic --target 1e-3 --level-policy budget "
         "--t-cap 16",
         "fuse --L-final 64 --L-base 64",
+        # the dimension cap, the one size refusal gap keeps: C(28, 14) > 2^24
+        "gap --L 28",
     ],
     # configuration errors
     2: [

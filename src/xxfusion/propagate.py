@@ -3,96 +3,71 @@
 ``expmv`` applies exp(-i H t) of one fixed H, as in the rodeo cycles,
 and the ramp applies the midpoint steps of H(lambda).  Both run on one
 Krylov operator, :class:`_Operator`: the doubled CSR of H on the hop
-pattern of its couplings, the entries of the ramped bond that each step
-refills, a workspace and a stop hint.  It is built once per sector,
-couplings, ramped bond (none for ``expmv``) and subspace, and kept on the
-sector.  ``expmv`` takes it from ``DENSE_CUTOFF`` states on; below, it
-applies H's cached dense eigendecomposition.  Each runs in the chain's
-symmetric subspace under the same condition: palindromic couplings and
-an input within ``tol`` of its even part, as the product of two
-identical halves and every ramp and rodeo survivor of it are.
+pattern of its couplings, the ramped bond's entries, which each ramp
+step rewrites in place, a workspace and a stop hint.  It is built once
+per sector, couplings, ramped bond (none for ``expmv``) and subspace, and
+kept on the sector; before it builds anything it prices its whole build
+(:func:`_price_operator`) and raises CapacityError if that exceeds
+physical memory.  ``expmv`` takes it from ``DENSE_CUTOFF`` states on;
+below, it applies H's cached dense eigendecomposition.
 
 The Krylov substep runs a real Lanczos iteration on the state stored as
 a (2, n) block [Re; Im].  H is real symmetric, so every Lanczos vector
 p_k(H) v is built by a real polynomial p_k, and the Hermitian inner
 products <p_j(H) v, H p_k(H) v> are real (Hochbruck & Lubich, SIAM J.
-Numer. Anal. 34, 1911 (1997)).  The complex iteration therefore equals
-the real one on R^{2n} with H acting on Re and Im alike: one product of
-the real CSR block_diag(H, H), row sum for row sum the two products of H,
-with no complex upcast; only exp(-i T t) e1 of the real tridiagonal T is
-complex, and the result is recombined from Re(u) and Im(u) applied to
-the basis.
-
-The iteration is the three-term recurrence with local orthogonalization
-only, as in Expokit's DSEXPV (Sidje, ACM TOMS 24, 130 (1998)): each new
-vector is orthogonalized against the two before it and the basis is
-never reorthogonalized.  Its loss of global orthogonality does not spoil
-exp(-iHt)v, whose finite-precision error stays at the size the exact
-recurrence would give (Druskin, Greenbaum & Knizhnerman, SIAM J. Sci.
-Comput. 19, 38 (1998)); the a posteriori estimate beta0 * b * |t| *
-|u_m| still decides when a substep is done; u itself is formed only then.
-Each estimate costs a dstevd of T, so estimates start one iteration
-before the previous substep's stop (carried through a propagation, a
-ramp, and the ``expmv`` calls on one operator); if the first passes, the stored
+Numer. Anal. 34, 1911 (1997)): the complex iteration is the real one on
+R^{2n}, one product of the real CSR block_diag(H, H) a step with no
+complex upcast; only exp(-i T t) e1 of the real tridiagonal T is complex.
+The recurrence orthogonalizes each vector against the two before it
+only, as in Expokit's DSEXPV (Sidje, ACM TOMS 24, 130 (1998)); the loss
+of global orthogonality does not spoil exp(-iHt)v (Druskin, Greenbaum &
+Knizhnerman, SIAM J. Sci. Comput. 19, 38 (1998)), and the a posteriori
+estimate beta0 * b * |t| * |u_m| decides when a substep is done.  Each
+estimate costs a dstevd of T, so estimates start one iteration before
+the previous substep's stop (carried through a propagation, a ramp, and
+the ``expmv`` calls on one operator); if the first passes, the stored
 iterations are walked back until one fails, giving the every-iteration
-stop when estimates fall monotonically.  A workspace larger than physical
-memory is refused with CapacityError before it is allocated.
-
-The adiabatic ramp integrates a piecewise-constant midpoint Hamiltonian
-that changes every step, so in every sector each step is one Krylov
-propagation on the operator's doubled CSR with its ramped entries
-rewritten in place, all steps sharing one basis workspace.
+stop when estimates fall monotonically.
 
 Both evolutions run in the chain's symmetric subspace whenever their
-inputs allow (Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  With palindromic
-base couplings, H(lambda) = H_base + lambda H_bond commutes at every
-lambda with reflection of the chain, i <-> L-1-i (the middle bond maps
-to itself), and at half filling also with the global spin flip; the
-product of two identical halves is even under both.  When v0 lies
-within the ramp's ``tol`` of its even part, the ramp integrates
-P^T H(lambda) P on P^T v0 and lifts the result back as P x, with P the
-isometry :attr:`SectorBasis.symmetric_isometry` (one column per orbit:
-its indicator over sqrt(|orbit|)).  That subspace is about half the
-sector, a quarter at half filling (12,870 -> 3,299 at L=16), and a step
-costs in proportion to its dimension.  Otherwise P is the identity and
-the arithmetic is the full sector's, bit for bit.  One gate,
-:func:`_symmetric_reduction`, decides the subspace for the ramp and for
-``expmv`` alike.
+inputs allow (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), under one gate,
+:func:`_symmetric_reduction`.  With palindromic base couplings, H(lambda)
+= H_base + lambda H_bond commutes at every lambda with reflection of the
+chain, i <-> L-1-i, and at half filling also with the global spin flip;
+the product of two identical halves, and every ramp and rodeo survivor
+of it, is even under both.  Within ``tol`` of its even part, an input v
+is propagated as P^T v under P^T H(lambda) P and lifted back as P x, with
+P the isometry :attr:`SectorBasis.symmetric_isometry`.  That subspace is
+about half the sector, a quarter at half filling (12,870 -> 3,299 at
+L=16), and a step costs in proportion to its dimension.  Otherwise the
+arithmetic is the full sector's, bit for bit.
 
 The norm bound sets the substep count, so each caller keeps its own:
 swapping either one moves output bytes.  ``expmv`` passes the full H's
 ||H||_inf, recorded by its operator before compression, which bounds a
-reduced propagation too, since ||P^T H P||_2 <= ||H||_2 <= ||H||_inf,
-so a reduced ``expmv`` takes the substeps of the full sector; the
-reduced matrix's own bound would differ
-(12.83 against 12 at (L, n) = (14, 6), the sector of the benchmark's
-energy scan).  The ramp has no full H at its lambda, so each step passes
-what :meth:`_Operator.set` returns, ||P^T H_base P||_inf + |lambda|
-||P^T H_bond P||_inf of the matrix the step runs on; at lambda = 1 that
-is 7.657 for the reduced ramp against 7.0 in the full sector at (8, 4),
-and 9.828 against 9.0 at (16, 4).
+reduced propagation too (||P^T H P||_2 <= ||H||_2 <= ||H||_inf); the
+reduced matrix's own bound would differ (12.83 against 12 at (L, n) =
+(14, 6), the sector of the benchmark's energy scan).  The ramp has no
+full H at its lambda, so each step passes what :meth:`_Operator.set`
+returns, ||P^T H_base P||_inf + |lambda| ||P^T H_bond P||_inf; at
+lambda = 1 that is 7.657 for the reduced ramp against 7.0 in the full
+sector at (8, 4), and 9.828 against 9.0 at (16, 4).
 
-The step count is doubled until the measured infidelity stabilizes.  A
-:class:`RampContext` holds the search settings (T_start, T_cap,
-bisections, Krylov tol) and every ramp integrated for it, keyed by
-(T_A, steps), so probes of any search on it, at any step tolerance or
-target, integrate no ramp twice.  A search returns the first duration
-on the doubling grid T_start * 2^k that meets the target, refined by
-bisection between it and the last miss.  The infidelity is not
-monotone in T_A, so that need not be the shortest duration meeting the
-target: at L=16, half filling and target 1e-4 the continuous ramp first
-crosses it at T_A = 54, and the search returns 72.
-
-A search probe stops doubling early once it is certain to miss the
-target: the midpoint ramp's error is O(ds^2), so after a doubling pair
-whose infidelities differ by Delta the drift still to come is about
-Delta/3 (Richardson), and a probe with f(2N) - Delta above the target
-misses it with a threefold margin on that drift (over the doubling
-pairs of the benchmark's fusion-costs runs the drift was at most
-0.335 Delta, and every sequence rose with N).  Probes that reach the
-target, and every probe of a search that fails, are converged in full,
-so the search returns and reports what it would with every probe
-converged.
+A ramp's step count is doubled until its infidelity stabilizes, and a
+search (:func:`ramp_time_for_infidelity`) returns the first duration on
+a doubling grid that meets the target, refined by bisection.  The
+infidelity is not monotone in T_A, so that need not be the shortest
+duration meeting the target: at L=16, half filling and target 1e-4 the
+continuous ramp first crosses it at T_A = 54, and the search returns 72.
+A probe stops doubling early once it is certain to miss the target: the
+midpoint ramp's error is O(ds^2), so after a doubling pair whose
+infidelities differ by Delta the drift still to come is about Delta/3
+(Richardson), and a probe with f(2N) - Delta above the target misses it
+with a threefold margin on that drift (over the doubling pairs of the
+benchmark's fusion-costs runs the drift was at most 0.335 Delta, and
+every sequence rose with N).  Probes that reach the target, and every
+probe of a search that fails, are converged in full, so the search
+returns and reports what it would with every probe converged.
 """
 
 from __future__ import annotations
@@ -111,7 +86,9 @@ from .spin_model import (
     SparseHamiltonian,
     StateVector,
     _hop_pattern,
-    _require_memory,
+    _max_hops,
+    _pattern_bytes,
+    _require_sector_memory,
     middle_bond,
 )
 
@@ -262,18 +239,19 @@ class _Operator:
     product.  With P = None a refill writes 0 + lambda * 1 = lambda.
 
     ``norm_inf``, ``expmv``'s norm bound, is the full sector's
-    ||H(couplings)||_inf.  Refuses with :class:`CapacityError`, before
-    allocating, a Krylov workspace larger than physical memory.  ``k_stop``
-    is the stop of the last substep, carried from call to call; it only decides where error
-    estimates start, and the walk-back keeps the stop where it would be.
+    ||H(couplings)||_inf.  The build is priced first (:func:`_price_operator`).
+    ``k_stop`` is the stop of the last substep, carried from call to call;
+    it only decides where error estimates start, and the walk-back keeps
+    the stop where it would be.
     """
 
     def __init__(self, basis: SectorBasis, couplings: BondCouplings, bond: int | None, P):
+        n = basis.dim if P is None else P.shape[1]
+        _price_operator(basis, n)
         weights = couplings.J.astype(np.complex128)
         if bond is not None:
             weights.imag[bond] = 1.0
-        indptr, indices, data = _hop_pattern(basis, weights)
-        mat = sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
+        mat = sp.csr_matrix(_hop_pattern(basis, weights)[::-1], shape=(basis.dim, basis.dim))
         # ||.||_inf, the max absolute row sum, formed as scipy's sparse norm(., inf) does
         self.norm_inf = abs(mat.real).sum(axis=1).max()
         if P is not None:
@@ -283,13 +261,6 @@ class _Operator:
         self.P = P
         self.nb = abs(mat).sum(axis=1).max()
         self.nu = abs(sp.csr_matrix((coef, mat.indices, mat.indptr), mat.shape)).sum(axis=1).max()
-        n = mat.shape[0]
-        _require_memory(
-            (MAX_KRYLOV + 1) * 2 * n * 8,
-            "Krylov workspace of {need} GiB at dimension {n} "
-            "exceeds the {have} GiB of physical memory",
-            n=n,
-        )
         self.mat2 = _doubled(mat)
         self.V = np.empty((MAX_KRYLOV + 1, 2 * n))
         self.k_stop = 0
@@ -312,13 +283,48 @@ class _Operator:
         return amps if self.P is None else self.P @ amps
 
 
+def _orbit_count(basis: SectorBasis) -> int:
+    """Columns of ``basis.symmetric_isometry``, by Burnside's lemma: the
+    mean over the symmetry group of the configurations each one fixes."""
+    L, n = basis.L, basis.n_up
+    fixed = [basis.dim, math.comb(L // 2, n // 2) if L % 2 or n % 2 == 0 else 0]  # palindromes
+    if 2 * n == L:
+        fixed += [0, 2 ** (L // 2)]  # spin flip; with reflection, one up spin per mirror pair
+    return sum(fixed) // len(fixed)
+
+
+def _price_operator(basis: SectorBasis, n: int, isometry: int = 0) -> None:
+    """Refuse an :class:`_Operator` of dimension n on ``basis`` whose build,
+    with ``isometry`` bytes for building P first, would exceed physical
+    memory.  Beside the configurations and P, the build holds the complex
+    hop pattern and its norm's copies; then the compression (n < dim), 64
+    bytes a hop; then the workspace, (``MAX_KRYLOV`` + 1) 2n float64, with
+    the doubled CSR and the arrays that make it, 72 bytes a hop of
+    P^T H P, whose rows hold at most one configuration's hops."""
+    dim, L, n_up, hops = basis.dim, basis.L, basis.n_up, _max_hops(basis)
+    P = vars(basis).get("symmetric_isometry")  # None until first built
+    if P is not None:
+        isometry = P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
+    compressed = min(hops, n * min(L - 1, 2 * n_up, 2 * (L - n_up)))
+    need = 8 * dim + isometry + max(
+        sum(_pattern_bytes(dim, hops, 16)) + 16 * hops + 16 * dim,
+        64 * hops + 8 * dim if n < dim else 0,
+        (16 * (MAX_KRYLOV + 1) + 12) * n + 72 * compressed,
+    )
+    _require_sector_memory(basis, need, "a Krylov operator")
+
+
 def _symmetric_reduction(basis: SectorBasis, couplings: BondCouplings, v: StateVector, tol: float):
     """(P, P^T v) when v can be propagated in the symmetric subspace, else
     None: the couplings are palindromic, so H commutes with the chain's
     symmetries (for a ramp's base couplings, H(lambda) at every lambda), and
-    v lies within ``tol`` |v| of its even part P P^T v."""
+    v lies within ``tol`` |v| of its even part P P^T v.  P's first build,
+    64 bytes a configuration, is priced with the operator that an even v
+    then takes."""
     if not np.array_equal(couplings.J, couplings.J[::-1]):
         return None
+    if "symmetric_isometry" not in vars(basis):
+        _price_operator(basis, _orbit_count(basis), isometry=64 * basis.dim)
     P = basis.symmetric_isometry
     x = P.T @ v.amps
     if np.linalg.norm(v.amps - P @ x) > tol * np.linalg.norm(v.amps):
@@ -344,16 +350,13 @@ def expmv(H: SparseHamiltonian, t: float, v: StateVector, tol: float = 1e-10) ->
 
     The sector size alone picks the route: below ``DENSE_CUTOFF`` states
     the cached dense eigendecomposition of H, from there on the Krylov
-    operator of H's sector and couplings (see the module notes).  When
-    H's couplings are palindromic and v lies within ``tol`` |v| of its
-    even part, the Krylov route propagates P^T H P on P^T v in the
-    symmetric subspace and lifts the result back as P x; otherwise it
-    runs in the full sector.  Its norm bound is the full sector's
+    operator of H's sector and couplings, in the symmetric subspace when
+    the module notes' gate allows.  Its norm bound is the full sector's
     ||H||_inf either way, kept on the operator, so ``H.matrix`` is never
     built.  The operator is kept on the sector across calls, so repeated
     calls rebuild nothing and start their error estimates near the last
-    stop; a workspace larger than physical memory raises
-    :class:`CapacityError` before it is allocated.
+    stop; an operator that would not fit in physical memory raises
+    :class:`CapacityError` before any of it is allocated.
     """
     if not H.basis.same_sector(v.basis) or H.dim != v.basis.dim:
         raise ValueError("state and Hamiltonian live in different sectors")
@@ -380,13 +383,12 @@ def adiabatic_ramp(
     T_A/steps under H(base) + lambda(s_mid) H(bond) with lambda evaluated
     at the step midpoint.  Every step, in every sector, is a Krylov
     propagation to ``tol / steps`` (``tol`` in (0, 1)) on one doubled CSR
-    with lambda set in place; no dense eigensolver is called.  When ``base`` is
-    palindromic and v0 is within ``tol`` of its even part, the ramp runs
-    on P^T v0 in the symmetric subspace (see the module notes) and the
-    state is lifted back as P x; otherwise it runs in the full sector.
-    Each step's norm bound is that of the matrix it runs on.  The
-    operator is built once per sector, couplings and subspace, and kept
-    on ``basis``.  Norm is preserved to integrator precision.
+    with lambda set in place; no dense eigensolver is called.  It runs
+    in the symmetric subspace when the module notes' gate allows, and
+    each step's norm bound is that of the matrix it runs on.  The
+    operator is built once per sector, couplings and subspace, priced as
+    in ``expmv``, and kept on ``basis``.  Norm is preserved to integrator
+    precision.
     """
     check_expmv_tol(tol)
     if base.n_sites != basis.L:

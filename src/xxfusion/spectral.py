@@ -5,17 +5,12 @@ energies come from the single-particle levels: every Hamiltonian here is
 an open XX chain, which is free fermions (Lieb, Schultz & Mattis, Ann.
 Phys. 16, 407 (1961)), so a sector's E0 and E1 are sums of its lowest
 levels, the eigenvalues of an L x L tridiagonal matrix.  The ground is
-solved for only on the first read of ``SpectralPair.ground``, so an unread
-pair holds H alone.  That read uses the chain's bipartite structure: every
-hop flips the parity of the up spins on even sites, so in the basis split
-by that parity H = [[0, B], [B^T, 0]] and the ground of H comes from the
-top singular pair of B.  B is built straight from the hop pattern of the
-smaller parity block's rows, so this route never forms the CSR of H.  A
-two-pass Lanczos iteration without reorthogonalization finds the top
-eigenvector of B^T B on the larger parity block: pass 1 keeps only the
-recurrence coefficients, pass 2 replays them to sum the Ritz vector, so
-the solver holds a handful of vectors of the block's length however many
-steps it takes.  The start vector comes from a fixed-seed generator.
+solved for only on the first read of ``SpectralPair.ground``, by a
+two-pass Lanczos iteration on B^T B, with B the hops between the chain's
+two sublattice-parity blocks (see :func:`_lanczos_lowest_two`), so an
+unread pair holds H alone.  This module owns that layout, so the read
+prices it (:func:`_ground_need`) and raises CapacityError, before it
+allocates anything, if it would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -34,6 +29,9 @@ from .spin_model import (
     SparseHamiltonian,
     StateVector,
     _hop_pattern,
+    _max_hops,
+    _pattern_bytes,
+    _require_sector_memory,
     build_hamiltonian,
     enumerate_sector,
 )
@@ -60,6 +58,11 @@ _BREAKDOWN = 1e-12
 #: pass 1 takes at most 59 on the sectors of L <= 14 with random couplings
 #: and 51 at (22, 11).
 LANCZOS_MAX_STEPS = 500
+
+#: float64 vectors of the larger sublattice-parity block's length that the
+#: two Lanczos passes hold at their peak, their temporaries included: 6.1
+#: at (18, 9), 5.1 where the Krylov space closes.
+LANCZOS_VECTORS = 8
 
 #: Gaps below this multiple of the coupling scale are treated as degenerate.
 DEGENERATE_GAP_FACTOR = 1e-10
@@ -125,6 +128,21 @@ def _sublattice_blocks(H: SparseHamiltonian):
     indptr, indices, data = _hop_pattern(H.basis, H.couplings.J, np.flatnonzero(~big), rank)
     B = sp.csr_matrix((data, indices, indptr), shape=(dim - m, m))
     return big, B
+
+
+def _ground_need(basis) -> int:
+    """Bytes a Lanczos-route ground read holds at its peak, configurations
+    included: B (half the hops) and the larger block's mask, beside B's
+    build (work arrays, column ranks, the smaller block's row ordinals),
+    the passes (``LANCZOS_VECTORS`` vectors of the larger block's length
+    m), or the lift (x; the ground, its scaled copy, their magnitudes and
+    the phase-fixed copy)."""
+    L, n, dim = basis.L, basis.n_up, basis.dim
+    evens = (L + 1) // 2
+    odd = sum(math.comb(evens, k) * math.comb(L - evens, n - k) for k in range(1, n + 1, 2))
+    small, m = min(odd, dim - odd), max(odd, dim - odd)
+    B, work = _pattern_bytes(small, _max_hops(basis) // 2, 8)
+    return 9 * dim + B + max(work + 5 * dim + 8 * small, 8 * LANCZOS_VECTORS * m, 8 * m + 34 * dim)
 
 
 def _tridiag_eig(alphas, betas):
@@ -260,6 +278,7 @@ def _lanczos_lowest_two(H: SparseHamiltonian):
     E0 = float(levels[:n].sum())
 
     def ground():
+        _require_sector_memory(H.basis, _ground_need(H.basis), "the Lanczos ground")
         big, B = _sublattice_blocks(H)
         theta1, x = _gram_top(B)
         vec = np.empty(big.size)

@@ -37,17 +37,6 @@ MAX_SECTOR_DIM = 1 << 24
 #: Longest chain whose configurations fit a signed 64-bit integer.
 MAX_SITES = 63
 
-#: float64 vectors of the larger sublattice-parity block's length that the
-#: two-pass Lanczos of ``spectral.lowest_two`` holds at its peak, its
-#: temporaries included: 6.1 at (18, 9), 5.1 where the Krylov space closes.
-#: They are allocated on the first read of a Lanczos-route ground, so
-#: ``gap``, which reads none, allocates none of them; the capacity check of
-#: ``build_hamiltonian`` still counts them, as an upper bound.  B's build,
-#: on that read before them, holds B with the parity masks, column ranks
-#: and row ordinals, and one block of rows, 1.18 times B and its mask at
-#: (22, 11); so B and these vectors set the ground's peak.
-LANCZOS_VECTORS = 8
-
 #: Rows that :func:`_hop_pattern` counts and fills at a time.
 HOP_BLOCK_ROWS = 1 << 15
 
@@ -71,6 +60,12 @@ def _require_memory(need: int, message: str, **fields) -> None:
         raise CapacityError(
             message.format(need=f"{need / 2**30:.3g}", have=f"{have / 2**30:.3g}", **fields)
         )
+
+
+def _require_sector_memory(basis, need: int, what: str) -> None:
+    """:func:`_require_memory` for ``what``, built on ``basis``'s sector."""
+    _require_memory(need, f"{what} of sector (L={basis.L}, n_up={basis.n_up}) needs "
+                    "{need} GiB, which exceeds the {have} GiB of physical memory")
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,9 +227,10 @@ class SparseHamiltonian:
 
     H = sum_b J[b] (S+_b S-_{b+1} + S-_b S+_{b+1}); diagonal is zero and
     every matrix element is real, so the eigenbasis can be chosen real.
-    The Lanczos route of ``spectral.lowest_two`` never reads ``matrix``:
-    it builds its hop block B from the pattern of :func:`_hop_pattern`.
-    The Krylov operators of ``propagate.expmv`` are kept on the sector.
+    From ``spectral.DENSE_CUTOFF`` on, ``lowest_two`` never reads ``matrix``:
+    it builds what it needs from the pattern of :func:`_hop_pattern`, as
+    do the Krylov operators of ``propagate.expmv``, kept on the sector.
+    Each of these prices its own working set before building it.
     """
 
     basis: SectorBasis
@@ -246,14 +242,33 @@ class SparseHamiltonian:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """CSR of H on the canonical hop pattern; zero bonds store nothing."""
-        indptr, indices, data = _hop_pattern(self.basis, self.couplings.J)
+        """CSR of H on the canonical hop pattern; zero bonds store nothing.
+        Priced with the configurations before it is built."""
+        basis = self.basis
+        need = 8 * basis.dim + sum(_pattern_bytes(basis.dim, _max_hops(basis), 8))
+        _require_sector_memory(basis, need, "the CSR of H")
+        indptr, indices, data = _hop_pattern(basis, self.couplings.J)
         return sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
 
     @cached_property
     def dense_eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Full eigendecomposition (w, U); intended for small dims."""
         return np.linalg.eigh(self.matrix.toarray())
+
+
+def _max_hops(basis: SectorBasis) -> int:
+    """Most hops a sector's Hamiltonian stores: 2 dim n (L - n) / L, dim
+    times the mean count of antiparallel bonds; exact with every bond
+    live."""
+    return 2 * basis.dim * basis.n_up * (basis.L - basis.n_up) // basis.L
+
+
+def _pattern_bytes(rows: int, hops: int, itemsize: int) -> tuple[int, int]:
+    """Bytes of the CSR arrays that :func:`_hop_pattern` returns for
+    ``rows`` rows and at most ``hops`` hops of ``itemsize``-byte weights
+    (4 per column index and row pointer), and of the work arrays, about 72
+    bytes a row, of the one block of rows it holds beside them while filling."""
+    return (4 + itemsize) * hops + 4 * (rows + 1), 72 * min(rows, HOP_BLOCK_ROWS)
 
 
 def _hop_pattern(basis: SectorBasis, weights, rows=None, columns=None) -> tuple:
@@ -320,49 +335,13 @@ def build_hamiltonian(basis: SectorBasis, couplings: BondCouplings) -> SparseHam
     A bond b contributes J[b] between configurations that differ by one
     exchange of antiparallel neighbors across that bond; magnetization is
     conserved, so the sector closes under all hops.  Zero bonds store
-    nothing.
-
-    Raises :class:`CapacityError`, before allocating, when the sector,
-    the CSR and the Lanczos working set of ``spectral.lowest_two`` would
-    together exceed physical memory.  The Lanczos route builds B, not the
-    CSR of H, and only on the first read of the ground, so for a run that
-    solves the lowest pair this is an upper bound; a run that reads only
-    the energies (``gap``) allocates neither B nor the Lanczos share.  In
-    bytes: 8 per configuration; 12 per stored hop (at most 2 dim n(L-n)/L
-    of them: dim times the mean count of antiparallel bonds) and 4 per
-    row pointer; half the hops again, plus a row pointer
-    per state of the smaller sublattice-parity block, for the block B of
-    ``spectral``, filled in place; 6 per configuration for the parity
-    masks and the column ranks; ``LANCZOS_VECTORS`` float64 vectors of
-    the larger block's length m for the Lanczos passes (the start vector,
-    the last two Lanczos vectors, the next one and its intermediate on
-    the smaller block, the Ritz vector being summed, and the temporaries
-    of the recurrence); and 24 per configuration for the lifted ground,
-    real and then complex.  B's build also holds the smaller block's row
-    ordinals (8 per state) and the work arrays of one block of
-    ``HOP_BLOCK_ROWS`` rows (about 70 bytes a row); the CSR of H, which
-    that route never builds, covers both.
+    nothing.  It allocates nothing sector-sized, so it prices nothing;
+    see :class:`SparseHamiltonian`.
     """
     if couplings.n_sites != basis.L:
         raise ValueError(
             f"couplings are for {couplings.n_sites} sites, basis has {basis.L}"
         )
-    L, n, dim = basis.L, basis.n_up, basis.dim
-    evens = (L + 1) // 2
-    odd = sum(math.comb(evens, k) * math.comb(L - evens, n - k) for k in range(1, n + 1, 2))
-    m = max(odd, dim - odd)  # states in the larger sublattice-parity block
-    nnz = 2 * dim * n * (L - n) // L
-    need = (
-        8 * dim + 12 * nnz + 4 * (dim + 1)
-        + 6 * nnz + 4 * (dim - m + 1) + 6 * dim
-        + 8 * LANCZOS_VECTORS * m + 24 * dim
-    )
-    _require_memory(
-        need,
-        "sector (L={L}, n_up={n}) needs {need} GiB for its Hamiltonian and "
-        "Lanczos vectors, more than the {have} GiB of physical memory",
-        L=L, n=n,
-    )
     return SparseHamiltonian(basis, couplings)
 
 

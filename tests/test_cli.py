@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import oracles
 import xxfusion.propagate as propagate
 import xxfusion.spectral as spectral
-from xxfusion import cli
+import xxfusion.spin_model as spin_model
+from xxfusion import BondCouplings, CapacityError, build_hamiltonian, cli, enumerate_sector
 
 
 def run(argv):
@@ -77,6 +78,26 @@ def test_gap_lanczos_failure_exits_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: Lanczos did not converge")
     assert captured.out == ""
+
+
+def test_gap_is_not_refused_for_memory_it_never_allocates(monkeypatch, capsys):
+    # gap --L 22 holds the 705,432 configurations and its levels, well
+    # inside 32 MiB; the ground it never reads would need B and the
+    # Lanczos passes, and only that read is refused
+    assert run(["gap", "--L", "22"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(spin_model, "_physical_memory", lambda: 32 * 2**20)
+    assert run(["gap", "--L", "22"]) == 0
+    assert capsys.readouterr().out == expected
+
+    def no_blocks(*args):
+        raise AssertionError("B was built")
+
+    monkeypatch.setattr(spectral, "_sublattice_blocks", no_blocks)
+    H = build_hamiltonian(enumerate_sector(22, 11), BondCouplings.uniform(22))
+    pair = spectral.lowest_two(H)
+    with pytest.raises(CapacityError, match="physical memory"):
+        pair.ground
 
 
 @pytest.mark.parametrize("argv", [["gap"], ["scan", "--initial", "product"]])

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,38 +378,90 @@ def test_expmv_keeps_one_reduced_propagator_per_hamiltonian(monkeypatch):
     assert len(basis._operators) == 2
 
 
-@pytest.mark.parametrize("method", ["krylov", "krylov-even", "ramp"])
-def test_krylov_workspace_beyond_memory_raises_before_allocating(method, monkeypatch):
-    # the even product runs in the symmetric subspace, a random state in
-    # the full sector; each workspace is checked at its own dimension
-    ctx = ramp_context(12, 6)
-    basis = enumerate_sector(12, 6)  # fresh: nothing cached yet
-    H = build_hamiltonian(basis, BondCouplings.uniform(12))
+def operator_run(method, L, n):
+    """A fresh sector, so nothing is cached on it, and a call that builds
+    its Krylov operator: ``expmv`` of a random state (the full sector) or
+    of the even product of half grounds, or a ramp of that product."""
+    basis = enumerate_sector(L, n)
+    H = build_hamiltonian(basis, BondCouplings.uniform(L))
     if method == "krylov":
-        v = random_state(basis, np.random.default_rng(12))
-        dim = basis.dim
-    else:
-        v = StateVector(basis, ctx.v0.amps)
-        dim = basis.symmetric_isometry.shape[1]
-    need = (propagate.MAX_KRYLOV + 1) * 2 * dim * 8
+        v = random_state(basis, np.random.default_rng(L))
+        return basis, lambda: expmv(H, 0.5, v)  # dim >= 400: the Krylov route
+    ctx = ramp_context(L, n)
+    v = StateVector(basis, ctx.v0.amps)
+    if method == "krylov-even":
+        return basis, lambda: expmv(H, 0.5, v)
+    return basis, lambda: adiabatic_ramp(v, basis, ctx.base, RampSchedule(1.0, 4, 1.0))
 
-    def run():
-        if method.startswith("krylov"):
-            return expmv(H, 1.0, v)  # dim 924: the Krylov route
-        return adiabatic_ramp(v, basis, ctx.base, RampSchedule(1.0, 4, 1.0))
 
-    def no_workspace(*args, **kwargs):
-        raise AssertionError("the workspace was allocated")
+@pytest.mark.parametrize("method", ["krylov", "krylov-even", "ramp"])
+def test_krylov_workspace_beyond_memory_raises_before_allocating(method, monkeypatch, needs):
+    # the even product runs in the symmetric subspace, a random state in
+    # the full sector; the operator's whole need, the isometry's build
+    # with it where that comes first, is checked before any of it is built
+    _, run = operator_run(method, 12, 6)
+    run()
+    need = max(needs)
 
+    def no_pattern(*args, **kwargs):
+        raise AssertionError("the operator was built")
+
+    basis, run = operator_run(method, 12, 6)
     monkeypatch.setattr(spin_model, "_physical_memory", lambda: need - 1)
     with monkeypatch.context() as m:
-        m.setattr(propagate, "_doubled", no_workspace)
+        m.setattr(propagate, "_hop_pattern", no_pattern)
         with pytest.raises(CapacityError, match="exceeds"):
             run()
+    assert basis._operators == {}
+    assert ("symmetric_isometry" in vars(basis)) == (method == "krylov")
     monkeypatch.setattr(spin_model, "_physical_memory", lambda: need)
     assert abs(run().norm() - 1.0) < 1e-12
     monkeypatch.setattr(spin_model, "_physical_memory", lambda: None)  # unknown: no limit
     assert abs(run().norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("method, L", [
+    ("krylov", 16), ("krylov", 18), ("krylov-even", 16), ("krylov-even", 20),
+    ("ramp", 16), ("ramp", 20),
+])
+def test_operator_need_bounds_the_traced_peak(method, L, needs):
+    # the largest need a call checks covers all it allocates: the
+    # isometry, the reduction, the operator's build and the propagation,
+    # the configurations included
+    basis, run = operator_run(method, L, L // 2)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1] + basis.configs.nbytes
+    finally:
+        tracemalloc.stop()
+    assert max(needs) >= peak
+
+
+@pytest.mark.parametrize("method", ["krylov-even", "ramp"])
+def test_operator_beyond_memory_allocates_nothing_sector_sized(method, monkeypatch, needs):
+    # one byte short of the priced need, the call raises before the
+    # isometry, the pattern or the workspace: it holds at most four state
+    # vectors' worth
+    _, run = operator_run(method, 16, 8)
+    run()
+    basis, run = operator_run(method, 16, 8)
+    monkeypatch.setattr(spin_model, "_physical_memory", lambda: max(needs) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * basis.dim
+
+
+def test_orbit_count_is_the_isometry_width():
+    for L in range(1, 15):
+        for n in range(L + 1):
+            basis = enumerate_sector(L, n)
+            assert propagate._orbit_count(basis) == basis.symmetric_isometry.shape[1], (L, n)
 
 
 def test_physical_memory_is_read():

@@ -83,28 +83,28 @@ def test_enumerate_sector_capacity_guard():
         enumerate_sector(28, 14)
 
 
-def test_hamiltonian_beyond_memory_raises_before_allocating(monkeypatch):
+def test_hamiltonian_beyond_memory_raises_before_allocating(monkeypatch, needs):
+    # build_hamiltonian allocates nothing sector-sized and prices nothing;
+    # the CSR prices itself on its first read
     import xxfusion.spin_model as spin_model
 
     basis = enumerate_sector(12, 6)
-    dim, nnz = basis.dim, 2 * basis.dim * 6 * 6 // 12
-    m = larger_parity_block(basis)
-    need = (
-        8 * dim + 12 * nnz + 4 * (dim + 1)
-        + 6 * nnz + 4 * (dim - m + 1) + 6 * dim
-        + 8 * spin_model.LANCZOS_VECTORS * m + 24 * dim
-    )
+    nnz = 2 * basis.dim * 6 * 6 // 12
+    assert build_hamiltonian(basis, BondCouplings.uniform(12)).matrix.nnz == nnz
+    (need,) = needs
 
     def no_pattern(*args):
         raise AssertionError("the Hamiltonian was assembled")
 
     monkeypatch.setattr(spin_model, "_physical_memory", lambda: need - 1)
+    H = build_hamiltonian(basis, BondCouplings.uniform(12))
     with monkeypatch.context() as m:
         m.setattr(spin_model, "_hop_pattern", no_pattern)
         with pytest.raises(CapacityError, match="physical memory"):
-            build_hamiltonian(basis, BondCouplings.uniform(12))
+            H.matrix
     monkeypatch.setattr(spin_model, "_physical_memory", lambda: need)
-    assert build_hamiltonian(basis, BondCouplings.uniform(12)).matrix.nnz == nnz
+    assert H.matrix.nnz == nnz
+    assert len(needs) == 3
 
 
 def larger_parity_block(basis):
@@ -115,22 +115,41 @@ def larger_parity_block(basis):
 
 
 @pytest.mark.parametrize("L", [16, 18])
-def test_capacity_need_bounds_the_traced_peak(monkeypatch, L):
-    # the check's bytes cover what build_hamiltonian and lowest_two's
-    # Lanczos route allocate at half filling, the configurations and the
-    # ground's first read (pass 2 and the lift) included
-    import xxfusion.spin_model as spin_model
-
-    needs = []
-    monkeypatch.setattr(spin_model, "_require_memory", lambda need, *a, **k: needs.append(need))
+def test_capacity_need_bounds_the_traced_peak(needs, L):
+    # the first read of a Lanczos-route ground prices B's build, both
+    # passes and the lift; its need covers what building H, solving the
+    # pair and reading the ground allocate at half filling, the
+    # configurations included, and nothing before the read is priced
     basis = enumerate_sector(L, L // 2)
     tracemalloc.start()
     try:
-        lowest_two(build_hamiltonian(basis, BondCouplings.uniform(L))).ground
+        pair = lowest_two(build_hamiltonian(basis, BondCouplings.uniform(L)))
+        assert needs == []
+        pair.ground
         peak = tracemalloc.get_traced_memory()[1] + basis.configs.nbytes
     finally:
         tracemalloc.stop()
-    assert needs[0] >= peak
+    assert len(needs) == 1 and needs[0] >= peak
+
+
+def test_ground_beyond_memory_raises_before_building_B(monkeypatch, needs):
+    import xxfusion.spectral as spectral
+    import xxfusion.spin_model as spin_model
+
+    H = build_hamiltonian(enumerate_sector(16, 8), BondCouplings.uniform(16))
+    reference = lowest_two(H).ground
+    (need,) = needs
+
+    def no_blocks(*args):
+        raise AssertionError("B was built")
+
+    monkeypatch.setattr(spin_model, "_physical_memory", lambda: need - 1)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_sublattice_blocks", no_blocks)
+        with pytest.raises(CapacityError, match="Lanczos ground"):
+            lowest_two(H).ground
+    monkeypatch.setattr(spin_model, "_physical_memory", lambda: need)
+    assert np.array_equal(lowest_two(H).ground.amps, reference.amps)
 
 
 @pytest.mark.parametrize("live", [None, (1, 14)], ids=["uniform", "two-live-bonds"])
@@ -142,7 +161,6 @@ def test_lanczos_share_of_the_capacity_need_bounds_the_solver(monkeypatch, live)
     # With two identical live bonds the Krylov space closes.  Once read,
     # the pair holds B no more.
     import xxfusion.spectral as spectral
-    import xxfusion.spin_model as spin_model
 
     gram_top, peaks, held = spectral._gram_top, [], []
 
@@ -167,7 +185,7 @@ def test_lanczos_share_of_the_capacity_need_bounds_the_solver(monkeypatch, live)
         build_hamiltonian(basis, BondCouplings(J))))
     assert peaks == [] and held == []
     pair.ground
-    share = 8 * spin_model.LANCZOS_VECTORS * larger_parity_block(basis)
+    share = 8 * spectral.LANCZOS_VECTORS * larger_parity_block(basis)
     assert len(peaks) == 1 and peaks[0] <= share
     assert held[0]() is None
 
