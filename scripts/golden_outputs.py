@@ -54,10 +54,12 @@ INVOCATIONS = {
         "scan --L 4 --initial product",
         # a configuration state is not even under reflection: the full-sector Krylov scan
         "scan --L 12 --n-up 6 --initial config:111111000000 --points 5",
-        # a Lanczos-route ground, summed when the scan first reads it
+        # a free-fermion ground, filled when the scan first reads it
         "scan --L 14 --n-up 6 --initial ground --points 5",
+        # the same with a negative J, which pins the signs of the orbitals
+        "scan --L 14 --n-up 6 --initial ground --points 5 --J -0.5",
         "gap --L 22 --filling 1/2",
-        # odd L: the two sublattice-parity blocks differ in size (848 and 868)
+        # odd L: the lowest empty level, which E1 fills, is the zero mode
         "gap --L 13 --n-up 6",
         "gap --L 14 --J -0.5",
     ],

@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .errors import (
     CapacityError,
     DegenerateGapError,
-    LanczosConvergenceError,
     PropagationError,
     PurificationError,
     RampSearchError,
@@ -73,7 +72,6 @@ __all__ = [
     "METHODS", "FusionConfig", "FusionStep", "StepRecord", "compare_methods",
     "expected_cost", "fuse_step", "half_ground", "run_fusion",
     "SimulationError", "CapacityError", "DegenerateGapError",
-    "LanczosConvergenceError", "PropagationError",
-    "PurificationError", "RampSearchError", "RodeoAnnihilationError",
-    "StepRefinementError",
+    "PropagationError", "PurificationError", "RampSearchError",
+    "RodeoAnnihilationError", "StepRefinementError",
 ]

@@ -21,10 +21,6 @@ class DegenerateGapError(SimulationError):
     """E1 - E0 is numerically zero, so gap-based schedules are undefined."""
 
 
-class LanczosConvergenceError(SimulationError):
-    """The iterative eigensolver stopped before two Ritz pairs converged."""
-
-
 class PropagationError(SimulationError):
     """Krylov propagation failed to converge within its subspace budget."""
 

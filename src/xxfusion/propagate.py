@@ -76,10 +76,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import PropagationError, RampSearchError, StepRefinementError
-from .spectral import DENSE_CUTOFF, _tridiag_eig, infidelity
+from .spectral import DENSE_CUTOFF, infidelity
 from .spin_model import (
     BondCouplings,
     SectorBasis,
@@ -123,6 +124,18 @@ class RampSchedule:
 
     def coupling_at(self, s: float) -> float:
         return (s / self.T_A) * self.J_target if self.T_A > 0.0 else self.J_target
+
+
+def _tridiag_eig(alphas, betas):
+    # eigenpairs of the real symmetric tridiagonal T, eigenvalues ascending;
+    # dstevd is the driver scipy's eigh_tridiagonal picks, called without
+    # its wrapper
+    if alphas.size == 1:
+        return alphas, np.ones((1, 1))
+    theta, S, info = scipy.linalg.lapack.dstevd(alphas, betas)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info={info}")
+    return theta, S
 
 
 class _SubstepStall(Exception):

@@ -228,9 +228,10 @@ class SparseHamiltonian:
     H = sum_b J[b] (S+_b S-_{b+1} + S-_b S+_{b+1}); diagonal is zero and
     every matrix element is real, so the eigenbasis can be chosen real.
     From ``spectral.DENSE_CUTOFF`` on, ``lowest_two`` never reads ``matrix``:
-    it builds what it needs from the pattern of :func:`_hop_pattern`, as
-    do the Krylov operators of ``propagate.expmv``, kept on the sector.
-    Each of these prices its own working set before building it.
+    it solves free fermions, and the Krylov operators of ``propagate.expmv``,
+    kept on the sector, build what they need from the pattern of
+    :func:`_hop_pattern`.  Each of these prices its own working set before
+    building it.
     """
 
     basis: SectorBasis
@@ -271,7 +272,7 @@ def _pattern_bytes(rows: int, hops: int, itemsize: int) -> tuple[int, int]:
     return (4 + itemsize) * hops + 4 * (rows + 1), 72 * min(rows, HOP_BLOCK_ROWS)
 
 
-def _hop_pattern(basis: SectorBasis, weights, rows=None, columns=None) -> tuple:
+def _hop_pattern(basis: SectorBasis, weights, rows=None) -> tuple:
     """Canonical CSR arrays (indptr, indices, data) of the hops weighted
     by ``weights``: the hop across bond b stores ``weights[b]``, in the
     dtype of ``weights``, and a bond of weight zero stores nothing.
@@ -282,7 +283,7 @@ def _hop_pattern(basis: SectorBasis, weights, rows=None, columns=None) -> tuple:
     the row end, both by decreasing b.  ``rows`` (ascending ordinals; all
     of them by default) picks the rows to fill.  Each comes out exactly
     as in the full pattern, its columns the partners' ordinals in the
-    whole sector, or ``columns[ordinal]`` when that map is given.
+    whole sector.
 
     The rows are counted, and then filled, ``HOP_BLOCK_ROWS`` at a time,
     straight into the final arrays: the work arrays hold one block's rows
@@ -322,8 +323,7 @@ def _hop_pattern(basis: SectorBasis, weights, rows=None, columns=None) -> tuple:
             up_pos[up] -= 1
             for hop, pos, shift in ((down, down_at, -shifts[b]), (up, up_pos[up], shifts[b])):
                 below = np.bitwise_count(c[hop] & ((1 << b) - 1))  # up spins below site b
-                col = r[hop] + shift[below]
-                indices[pos] = col if columns is None else columns[col]
+                indices[pos] = r[hop] + shift[below]
                 data[pos] = weights[b]
     return indptr, indices, data
 

@@ -48,8 +48,7 @@ def test_gap_prints_spectral_numbers(capsys):
 
 
 def test_gap_on_the_lanczos_route_matches_free_fermions(capsys):
-    # dim 184,756: B's 92,378 rows are filled in three blocks, and the
-    # energies come from the two-pass Lanczos on B^T B
+    # dim 184,756: the energies are sums of single-particle levels
     assert run(["gap", "--L", "20"]) == 0
     got = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
     E0 = oracles.sector_ground_energy(20, 10)
@@ -70,30 +69,20 @@ def test_gap_rejects_gapless_sector(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_gap_lanczos_failure_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 5)
-    # the ground of dim 3432 is solved by Lanczos on its first read, and
-    # five steps cannot converge two pairs there (nor at L = 12 or 16)
-    assert run(["scan", "--L", "14", "--initial", "ground", "--points", "3"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: Lanczos did not converge")
-    assert captured.out == ""
-
-
 def test_gap_is_not_refused_for_memory_it_never_allocates(monkeypatch, capsys):
     # gap --L 22 holds the 705,432 configurations and its levels, well
-    # inside 32 MiB; the ground it never reads would need B and the
-    # Lanczos passes, and only that read is refused
+    # inside 16 MiB; the ground it never reads would need about 32 bytes a
+    # configuration for its determinant fill, and only that read is refused
     assert run(["gap", "--L", "22"]) == 0
     expected = capsys.readouterr().out
-    monkeypatch.setattr(spin_model, "_physical_memory", lambda: 32 * 2**20)
+    monkeypatch.setattr(spin_model, "_physical_memory", lambda: 16 * 2**20)
     assert run(["gap", "--L", "22"]) == 0
     assert capsys.readouterr().out == expected
 
-    def no_blocks(*args):
-        raise AssertionError("B was built")
+    def no_det(*args):
+        raise AssertionError("a determinant was taken")
 
-    monkeypatch.setattr(spectral, "_sublattice_blocks", no_blocks)
+    monkeypatch.setattr(np.linalg, "det", no_det)
     H = build_hamiltonian(enumerate_sector(22, 11), BondCouplings.uniform(22))
     pair = spectral.lowest_two(H)
     with pytest.raises(CapacityError, match="physical memory"):
@@ -102,7 +91,7 @@ def test_gap_is_not_refused_for_memory_it_never_allocates(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["gap"], ["scan", "--initial", "product"]])
 def test_zero_coupling_on_the_lanczos_route_is_a_degenerate_gap(argv, capsys):
-    # dim 924 takes the Lanczos route; the dense route (gap --L 2) says the same
+    # dim 924 takes the free-fermion route; the dense route (gap --L 2) says the same
     assert run([*argv, "--L", "12", "--J", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +13,6 @@ import xxfusion.spectral as spectral
 from xxfusion import (
     BondCouplings,
     DegenerateGapError,
-    LanczosConvergenceError,
-    SimulationError,
     StateVector,
     basis_state,
     build_hamiltonian,
@@ -27,15 +24,10 @@ from xxfusion import (
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
-
-#: Sectors of dim >= 3 whose larger sublattice-parity block has 2 states;
-#: lowest_two sends them to the dense route, and the route tests skip them.
-SMALL_BLOCK_SECTORS = {(3, 1), (3, 2), (4, 1), (4, 3)}
-
 #: lowest_two's two routes, each returning (E0, E1, a zero-argument function
 #: that returns the real ground vector).
 dense_route = spectral._dense_lowest_two
-lanczos_route = spectral._lanczos_lowest_two
+free_fermion_route = spectral._free_fermion_lowest_two
 
 
 def uniform_chain(L, n, J=1.0):
@@ -43,7 +35,8 @@ def uniform_chain(L, n, J=1.0):
 
 
 def live_bond_chain(L, n, bond):
-    # one live bond: E0 = -1 and E1 = 0, so B has rank one and sigma_2 = 0
+    # one live bond: a dimer with levels +-1 among zero modes, so E0 = -1
+    # and E1 = 0
     J = np.zeros(L - 1)
     J[bond] = 1.0
     return build_hamiltonian(enumerate_sector(L, n), BondCouplings(J))
@@ -100,7 +93,7 @@ def test_lowest_two_L4_golden():
 
 
 def test_lowest_two_L16_lanczos_golden():
-    # dim 12870 forces the iterative path
+    # dim 12870 takes the free-fermion route
     H = uniform_chain(16, 8)
     pair = lowest_two(H)
     assert pair.E0 == pytest.approx(-9.837951447459409, abs=1e-9)
@@ -110,22 +103,18 @@ def test_lowest_two_L16_lanczos_golden():
 
 
 def test_lowest_two_routes_agree():
-    # every sector with L <= 12 and dim >= 3 whose larger sublattice-parity
-    # block holds 3 or more states; largest amplitudes often tie with
-    # opposite signs, and both routes must still return the same ground,
-    # sign included
-    sectors = [
-        (L, n) for L in range(2, 13) for n in range(1, L)
-        if math.comb(L, n) >= 3 and (L, n) not in SMALL_BLOCK_SECTORS
-    ]
-    assert len(sectors) == 61
+    # every sector with L <= 12 and dim >= 3; largest amplitudes often tie
+    # with opposite signs, and both routes must still return the same
+    # ground, sign included
+    sectors = [(L, n) for L in range(2, 13) for n in range(1, L) if math.comb(L, n) >= 3]
+    assert len(sectors) == 65
     for L, n in sectors:
         H = uniform_chain(L, n)
         E0, E1, dense = dense_route(H)
-        lanczos = lanczos_route(H)
-        assert lanczos[:2] == pytest.approx((E0, E1), abs=1e-10)
+        free = free_fermion_route(H)
+        assert free[:2] == pytest.approx((E0, E1), abs=1e-10)
         # elementwise 1e-8 at dim <= 924 also bounds 1 - overlap by 5e-14
-        assert np.max(np.abs(dense() - lanczos[2]())) <= 1e-8, (L, n)
+        assert np.max(np.abs(dense() - free[2]())) <= 1e-8, (L, n)
 
 
 def test_lanczos_route_matches_eigh_on_uniform_sectors():
@@ -136,16 +125,15 @@ def test_lanczos_route_matches_eigh_on_uniform_sectors():
     for L, n in sectors:
         H = uniform_chain(L, n)
         E0, E1, dense = dense_route(H)
-        lanczos = lanczos_route(H)
-        assert lanczos[:2] == pytest.approx((E0, E1), abs=1e-12), (L, n)
-        assert np.max(np.abs(dense() - lanczos[2]())) <= 1e-12, (L, n)
+        free = free_fermion_route(H)
+        assert free[:2] == pytest.approx((E0, E1), abs=1e-12), (L, n)
+        assert np.max(np.abs(dense() - free[2]())) <= 1e-12, (L, n)
 
 
 @pytest.mark.parametrize("L, n, bonds", [(12, 6, (1, 8)), (14, 7, (1, 10))])
 def test_two_identical_live_bonds_are_a_degenerate_gap(L, n, bonds):
-    # sigma_1 = 2 has many copies, but one start vector's Krylov space
-    # closes after three steps with one vector per eigenspace; only a fresh
-    # start vector finds a second copy, so E1 = E0
+    # each live bond is a dimer with levels +-1, and the other sites are
+    # zero modes; the sector fills the zero modes partway, so E1 = E0
     J = np.zeros(L - 1)
     J[list(bonds)] = 1.0
     H = build_hamiltonian(enumerate_sector(L, n), BondCouplings(J))
@@ -168,13 +156,13 @@ def test_lowest_two_routes_agree_on_random_couplings():
     for L in range(4, 13):
         couplings = random_couplings(L, 1000 + L)
         for n in range(1, L):
-            if math.comb(L, n) < 3 or (L, n) in SMALL_BLOCK_SECTORS:
+            if math.comb(L, n) < 3:
                 continue
             H = build_hamiltonian(enumerate_sector(L, n), couplings)
             E0, E1, dense = dense_route(H)
-            lanczos = lanczos_route(H)
-            assert lanczos[:2] == pytest.approx((E0, E1), abs=1e-10), (L, n)
-            assert np.max(np.abs(dense() - lanczos[2]())) <= 1e-8, (L, n)
+            free = free_fermion_route(H)
+            assert free[:2] == pytest.approx((E0, E1), abs=1e-10), (L, n)
+            assert np.max(np.abs(dense() - free[2]())) <= 1e-8, (L, n)
 
 
 RANK_ONE_CASES = [(6, 1, 4), (10, 1, 4), (11, 10, 5), (12, 11, 6)]
@@ -185,21 +173,20 @@ def test_lowest_two_zero_singular_value(L, n, bond):
     H = live_bond_chain(L, n, bond)
     E0, E1, dense = dense_route(H)
     assert (E0, E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
-    lanczos = lanczos_route(H)
-    assert lanczos[:2] == pytest.approx((-1.0, 0.0), abs=1e-12)
-    assert np.max(np.abs(dense() - lanczos[2]())) <= 1e-12
+    free = free_fermion_route(H)
+    assert free[:2] == pytest.approx((-1.0, 0.0), abs=1e-12)
+    assert np.max(np.abs(dense() - free[2]())) <= 1e-12
 
 
 @pytest.mark.parametrize("L, n, bond", RANK_ONE_CASES)
 def test_lanczos_route_repeats_bit_for_bit(L, n, bond):
-    # B has rank one, so the Krylov space closes after two steps and pass 1
-    # runs again from a fresh random vector; drawn from the seeded
-    # generator, it is the same vector on every run
+    # most levels are zero modes, so the orbitals within them are an
+    # arbitrary basis of their space; each run must still pick the same
     H = live_bond_chain(L, n, bond)
-    E0, E1, ground = lanczos_route(H)
+    E0, E1, ground = free_fermion_route(H)
     vec = ground()
     for _ in range(20):
-        again = lanczos_route(H)
+        again = free_fermion_route(H)
         assert again[:2] == (E0, E1)
         assert np.array_equal(again[2](), vec)
 
@@ -217,23 +204,22 @@ def counted_calls(monkeypatch, name):
 
 
 def test_gap_makes_no_ritz_replay(monkeypatch, capsys):
-    # dim 3432 takes the Lanczos route, and gap reads no ground: its
-    # energies come from the levels, so it builds no B and runs no pass
-    calls = {name: counted_calls(monkeypatch, name)
-             for name in ("_sublattice_blocks", "_first_pass", "_ritz_vector")}
+    # dim 3432 takes the free-fermion route, and gap reads no ground: its
+    # energies come from the levels, so it fills no determinant
+    fills = counted_calls(monkeypatch, "_slater_ground")
     assert cli.main(["gap", "--L", "14"]) == 0
     assert "gap = " in capsys.readouterr().out
-    assert calls == {name: [] for name in calls}
+    assert fills == []
 
 
 def test_ground_is_summed_on_the_first_read_only(monkeypatch):
-    replays = counted_calls(monkeypatch, "_ritz_vector")
+    fills = counted_calls(monkeypatch, "_slater_ground")
     pair = lowest_two(uniform_chain(14, 7))
-    assert replays == []
+    assert fills == []
     ground = pair.ground
-    assert len(replays) == 1
+    assert len(fills) == 1
     assert pair.ground is ground
-    assert len(replays) == 1
+    assert len(fills) == 1
 
 
 def test_cut_chain_is_a_degenerate_gap():
@@ -280,18 +266,6 @@ def test_lanczos_route_energies_match_eigvalsh(monkeypatch, kind):
     assert ties == 0 if kind == "uniform" else ties > 0
 
 
-@pytest.mark.parametrize("L", [16, 18])
-def test_first_pass_values_match_the_levels(L):
-    # pass 1's top two Ritz values of B^T B are sigma_1^2 and sigma_2^2,
-    # and -sigma_1, -sigma_2 are the lowest pair the levels give
-    H = uniform_chain(L, L // 2)
-    _, B = spectral._sublattice_blocks(H)
-    q = np.random.default_rng(1).standard_normal(B.shape[1])
-    theta1, theta2 = spectral._first_pass(lambda v: B.T @ (B @ v), q / np.linalg.norm(q))[3:]
-    pair = lowest_two(H)
-    assert (-math.sqrt(theta1), -math.sqrt(theta2)) == pytest.approx((pair.E0, pair.E1), abs=1e-10)
-
-
 def free_fermion_pair(L, n):
     # E0 fills the n lowest modes; E1 lifts the top one by a level
     e = np.sort(oracles.single_particle_energies(L))
@@ -300,9 +274,7 @@ def free_fermion_pair(L, n):
 
 
 def test_lowest_two_odd_chain_unequal_blocks():
-    H = uniform_chain(13, 6)  # dim 1716, the Lanczos route
-    big, B = spectral._sublattice_blocks(H)
-    assert (np.count_nonzero(big), B.shape) == (868, (848, 868))
+    H = uniform_chain(13, 6)  # dim 1716, the free-fermion route
     pair = lowest_two(H)
     assert (pair.E0, pair.E1) == pytest.approx(free_fermion_pair(13, 6), abs=1e-10)
     g = pair.ground.amps.real
@@ -319,14 +291,15 @@ def test_lowest_two_L18_matches_free_fermions():
 
 
 def test_lowest_two_negated_coupling_is_a_sublattice_gauge():
-    # H(-J) = S H(J) S with S = (-1)^parity, so B changes sign and B^T B
-    # does not: the energies are the same floats, the ground is S g
+    # H(-J) = S H(J) S with S = (-1)^(up spins on even sites), since every
+    # hop moves one up spin between an even and an odd site: the energies
+    # are the same floats, the ground is S g
     H = uniform_chain(14, 7, 0.5)
     pos = lowest_two(H)
     neg = lowest_two(uniform_chain(14, 7, -0.5))
     assert (neg.E0, neg.E1) == (pos.E0, pos.E1)
-    big, _ = spectral._sublattice_blocks(H)
-    S = np.where(big, 1.0, -1.0)
+    even_sites = sum(1 << site for site in range(0, 14, 2))
+    S = 1.0 - 2.0 * (np.bitwise_count(H.basis.configs & even_sites) & 1)
     flipped = S * pos.ground.amps
     assert np.array_equal(neg.ground.amps, flipped) or np.array_equal(
         neg.ground.amps, -flipped
@@ -335,7 +308,7 @@ def test_lowest_two_negated_coupling_is_a_sublattice_gauge():
 
 def test_lowest_two_ground_properties():
     H = uniform_chain(8, 4)
-    for route in (dense_route, lanczos_route):
+    for route in (dense_route, free_fermion_route):
         E0, _, g = route(H)
         g = g()
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
@@ -367,53 +340,16 @@ def test_lowest_two_degenerate_and_trivial_errors():
         lowest_two(uniform_chain(2, 0))  # dim 1, no excited state
 
 
-def gathered_block(H, big):
-    """B as the rows of H's assembled CSR on the smaller parity block, with
-    columns ranked within the larger one."""
-    rank = np.cumsum(big, dtype=np.int32) - 1
-    rows = H.matrix[np.flatnonzero(~big)]
-    return sp.csr_matrix((rows.data, rank[rows.indices], rows.indptr),
-                         shape=(rows.shape[0], int(np.count_nonzero(big))))
-
-
-def test_hop_block_from_pattern_equals_block_gathered_from_H():
-    cases = [(L, n, BondCouplings.uniform(L)) for L in range(2, 15) for n in range(L + 1)
-             if math.comb(L, n) >= spectral.DENSE_CUTOFF]
-    cases += [(L, n, random_couplings(L, 2000 + L)) for L in (10, 12, 14) for n in (3, L // 2)]
-    for L, n, couplings in cases:
-        H = build_hamiltonian(enumerate_sector(L, n), couplings)
-        big, B = spectral._sublattice_blocks(H)
-        ref = gathered_block(H, big)
-        assert B.shape == ref.shape, (L, n)
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(B, part), getattr(ref, part)), (L, n, part)
-
-
 def test_lanczos_route_never_assembles_H(monkeypatch):
     import xxfusion.spin_model as spin_model
 
-    pattern = spin_model._hop_pattern
+    def no_pattern(*args):
+        raise AssertionError("the CSR of H was assembled")
 
-    def rows_only(basis, weights, rows=None, columns=None):
-        if rows is None:
-            raise AssertionError("the CSR of H was assembled")
-        return pattern(basis, weights, rows, columns)
-
-    monkeypatch.setattr(spin_model, "_hop_pattern", rows_only)
-    monkeypatch.setattr(spectral, "_hop_pattern", rows_only)
+    monkeypatch.setattr(spin_model, "_hop_pattern", no_pattern)
     pair = lowest_two(build_hamiltonian(enumerate_sector(16, 8), BondCouplings.uniform(16)))
     assert pair.E0 == pytest.approx(oracles.sector_ground_energy(16, 8), abs=1e-9)
-    assert pair.ground.norm() == pytest.approx(1.0, abs=1e-12)  # B is built on this read
-
-
-def test_lowest_two_lanczos_budget_failure_is_typed(monkeypatch):
-    # five steps cannot converge two pairs at this size, nor at L = 12 or
-    # 14; the passes run on the first read of the ground
-    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 5)
-    pair = lowest_two(uniform_chain(16, 8))  # dim 12870, above the dense cutoff
-    with pytest.raises(LanczosConvergenceError, match="did not converge") as info:
-        pair.ground
-    assert isinstance(info.value, SimulationError)
+    assert pair.ground.norm() == pytest.approx(1.0, abs=1e-12)  # filled on this read
 
 
 # ------------------------------------------------------------- overlaps

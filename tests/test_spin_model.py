@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -107,19 +106,13 @@ def test_hamiltonian_beyond_memory_raises_before_allocating(monkeypatch, needs):
     assert len(needs) == 3
 
 
-def larger_parity_block(basis):
-    """States in the larger block by the parity of up spins on even sites."""
-    even_sites = sum(1 << i for i in range(0, basis.L, 2))
-    odd = sum(bin(int(c) & even_sites).count("1") % 2 for c in basis.configs)
-    return max(odd, basis.dim - odd)
-
-
-@pytest.mark.parametrize("L", [16, 18])
+@pytest.mark.parametrize("L", [16, 18, 20])
 def test_capacity_need_bounds_the_traced_peak(needs, L):
-    # the first read of a Lanczos-route ground prices B's build, both
-    # passes and the lift; its need covers what building H, solving the
-    # pair and reading the ground allocate at half filling, the
-    # configurations included, and nothing before the read is priced
+    # the first read of a free-fermion ground prices its determinant fill,
+    # the phase fixing and the complex copy; its need covers what building
+    # H, solving the pair and reading the ground allocate at half filling,
+    # the configurations included, within 48 bytes a configuration, and
+    # nothing before the read is priced
     basis = enumerate_sector(L, L // 2)
     tracemalloc.start()
     try:
@@ -129,65 +122,33 @@ def test_capacity_need_bounds_the_traced_peak(needs, L):
         peak = tracemalloc.get_traced_memory()[1] + basis.configs.nbytes
     finally:
         tracemalloc.stop()
-    assert len(needs) == 1 and needs[0] >= peak
+    assert len(needs) == 1 and peak <= needs[0] <= 48 * basis.dim
 
 
 def test_ground_beyond_memory_raises_before_building_B(monkeypatch, needs):
-    import xxfusion.spectral as spectral
     import xxfusion.spin_model as spin_model
 
     H = build_hamiltonian(enumerate_sector(16, 8), BondCouplings.uniform(16))
     reference = lowest_two(H).ground
     (need,) = needs
 
-    def no_blocks(*args):
-        raise AssertionError("B was built")
+    def no_det(*args):
+        raise AssertionError("a determinant was taken")
 
     monkeypatch.setattr(spin_model, "_physical_memory", lambda: need - 1)
+    pair = lowest_two(H)
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_sublattice_blocks", no_blocks)
-        with pytest.raises(CapacityError, match="Lanczos ground"):
-            lowest_two(H).ground
-    monkeypatch.setattr(spin_model, "_physical_memory", lambda: need)
-    assert np.array_equal(lowest_two(H).ground.amps, reference.amps)
-
-
-@pytest.mark.parametrize("live", [None, (1, 14)], ids=["uniform", "two-live-bonds"])
-def test_lanczos_share_of_the_capacity_need_bounds_the_solver(monkeypatch, live):
-    # LANCZOS_VECTORS m float64 is the check's share for the two Lanczos
-    # passes alone, which run on the first read of the ground; before it,
-    # the pair has built no B and run no pass.  Keeping the 40 Lanczos
-    # vectors of pass 1 on the uniform chain would take five times as much.
-    # With two identical live bonds the Krylov space closes.  Once read,
-    # the pair holds B no more.
-    import xxfusion.spectral as spectral
-
-    gram_top, peaks, held = spectral._gram_top, [], []
-
-    def traced(B):
-        held.append(weakref.ref(B))
+        m.setattr(np.linalg, "det", no_det)
         tracemalloc.start()
         try:
-            return gram_top(B)
+            with pytest.raises(CapacityError, match="Slater-determinant ground"):
+                pair.ground
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-
-    monkeypatch.setattr(spectral, "_gram_top", traced)
-    basis = enumerate_sector(18, 9)
-    J = np.ones(17)
-    if live is not None:
-        J = np.zeros(17)
-        J[list(live)] = 1.0
-    # a pair around the route's deferred ground: two live bonds are a
-    # degenerate gap, which lowest_two itself would refuse
-    pair = spectral.SpectralPair(*spectral._lanczos_lowest_two(
-        build_hamiltonian(basis, BondCouplings(J))))
-    assert peaks == [] and held == []
-    pair.ground
-    share = 8 * spectral.LANCZOS_VECTORS * larger_parity_block(basis)
-    assert len(peaks) == 1 and peaks[0] <= share
-    assert held[0]() is None
+    assert peak < H.dim  # not one byte a configuration
+    monkeypatch.setattr(spin_model, "_physical_memory", lambda: need)
+    assert np.array_equal(lowest_two(H).ground.amps, reference.amps)
 
 
 def test_hop_count_bound_holds_in_every_sector():
@@ -282,24 +243,20 @@ def test_hop_pattern_of_chosen_rows_matches_full_pattern(L, data):
     weights[bonds] = np.arange(1, len(bonds) + 1)  # a stored weight names its bond
     rows = np.array(sorted(data.draw(
         st.sets(st.integers(0, basis.dim - 1), max_size=basis.dim))), dtype=np.int64)
-    columns = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(
-        basis.dim).astype(np.int32)
     indptr, indices, weight = _hop_pattern(basis, weights)
-    sub_indptr, sub_indices, sub_weight = _hop_pattern(basis, weights, rows, columns)
+    sub_indptr, sub_indices, sub_weight = _hop_pattern(basis, weights, rows)
     assert sub_indptr.size == rows.size + 1
     assert sub_indptr[0] == 0 and sub_indptr[-1] == sub_indices.size == sub_weight.size
     for i, r in enumerate(rows):
         sub, full = slice(*sub_indptr[i:i + 2]), slice(*indptr[r:r + 2])
-        assert np.array_equal(sub_indices[sub], columns[indices[full]])
+        assert np.array_equal(sub_indices[sub], indices[full])
         assert np.array_equal(sub_weight[sub], weight[full])
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3])
 def test_hop_pattern_is_the_same_across_block_boundaries(monkeypatch, rows_per_block):
-    # a block of a few rows puts boundaries inside every sector, and inside
-    # the smaller parity block that B is filled from; H, B and the ramp
-    # operator must not see them
-    import xxfusion.spectral as spectral
+    # a block of a few rows puts boundaries inside every sector; H and the
+    # ramp operator must not see them
     import xxfusion.spin_model as spin_model
 
     rng = np.random.default_rng(26)
@@ -314,33 +271,11 @@ def test_hop_pattern_is_the_same_across_block_boundaries(monkeypatch, rows_per_b
                 m.setattr(spin_model, "HOP_BLOCK_ROWS", rows_per_block)
                 H = build_hamiltonian(basis, couplings)
                 assert np.array_equal(H.matrix.toarray(), oracles.dense_hamiltonian(L, n, J)[1])
-                big, B = spectral._sublattice_blocks(H)
                 op = propagate._Operator(basis, couplings, bond, None)
-            rows, columns = H.matrix[np.flatnonzero(~big)], np.flatnonzero(big)
-            assert B.has_sorted_indices, (L, n)
-            assert B.nnz == rows.nnz
-            assert np.array_equal(B.toarray(), rows.toarray()[:, columns]), (L, n)
             for name in ("ramp", "base", "coef"):
                 assert np.array_equal(getattr(op, name), getattr(default, name)), (L, n, name)
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(op.mat2, part), getattr(default.mat2, part))
-
-
-def test_hop_block_build_peaks_near_what_it_keeps():
-    # B is filled block by block straight into its final arrays, so the
-    # build holds little beyond B and the parity mask it returns
-    import xxfusion.spectral as spectral
-
-    bound = 1.25
-    H = build_hamiltonian(enumerate_sector(22, 11), BondCouplings.uniform(22))
-    tracemalloc.start()
-    try:
-        big, B = spectral._sublattice_blocks(H)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    kept = big.nbytes + B.indptr.nbytes + B.indices.nbytes + B.data.nbytes
-    assert peak <= bound * kept
 
 
 def test_hamiltonian_is_canonical_csr():
