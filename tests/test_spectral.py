@@ -165,10 +165,10 @@ def test_lowest_two_routes_agree_on_random_couplings():
             assert np.max(np.abs(dense() - free[2]())) <= 1e-8, (L, n)
 
 
-RANK_ONE_CASES = [(6, 1, 4), (10, 1, 4), (11, 10, 5), (12, 11, 6)]
+ONE_LIVE_BOND_CASES = [(6, 1, 4), (10, 1, 4), (11, 10, 5), (12, 11, 6)]
 
 
-@pytest.mark.parametrize("L, n, bond", RANK_ONE_CASES)
+@pytest.mark.parametrize("L, n, bond", ONE_LIVE_BOND_CASES)
 def test_lowest_two_zero_singular_value(L, n, bond):
     H = live_bond_chain(L, n, bond)
     E0, E1, dense = dense_route(H)
@@ -178,7 +178,7 @@ def test_lowest_two_zero_singular_value(L, n, bond):
     assert np.max(np.abs(dense() - free[2]())) <= 1e-12
 
 
-@pytest.mark.parametrize("L, n, bond", RANK_ONE_CASES)
+@pytest.mark.parametrize("L, n, bond", ONE_LIVE_BOND_CASES)
 def test_lanczos_route_repeats_bit_for_bit(L, n, bond):
     # most levels are zero modes, so the orbitals within them are an
     # arbitrary basis of their space; each run must still pick the same
