@@ -62,6 +62,9 @@ INVOCATIONS = {
         # odd L: the lowest empty level, which E1 fills, is the zero mode
         "gap --L 13 --n-up 6",
         "gap --L 14 --J -0.5",
+        # dims 70 and 252: energies from the levels in small sectors too
+        "gap --L 8 --filling 1/2",
+        "gap --L 10 --J -0.5",
     ],
     # FAILED cells and levels
     1: [

@@ -80,7 +80,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import PropagationError, RampSearchError, StepRefinementError
-from .spectral import DENSE_CUTOFF, infidelity
+from .spectral import infidelity
 from .spin_model import (
     BondCouplings,
     SectorBasis,
@@ -92,6 +92,10 @@ from .spin_model import (
     _require_sector_memory,
     middle_bond,
 )
+
+#: Sector dimension at which expmv switches from H's dense eigendecomposition,
+#: the accurate route at small sizes, to the Krylov operator.
+DENSE_CUTOFF = 400
 
 #: Krylov basis-size cap per substep.
 MAX_KRYLOV = 64

@@ -1,16 +1,15 @@
 """Lowest two eigenpairs per sector, and the infidelity between states.
 
-Below ``DENSE_CUTOFF`` the solver simply diagonalizes.  From there on it
-solves free fermions: every Hamiltonian here is an open XX chain, which
-by Jordan-Wigner is free fermions (Lieb, Schultz & Mattis, Ann. Phys. 16,
-407 (1961)), so a sector's E0 and E1 are sums of its lowest levels, the
-eigenvalues of an L x L tridiagonal matrix, and its ground is one Slater
-determinant of that matrix's lowest orbitals (see
-:func:`_free_fermion_lowest_two`).  The ground is filled in only on the
-first read of ``SpectralPair.ground``, so an unread pair holds H alone;
-the read prices what it allocates and raises CapacityError, before it
-allocates anything sector-sized, if that would not fit in physical
-memory.
+Every Hamiltonian here is an open XX chain, which by Jordan-Wigner is
+free fermions (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)), so at
+every sector size one route serves: a sector's E0 and E1 are sums of its
+lowest levels, the eigenvalues of an L x L tridiagonal matrix, and its
+ground is one Slater determinant of that matrix's lowest orbitals (see
+:func:`lowest_two`).  Neither reads H's CSR.  The ground is filled in
+only on the first read of ``SpectralPair.ground``, so an unread pair
+holds H alone; the read prices what it allocates and raises
+CapacityError, before it allocates anything sector-sized, if that would
+not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ from .spin_model import (
     enumerate_sector,
 )
 
-#: Sector dimension at which lowest_two switches from dense to free fermions.
-DENSE_CUTOFF = 400
-
 #: Gaps below this multiple of the coupling scale are treated as degenerate.
 DEGENERATE_GAP_FACTOR = 1e-10
 
@@ -44,7 +40,7 @@ class SpectralPair:
 
     ``ground`` is made by the zero-argument function the pair is built
     with, on its first read, and kept; the function, with all it holds, is
-    dropped then.  On the free-fermion route that read fills the Slater
+    dropped then.  For :func:`lowest_two` that read fills the Slater
     determinant, and an unread pair holds only H.
     """
 
@@ -69,12 +65,6 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     mag = np.abs(vec)
     k = int(np.argmax(mag >= (1.0 - 1e-8) * mag.max()))
     return -vec if vec[k] < 0 else vec.copy()
-
-
-def _dense_lowest_two(H: SparseHamiltonian):
-    w, U = H.dense_eig
-    ground = _phase_fixed(U[:, 0])
-    return float(w[0]), float(w[1]), lambda: ground
 
 
 def _single_particle_levels(couplings: BondCouplings) -> np.ndarray:
@@ -125,34 +115,22 @@ def _up_sites(configs: np.ndarray, n: int) -> np.ndarray:
     return sites
 
 
-def _free_fermion_lowest_two(H: SparseHamiltonian):
-    """The lowest pair from the single-particle levels eps, and the ground
-    as a zero-argument function that fills its Slater determinant.
-
-    With n up spins, E0 = eps_0 + ... + eps_{n-1}, and E1 moves the top
-    filled level to the lowest empty one: E0 + (eps_n - eps_{n-1}).  The
-    energies come from :func:`_single_particle_levels`, the ground from
-    :func:`_slater_ground`; the two eigenvalue calls differ in their last
-    bits, and the energies keep theirs.
-    """
-    levels, n = _single_particle_levels(H.couplings), H.basis.n_up
-    E0 = float(levels[:n].sum())
-    return E0, E0 + float(levels[n] - levels[n - 1]), lambda: _slater_ground(H.basis, H.couplings)
-
-
 def lowest_two(H: SparseHamiltonian) -> SpectralPair:
-    """Ground and first excited energies plus the ground vector.
+    """Ground and first excited energies plus the ground vector, as free
+    fermions at every sector size.
 
-    The sector size alone picks the route: a dense ``eigh`` below
-    ``DENSE_CUTOFF`` states; from there on, energies summed from the
-    single-particle levels and a ground by one Slater determinant.  The ground
-    vector's first amplitude of largest magnitude (to a relative 1e-8, so
-    that ties of opposite sign are resolved by position, not by roundoff)
-    is fixed real positive, which pins the sign of the otherwise arbitrary
-    real phase; both routes therefore return the same vector.  The
-    free-fermion route fills the ground on the first read of ``ground``, so the
-    energies and the gap cost one L x L tridiagonal eigenvalue problem, and
-    an unread pair holds only H; see :class:`SpectralPair`.
+    With n up spins and single-particle levels eps, E0 = eps_0 + ... +
+    eps_{n-1}, and E1 moves the top filled level to the lowest empty one:
+    E0 + (eps_n - eps_{n-1}).  The energies come from
+    :func:`_single_particle_levels`, the ground from :func:`_slater_ground`;
+    the two eigenvalue calls differ in their last bits, and the energies
+    keep theirs.  The ground vector's first amplitude of largest magnitude
+    (to a relative 1e-8, so that ties of opposite sign are resolved by
+    position, not by roundoff) is fixed real positive, which pins the sign
+    of the otherwise arbitrary real phase.  The ground is filled on the
+    first read of ``ground``, so the energies and the gap cost one L x L
+    tridiagonal eigenvalue problem, and an unread pair holds only H; see
+    :class:`SpectralPair`.
     Raises :class:`DegenerateGapError` when E1 - E0 is below
     ``DEGENERATE_GAP_FACTOR`` times the coupling scale, since every
     schedule downstream divides by the gap.
@@ -161,15 +139,17 @@ def lowest_two(H: SparseHamiltonian) -> SpectralPair:
         raise ValueError(
             f"sector (L={H.basis.L}, n_up={H.basis.n_up}) has dimension {H.dim}; no gap"
         )
-    solve = _dense_lowest_two if H.dim < DENSE_CUTOFF else _free_fermion_lowest_two
-    E0, E1, vector = solve(H)
-    if E1 - E0 < DEGENERATE_GAP_FACTOR * H.couplings.scale:
+    basis, couplings = H.basis, H.couplings
+    levels, n = _single_particle_levels(couplings), basis.n_up
+    E0 = float(levels[:n].sum())
+    E1 = E0 + float(levels[n] - levels[n - 1])
+    if E1 - E0 < DEGENERATE_GAP_FACTOR * couplings.scale:
         raise DegenerateGapError(
             f"E1 - E0 = {E1 - E0:.3e} is degenerate at coupling scale "
-            f"{H.couplings.scale:.3e} (L={H.basis.L}, n_up={H.basis.n_up})"
+            f"{couplings.scale:.3e} (L={basis.L}, n_up={n})"
         )
-    basis = H.basis
-    return SpectralPair(E0, E1, lambda: StateVector(basis, vector().astype(np.complex128)))
+    return SpectralPair(E0, E1, lambda: StateVector(
+        basis, _slater_ground(basis, couplings).astype(np.complex128)))
 
 
 def chain_pair(L: int, n_up: int, J: float = 1.0) -> tuple[SparseHamiltonian, SpectralPair]:
@@ -179,11 +159,13 @@ def chain_pair(L: int, n_up: int, J: float = 1.0) -> tuple[SparseHamiltonian, Sp
 
 
 def infidelity(v: StateVector, target: StateVector) -> float:
-    """1 - |<target|v>|^2 for normalized v and target."""
+    """||v - target <target|v>||^2, which is 1 - |<target|v>|^2 for
+    normalized v and target.  The squared residual keeps its relative
+    precision near zero, where 1 - |<target|v>|^2 cancels to roundoff."""
     if not v.basis.same_sector(target.basis) or v.basis.dim != target.basis.dim:
         raise ValueError("states live in different sectors")
     for s, name in ((v, "v"), (target, "target")):
         if abs(s.norm() - 1.0) > 1e-9:
             raise ValueError(f"{name} is not normalized (norm {s.norm():.12g})")
-    overlap = np.vdot(target.amps, v.amps)
-    return max(0.0, 1.0 - float(np.abs(overlap)) ** 2)
+    residual = v.amps - np.vdot(target.amps, v.amps) * target.amps
+    return float(np.linalg.norm(residual)) ** 2

@@ -17,6 +17,11 @@ and shifts the ordinal by one binomial, and each CSR row lists its
 down-hops (partner c - 2^b) by decreasing bond b, then its up-hops
 (partner c + 2^b) by increasing b, so its columns come out ascending
 with no sort and no binary search.
+
+Only ``propagate.expmv`` reads the assembled CSR, through its dense
+eigendecomposition below ``propagate.DENSE_CUTOFF``; ``spectral.lowest_two``
+takes the lowest pair and the ground from free fermions at every sector
+size and assembles nothing.
 """
 
 from __future__ import annotations
@@ -227,11 +232,12 @@ class SparseHamiltonian:
 
     H = sum_b J[b] (S+_b S-_{b+1} + S-_b S+_{b+1}); diagonal is zero and
     every matrix element is real, so the eigenbasis can be chosen real.
-    From ``spectral.DENSE_CUTOFF`` on, ``lowest_two`` never reads ``matrix``:
-    it solves free fermions, and the Krylov operators of ``propagate.expmv``,
-    kept on the sector, build what they need from the pattern of
-    :func:`_hop_pattern`.  Each of these prices its own working set before
-    building it.
+    Only ``propagate.expmv`` reads ``dense_eig``, below its
+    ``DENSE_CUTOFF``.  ``spectral.lowest_two`` reads neither attribute at
+    any size: it solves free fermions from the couplings.  The Krylov
+    operators of ``propagate``, kept on the sector, build what they need
+    from the pattern of :func:`_hop_pattern`.  Each of these prices its own
+    working set before building it.
     """
 
     basis: SectorBasis
@@ -272,7 +278,7 @@ def _pattern_bytes(rows: int, hops: int, itemsize: int) -> tuple[int, int]:
     return (4 + itemsize) * hops + 4 * (rows + 1), 72 * min(rows, HOP_BLOCK_ROWS)
 
 
-def _hop_pattern(basis: SectorBasis, weights, rows=None) -> tuple:
+def _hop_pattern(basis: SectorBasis, weights) -> tuple:
     """Canonical CSR arrays (indptr, indices, data) of the hops weighted
     by ``weights``: the hop across bond b stores ``weights[b]``, in the
     dtype of ``weights``, and a bond of weight zero stores nothing.
@@ -280,10 +286,7 @@ def _hop_pattern(basis: SectorBasis, weights, rows=None) -> tuple:
     Moving the up spin across bond b changes the ordinal by +-C(b, k),
     where k counts the up spins below site b.  Rows are filled in the
     order of the module notes: down-hops from the row start, up-hops from
-    the row end, both by decreasing b.  ``rows`` (ascending ordinals; all
-    of them by default) picks the rows to fill.  Each comes out exactly
-    as in the full pattern, its columns the partners' ordinals in the
-    whole sector.
+    the row end, both by decreasing b.
 
     The rows are counted, and then filled, ``HOP_BLOCK_ROWS`` at a time,
     straight into the final arrays: the work arrays hold one block's rows
@@ -295,24 +298,19 @@ def _hop_pattern(basis: SectorBasis, weights, rows=None) -> tuple:
     antiparallel = np.int64(sum(1 << int(b) for b in bonds))  # bit b of c ^ (c >> 1): bond b
     shifts = {int(b): np.array([math.comb(b, k) for k in range(basis.n_up)], dtype=np.int64)
               for b in bonds}
-    rows = None if rows is None else np.asarray(rows)
-    n_rows = basis.dim if rows is None else rows.size
-    blocks = [(i, min(i + HOP_BLOCK_ROWS, n_rows)) for i in range(0, n_rows, HOP_BLOCK_ROWS)]
+    dim = basis.dim
+    blocks = [(i, min(i + HOP_BLOCK_ROWS, dim)) for i in range(0, dim, HOP_BLOCK_ROWS)]
 
-    def block(start, stop):
-        r = np.arange(start, stop) if rows is None else rows[start:stop]
-        return r, configs[r]
-
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
     for start, stop in blocks:
-        c = block(start, stop)[1]
+        c = configs[start:stop]
         ends = indptr[start + 1:stop + 1]
         np.cumsum(np.bitwise_count((c ^ (c >> 1)) & antiparallel), dtype=np.int32, out=ends)
         ends += indptr[start]
     indices = np.empty(int(indptr[-1]), dtype=np.int32)
     data = np.empty(indices.size, dtype=weights.dtype)
     for start, stop in blocks:
-        r, c = block(start, stop)
+        c = configs[start:stop]
         down_pos = indptr[start:stop].copy()  # filled forward from the row start
         up_pos = indptr[start + 1:stop + 1].copy()  # filled backward from the row end
         for b in sorted(shifts, reverse=True):
@@ -323,7 +321,7 @@ def _hop_pattern(basis: SectorBasis, weights, rows=None) -> tuple:
             up_pos[up] -= 1
             for hop, pos, shift in ((down, down_at, -shifts[b]), (up, up_pos[up], shifts[b])):
                 below = np.bitwise_count(c[hop] & ((1 << b) - 1))  # up spins below site b
-                indices[pos] = r[hop] + shift[below]
+                indices[pos] = start + hop + shift[below]
                 data[pos] = weights[b]
     return indptr, indices, data
 

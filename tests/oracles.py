@@ -83,6 +83,18 @@ def embed_amplitudes(a_amps, a_configs, b_amps, b_configs, half: int) -> dict:
     return out
 
 
+def dense_lowest_two(H) -> tuple:
+    """(E0, E1, ground) of H's assembled matrix by a dense ``eigh`` of its
+    two lowest eigenpairs.  The real ground's first amplitude of largest
+    magnitude, to a relative 1e-8 so that opposite-sign ties go by
+    position, is made positive."""
+    w, U = scipy.linalg.eigh(H.matrix.toarray(), subset_by_index=[0, 1])
+    g = U[:, 0]
+    largest = np.abs(g).max()
+    first = next(i for i, a in enumerate(g) if abs(a) >= (1.0 - 1e-8) * largest)
+    return float(w[0]), float(w[1]), (-g if g[first] < 0 else g)
+
+
 def dense_expmv(H, t: float, v) -> np.ndarray:
     """exp(-i H t) v from a dense eigendecomposition of H's matrix."""
     w, U = np.linalg.eigh(H.matrix.toarray())

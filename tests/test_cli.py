@@ -91,7 +91,7 @@ def test_gap_is_not_refused_for_memory_it_never_allocates(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["gap"], ["scan", "--initial", "product"]])
 def test_zero_coupling_on_the_lanczos_route_is_a_degenerate_gap(argv, capsys):
-    # dim 924 takes the free-fermion route; the dense route (gap --L 2) says the same
+    # dim 924
     assert run([*argv, "--L", "12", "--J", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
@@ -314,10 +314,11 @@ def test_converge_csv_golden(capsys):
     cells = [r.split(",") for r in rows]
     assert [int(c[0]) for c in cells] == [0, 1, 2, 3]
     fid = [float(c[1]) for c in cells]
-    assert fid[0] == pytest.approx(0.00915368550611, rel=1e-9)
-    assert fid[1] == pytest.approx(1.29877716518e-05, rel=1e-9)
-    assert fid[2] == pytest.approx(3.49170407032e-08, rel=1e-9)
-    assert fid[3] == pytest.approx(1.60683244488e-10, rel=1e-6)
+    # abs=0: approx's default absolute 1e-12 would pass any value this small
+    assert fid[0] == pytest.approx(0.00915368550611, rel=1e-9, abs=0.0)
+    assert fid[1] == pytest.approx(1.29877716518e-05, rel=1e-9, abs=0.0)
+    assert fid[2] == pytest.approx(3.49170403039e-08, rel=1e-9, abs=0.0)
+    assert fid[3] == pytest.approx(1.60682699403e-10, rel=1e-9, abs=0.0)
     # preconditioned start costs the ramp time only
     assert float(cells[0][3]) == 4.0
     assert float(cells[1][3]) == pytest.approx(13.1305440417, rel=1e-9)

@@ -1,4 +1,5 @@
-"""Eigensolver routes, checked against free-fermion energies, and overlap measures."""
+"""The free-fermion lowest pair, checked against a dense eigh and closed-form
+energies, and overlap measures."""
 
 import math
 
@@ -23,11 +24,6 @@ from xxfusion import (
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
-
-#: lowest_two's two routes, each returning (E0, E1, a zero-argument function
-#: that returns the real ground vector).
-dense_route = spectral._dense_lowest_two
-free_fermion_route = spectral._free_fermion_lowest_two
 
 
 def uniform_chain(L, n, J=1.0):
@@ -92,8 +88,7 @@ def test_lowest_two_L4_golden():
     assert pair.gap == pytest.approx(math.sqrt(5.0) - 1.0, abs=1e-12)
 
 
-def test_lowest_two_L16_lanczos_golden():
-    # dim 12870 takes the free-fermion route
+def test_lowest_two_L16_golden():
     H = uniform_chain(16, 8)
     pair = lowest_two(H)
     assert pair.E0 == pytest.approx(-9.837951447459409, abs=1e-9)
@@ -102,32 +97,33 @@ def test_lowest_two_L16_lanczos_golden():
     assert np.linalg.norm(H.matrix @ g - pair.E0 * g) <= 1e-12
 
 
+def assert_matches_dense(H, energy_tol, ground_tol):
+    """lowest_two(H) against the oracle's dense eigh: both energies to
+    ``energy_tol``, and the ground, sign included, elementwise to ``ground_tol``."""
+    E0, E1, ground = oracles.dense_lowest_two(H)
+    pair = lowest_two(H)
+    where = (H.basis.L, H.basis.n_up)
+    assert (pair.E0, pair.E1) == pytest.approx((E0, E1), abs=energy_tol), where
+    assert np.max(np.abs(pair.ground.amps - ground)) <= ground_tol, where
+
+
 def test_lowest_two_routes_agree():
     # every sector with L <= 12 and dim >= 3; largest amplitudes often tie
-    # with opposite signs, and both routes must still return the same
-    # ground, sign included
+    # with opposite signs, and the ground must still match, sign included
     sectors = [(L, n) for L in range(2, 13) for n in range(1, L) if math.comb(L, n) >= 3]
     assert len(sectors) == 65
     for L, n in sectors:
-        H = uniform_chain(L, n)
-        E0, E1, dense = dense_route(H)
-        free = free_fermion_route(H)
-        assert free[:2] == pytest.approx((E0, E1), abs=1e-10)
         # elementwise 1e-8 at dim <= 924 also bounds 1 - overlap by 5e-14
-        assert np.max(np.abs(dense() - free[2]())) <= 1e-8, (L, n)
+        assert_matches_dense(uniform_chain(L, n), 1e-10, 1e-8)
 
 
-def test_lanczos_route_matches_eigh_on_uniform_sectors():
-    # every uniform sector from DENSE_CUTOFF to dim 3432, L = 11 to 14
+def test_lowest_two_matches_eigh_on_uniform_sectors():
+    # every uniform sector from dim 400 to dim 3432, L = 11 to 14
     sectors = [(L, n) for L in range(2, 15) for n in range(L + 1)
-               if spectral.DENSE_CUTOFF <= math.comb(L, n) <= 3432]
+               if 400 <= math.comb(L, n) <= 3432]
     assert len(sectors) == 20
     for L, n in sectors:
-        H = uniform_chain(L, n)
-        E0, E1, dense = dense_route(H)
-        free = free_fermion_route(H)
-        assert free[:2] == pytest.approx((E0, E1), abs=1e-12), (L, n)
-        assert np.max(np.abs(dense() - free[2]())) <= 1e-12, (L, n)
+        assert_matches_dense(uniform_chain(L, n), 1e-12, 1e-12)
 
 
 @pytest.mark.parametrize("L, n, bonds", [(12, 6, (1, 8)), (14, 7, (1, 10))])
@@ -137,7 +133,6 @@ def test_two_identical_live_bonds_are_a_degenerate_gap(L, n, bonds):
     J = np.zeros(L - 1)
     J[list(bonds)] = 1.0
     H = build_hamiltonian(enumerate_sector(L, n), BondCouplings(J))
-    assert H.dim >= spectral.DENSE_CUTOFF
     with pytest.raises(DegenerateGapError):
         lowest_two(H)
 
@@ -156,13 +151,9 @@ def test_lowest_two_routes_agree_on_random_couplings():
     for L in range(4, 13):
         couplings = random_couplings(L, 1000 + L)
         for n in range(1, L):
-            if math.comb(L, n) < 3:
-                continue
-            H = build_hamiltonian(enumerate_sector(L, n), couplings)
-            E0, E1, dense = dense_route(H)
-            free = free_fermion_route(H)
-            assert free[:2] == pytest.approx((E0, E1), abs=1e-10), (L, n)
-            assert np.max(np.abs(dense() - free[2]())) <= 1e-8, (L, n)
+            if math.comb(L, n) >= 3:
+                assert_matches_dense(build_hamiltonian(enumerate_sector(L, n), couplings),
+                                     1e-10, 1e-8)
 
 
 ONE_LIVE_BOND_CASES = [(6, 1, 4), (10, 1, 4), (11, 10, 5), (12, 11, 6)]
@@ -171,11 +162,10 @@ ONE_LIVE_BOND_CASES = [(6, 1, 4), (10, 1, 4), (11, 10, 5), (12, 11, 6)]
 @pytest.mark.parametrize("L, n, bond", ONE_LIVE_BOND_CASES)
 def test_lowest_two_zero_singular_value(L, n, bond):
     H = live_bond_chain(L, n, bond)
-    E0, E1, dense = dense_route(H)
-    assert (E0, E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
-    free = free_fermion_route(H)
-    assert free[:2] == pytest.approx((-1.0, 0.0), abs=1e-12)
-    assert np.max(np.abs(dense() - free[2]())) <= 1e-12
+    assert oracles.dense_lowest_two(H)[:2] == pytest.approx((-1.0, 0.0), abs=1e-12)
+    pair = lowest_two(H)
+    assert (pair.E0, pair.E1) == pytest.approx((-1.0, 0.0), abs=1e-12)
+    assert_matches_dense(H, 1e-12, 1e-12)
 
 
 @pytest.mark.parametrize("L, n, bond", ONE_LIVE_BOND_CASES)
@@ -183,12 +173,11 @@ def test_lanczos_route_repeats_bit_for_bit(L, n, bond):
     # most levels are zero modes, so the orbitals within them are an
     # arbitrary basis of their space; each run must still pick the same
     H = live_bond_chain(L, n, bond)
-    E0, E1, ground = free_fermion_route(H)
-    vec = ground()
+    pair = lowest_two(H)
     for _ in range(20):
-        again = free_fermion_route(H)
-        assert again[:2] == (E0, E1)
-        assert np.array_equal(again[2](), vec)
+        again = lowest_two(H)
+        assert (again.E0, again.E1) == (pair.E0, pair.E1)
+        assert np.array_equal(again.ground.amps, pair.ground.amps)
 
 
 def counted_calls(monkeypatch, name):
@@ -203,9 +192,9 @@ def counted_calls(monkeypatch, name):
     return calls
 
 
-def test_gap_makes_no_ritz_replay(monkeypatch, capsys):
-    # dim 3432 takes the free-fermion route, and gap reads no ground: its
-    # energies come from the levels, so it fills no determinant
+def test_gap_fills_no_determinant(monkeypatch, capsys):
+    # gap reads no ground: its energies come from the levels, so at dim
+    # 3432 it fills no determinant
     fills = counted_calls(monkeypatch, "_slater_ground")
     assert cli.main(["gap", "--L", "14"]) == 0
     assert "gap = " in capsys.readouterr().out
@@ -229,7 +218,6 @@ def test_cut_chain_is_a_degenerate_gap():
     J = np.ones(13)
     J[6] = 0.0
     H = build_hamiltonian(enumerate_sector(14, 7), BondCouplings(J))
-    assert H.dim >= spectral.DENSE_CUTOFF
     with pytest.raises(DegenerateGapError):
         lowest_two(H)
 
@@ -244,11 +232,10 @@ def cut_random_couplings(L, seed):
 
 
 @pytest.mark.parametrize("kind", ["uniform", "random"])
-def test_lanczos_route_energies_match_eigvalsh(monkeypatch, kind):
-    # the route's energies are sums of single-particle levels; here they
-    # meet the many-body spectrum of the assembled H in every sector with
-    # L <= 12 and dim >= 2, tied grounds included
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 2)
+def test_lanczos_route_energies_match_eigvalsh(kind):
+    # the energies are sums of single-particle levels; here they meet the
+    # many-body spectrum of the assembled H in every sector with L <= 12
+    # and dim >= 2, tied grounds included
     ties = 0
     for L in range(2, 13):
         couplings = (BondCouplings.uniform(L) if kind == "uniform"
@@ -274,7 +261,7 @@ def free_fermion_pair(L, n):
 
 
 def test_lowest_two_odd_chain_unequal_blocks():
-    H = uniform_chain(13, 6)  # dim 1716, the free-fermion route
+    H = uniform_chain(13, 6)  # dim 1716
     pair = lowest_two(H)
     assert (pair.E0, pair.E1) == pytest.approx(free_fermion_pair(13, 6), abs=1e-10)
     g = pair.ground.amps.real
@@ -308,20 +295,19 @@ def test_lowest_two_negated_coupling_is_a_sublattice_gauge():
 
 def test_lowest_two_ground_properties():
     H = uniform_chain(8, 4)
-    for route in (dense_route, free_fermion_route):
-        E0, _, g = route(H)
-        g = g()
+    pair = lowest_two(H)
+    assert not pair.ground.amps.imag.any()
+    for E0, g in ((pair.E0, pair.ground.amps.real), oracles.dense_lowest_two(H)[::2]):
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
         residual = H.matrix @ g - E0 * g
         assert np.linalg.norm(residual) <= 1e-9 * 2.0 * math.sqrt(H.dim)
         # phase convention: the largest amplitude is positive
         assert g[int(np.argmax(np.abs(g)))] > 0
-    # dim 70 takes the dense route
-    assert np.array_equal(lowest_two(H).ground.amps, dense_route(H)[2]().astype(complex))
+    assert_matches_dense(H, 1e-12, 1e-12)
 
 
 def test_lowest_two_gap_for_every_small_sector():
-    # L = 11..13 reaches sectors above DENSE_CUTOFF, the iterative route
+    # every sector with L <= 13 and dim >= 2, up to dim 1716
     for L in range(2, 14):
         for n in range(1, L):
             if math.comb(L, n) < 2:
@@ -340,16 +326,20 @@ def test_lowest_two_degenerate_and_trivial_errors():
         lowest_two(uniform_chain(2, 0))  # dim 1, no excited state
 
 
-def test_lanczos_route_never_assembles_H(monkeypatch):
+def test_lowest_two_never_assembles_H(monkeypatch):
+    # dims 12870 and 70: no sector size builds H's CSR, which its dense
+    # eigendecomposition would read first
     import xxfusion.spin_model as spin_model
 
     def no_pattern(*args):
         raise AssertionError("the CSR of H was assembled")
 
     monkeypatch.setattr(spin_model, "_hop_pattern", no_pattern)
-    pair = lowest_two(build_hamiltonian(enumerate_sector(16, 8), BondCouplings.uniform(16)))
-    assert pair.E0 == pytest.approx(oracles.sector_ground_energy(16, 8), abs=1e-9)
-    assert pair.ground.norm() == pytest.approx(1.0, abs=1e-12)  # filled on this read
+    for L, n in ((16, 8), (8, 4)):
+        H = build_hamiltonian(enumerate_sector(L, n), BondCouplings.uniform(L))
+        pair = lowest_two(H)
+        assert pair.E0 == pytest.approx(oracles.sector_ground_energy(L, n), abs=1e-9)
+        assert pair.ground.norm() == pytest.approx(1.0, abs=1e-12)  # filled on this read
 
 
 # ------------------------------------------------------------- overlaps
@@ -363,6 +353,19 @@ def test_infidelity_endpoints():
     w, U = uniform_chain(4, 2).dense_eig
     e1 = StateVector(basis, U[:, 1])
     assert infidelity(e1, e0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_infidelity_keeps_its_precision_near_zero():
+    # v = cos(theta) g + sin(theta) e with e orthogonal to g; 1 - |<g|v>|^2
+    # would cancel to roundoff at this theta
+    g = lowest_two(uniform_chain(8, 4)).ground
+    e = np.random.default_rng(7).standard_normal(g.basis.dim).astype(complex)
+    for _ in range(2):
+        e -= np.vdot(g.amps, e) * g.amps
+    e /= np.linalg.norm(e)
+    theta = 1e-7
+    v = StateVector(g.basis, math.cos(theta) * g.amps + math.sin(theta) * e)
+    assert infidelity(v, g) == pytest.approx(math.sin(theta) ** 2, rel=1e-9, abs=0.0)
 
 
 def test_infidelity_requires_normalized_states():

@@ -22,7 +22,6 @@ from xxfusion import (
     lowest_two,
     middle_bond,
 )
-from xxfusion.spin_model import _hop_pattern
 
 # ---------------------------------------------------------------- bases
 
@@ -231,26 +230,6 @@ def test_hamiltonian_matches_dense_oracle(L, data):
     _, ref = oracles.dense_hamiltonian(L, n, J)
     assert np.array_equal(H.matrix.toarray(), ref)
     assert H.matrix.nnz == np.count_nonzero(ref)
-
-
-@given(st.integers(2, 12), st.data())
-@settings(deadline=None, max_examples=60)
-def test_hop_pattern_of_chosen_rows_matches_full_pattern(L, data):
-    n = data.draw(st.integers(0, L))
-    basis = enumerate_sector(L, n)
-    bonds = data.draw(st.lists(st.integers(0, L - 2), unique=True))
-    weights = np.zeros(L - 1)
-    weights[bonds] = np.arange(1, len(bonds) + 1)  # a stored weight names its bond
-    rows = np.array(sorted(data.draw(
-        st.sets(st.integers(0, basis.dim - 1), max_size=basis.dim))), dtype=np.int64)
-    indptr, indices, weight = _hop_pattern(basis, weights)
-    sub_indptr, sub_indices, sub_weight = _hop_pattern(basis, weights, rows)
-    assert sub_indptr.size == rows.size + 1
-    assert sub_indptr[0] == 0 and sub_indptr[-1] == sub_indices.size == sub_weight.size
-    for i, r in enumerate(rows):
-        sub, full = slice(*sub_indptr[i:i + 2]), slice(*indptr[r:r + 2])
-        assert np.array_equal(sub_indices[sub], indices[full])
-        assert np.array_equal(sub_weight[sub], weight[full])
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3])
